@@ -3,7 +3,6 @@ overfitting attacks, and leaderboard-backed adaptive estimation."""
 
 from .core import (
     HoldoutSample,
-    RoundRecord,
     SubmittedModel,
     Trace,
     empirical_risk,
@@ -33,7 +32,6 @@ from .audit import (
     envelope_check,
     faithfulness_audit,
     leaderboard_error,
-    score_models,
     error_rate_ratio,
 )
 from .reduction import AdaptiveEstimator, Query, QueryOutcome, run_estimator_session
@@ -50,7 +48,7 @@ from .experiments import ExperimentConfig, render_csv, run_experiment
 __version__ = "0.1.0"
 
 __all__ = [
-    "HoldoutSample", "RoundRecord", "SubmittedModel", "Trace",
+    "HoldoutSample", "SubmittedModel", "Trace",
     "empirical_risk", "make_random_label_sample", "model_from_predictions",
     "Rng", "binomial_exceedance", "gaussian", "laplace",
     "BudgetExhaustedError", "Ladder", "LadderConfig", "MechanismParams",
@@ -58,7 +56,7 @@ __all__ = [
     "ParameterRegimeError", "PopulationMinOracle", "ShakyLadder",
     "clamp_release", "make_mechanism", "shaky_params", "zero_noise_hook",
     "EvalReport", "EvaluationSession", "envelope_check", "faithfulness_audit",
-    "leaderboard_error", "score_models", "error_rate_ratio",
+    "leaderboard_error", "error_rate_ratio",
     "AdaptiveEstimator", "Query", "QueryOutcome", "run_estimator_session",
     "AttackReport", "majority_attack_direct", "majority_attack_vs_mechanism",
     "random_prediction_models", "run_random_analyst", "shifted_majority_attack",

@@ -165,10 +165,7 @@ def majority_attack_vs_mechanism(mechanism: LeaderboardMechanism, sample: Holdou
         raise ValueError(f"attack needs k <= n, got k={k} > n={sample.size}")
     session = EvaluationSession(mechanism)
     preds = Rng(seed, QUERY_STREAM).integers(0, 2, (k, sample.size), dtype=np.int8)
-    released = []
-    for i in range(k):
-        released.append(session.submit(model_from_predictions(preds[i], sample)))
-    answers = np.asarray(released)
+    answers = np.asarray(session.submit_all(model_from_predictions(p, sample) for p in preds))
     signs, selected = _selection_signs(answers, sample.size, selection)
     majority = model_from_predictions(_majority_prediction(preds, signs), sample)
     final_released = session.submit(majority)

@@ -24,7 +24,6 @@ __all__ = [
     "envelope_check",
     "faithfulness_audit",
     "error_rate_ratio",
-    "score_models",
 ]
 
 
@@ -53,12 +52,8 @@ class EvaluationSession:
     def submit_all(self, models) -> list[float]:
         return [self.submit(model) for model in models]
 
-    @property
-    def rounds(self) -> int:
-        return len(self._population_risks)
-
     def trace(self) -> Trace:
-        return self.mechanism.trace().with_population_risks(self._population_risks)
+        return self.mechanism.trace(self._population_risks)
 
 
 def leaderboard_error(trace: Trace) -> float:
@@ -89,31 +84,18 @@ class EvalReport:
     worst_faithfulness_deviation: float
 
 
-def _recount_updates(trace: Trace) -> int:
-    # Independent of the mechanism's own counters: recount from releases.
-    prev = 1.0
-    count = 0
-    for rec in trace.records:
-        if rec.released < prev:
-            count += 1
-        prev = rec.released
-    return count
-
-
 def envelope_check(trace: Trace, params: MechanismParams) -> EvalReport:
     """Check lberr <= 18 eps sqrt(B) + lam + 2 L on a randomized-ladder trace.
 
-    B (update count) and L (max noise magnitude) are recomputed from the
-    trace records rather than trusted from mechanism counters.
+    B (update count) and L (max noise magnitude) are derived from the trace's
+    release and noise columns rather than trusted from mechanism counters.
     """
     if len(trace) == 0:
         raise ValueError("cannot audit an empty trace")
-    if any(not rec.noise_draws for rec in trace.records):
+    if np.isnan(trace.noise).all(axis=1).any():
         raise ValueError("trace has rounds without noise records")
-    updates = _recount_updates(trace)
-    max_noise = trace.initial_noise
-    for rec in trace.records:
-        max_noise = max(max_noise, *rec.noise_draws)
+    updates = trace.update_count
+    max_noise = trace.max_noise_magnitude
     envelope = 18.0 * params.epsilon * math.sqrt(updates) + params.lam + 2.0 * max_noise
     lberr = leaderboard_error(trace)
     violations, worst = faithfulness_audit(trace, params.n)
@@ -136,16 +118,9 @@ def faithfulness_audit(trace: Trace, n: int) -> tuple[int, float]:
     (violation count, worst deviation over update rounds).
     """
     bound = 1.0 / (2.0 * math.sqrt(n))
-    violations = 0
-    worst = 0.0
-    for rec in trace.records:
-        if not rec.updated:
-            continue
-        deviation = abs(rec.released - rec.empirical_risk)
-        worst = max(worst, deviation)
-        if deviation > bound:
-            violations += 1
-    return violations, worst
+    updated = trace.updated
+    deviations = np.abs(trace.released[updated] - trace.empirical_risks[updated])
+    return int(np.count_nonzero(deviations > bound)), float(deviations.max(initial=0.0))
 
 
 def error_rate_ratio(trace: Trace, params: MechanismParams) -> float:
@@ -160,15 +135,3 @@ def error_rate_ratio(trace: Trace, params: MechanismParams) -> float:
         / params.n**0.4
     )
     return leaderboard_error(trace) / rate
-
-
-def score_models(mechanism: LeaderboardMechanism, models) -> tuple[list[float], Trace | None]:
-    """Convenience wrapper: run models through a fresh session.
-
-    Returns the released values and, when the mechanism records rounds, the
-    scored trace.
-    """
-    session = EvaluationSession(mechanism)
-    released = session.submit_all(models)
-    trace = session.trace() if mechanism.records_trace else None
-    return released, trace

@@ -1,22 +1,23 @@
 """Command-line front end for the experiment grids.
 
 Exit codes: 0 success, 2 invalid arguments, 3 golden-file mismatch (1 for
-I/O failures). A plain-text key=value config file can seed any flag; flags
-given on the command line win.
+I/O failures). A plain-text key=value config file can seed any flag: its
+entries are replayed as flags ahead of the command line, so they are parsed
+and validated exactly like flags and flags given on the command line win.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .experiments import (
     EXPERIMENTS,
     DEFAULT_K_GRID,
     ExperimentConfig,
-    render_csv,
-    run_experiment,
+    experiment_csv,
 )
 from .mechanisms import MECHANISM_NAMES
 
@@ -28,22 +29,19 @@ _CONFIG_KEYS = {
 }
 
 
-def _int_grid(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(",") if part != "")
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+def _grid(cast, what: str):
+    """argparse type for a comma-separated list of ``cast`` values."""
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(cast(part) for part in text.split(",") if part != "")
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected comma-separated {what}, got {text!r}")
+    return parse
 
 
-def _float_grid(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(part) for part in text.split(",") if part != "")
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
-
-
-def _bool_flag(text: str) -> bool:
-    return text.strip().lower() in ("1", "true", "yes", "on")
+#: Spellings accepted for the ``per_rep`` config key (case-insensitive).
+_PER_REP = {"1": True, "true": True, "yes": True, "on": True,
+            "0": False, "false": False, "no": False, "off": False}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -55,9 +53,11 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="key=value file supplying defaults for any flag")
     parser.add_argument("--experiment", choices=EXPERIMENTS)
     parser.add_argument("--n", type=int, help="holdout size")
-    parser.add_argument("--k", type=_int_grid, default=None, metavar="K1,K2,...",
+    parser.add_argument("--k", dest="k_grid", type=_grid(int, "integers"),
+                        default=DEFAULT_K_GRID, metavar="K1,K2,...",
                         help="query-count grid (default 100..1000 step 100)")
-    parser.add_argument("--noise", type=_float_grid, default=None, metavar="M1,M2,...",
+    parser.add_argument("--noise", dest="noise_grid", type=_grid(float, "numbers"),
+                        default=None, metavar="M1,M2,...",
                         help="noise multipliers in units of 1/sqrt(n)")
     parser.add_argument("--reps", type=int, default=100, help="repetitions per cell")
     parser.add_argument("--seed", type=int, default=0)
@@ -74,8 +74,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config_file(path: Path) -> dict[str, str]:
-    entries: dict[str, str] = {}
+def _config_flags(path: Path) -> list[str]:
+    """Translate a key=value config file into the equivalent flags."""
+    flags: list[str] = []
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as err:
@@ -90,61 +91,31 @@ def _load_config_file(path: Path) -> dict[str, str]:
         key = key.replace("-", "_")
         if key not in _CONFIG_KEYS:
             raise SystemExit(f"{path}:{lineno}: unknown key {key!r}")
-        entries[key] = value
-    return entries
-
-
-def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """Peek at --config and fold its entries in as parser defaults."""
-    peek, _ = parser.parse_known_args(argv)
-    if peek.config is None:
-        return argv
-    entries = _load_config_file(peek.config)
-    defaults = {}
-    for key, value in entries.items():
-        if key == "n":
-            defaults["n"] = int(value)
-        elif key in ("reps", "seed"):
-            defaults[key] = int(value)
-        elif key in ("beta", "eta", "alpha"):
-            defaults[key] = float(value)
-        elif key == "k":
-            defaults["k"] = _int_grid(value)
-        elif key == "noise":
-            defaults["noise"] = _float_grid(value)
-        elif key == "per_rep":
-            defaults["per_rep"] = _bool_flag(value)
-        elif key in ("out", "golden"):
-            defaults[key] = Path(value)
+        if key == "per_rep":
+            if value.lower() not in _PER_REP:
+                raise SystemExit(f"{path}:{lineno}: per_rep must be one of "
+                                 f"{', '.join(_PER_REP)}, got {value!r}")
+            flags += ["--per-rep"] * _PER_REP[value.lower()]
         else:
-            defaults[key] = value
-    parser.set_defaults(**defaults)
-    return argv
+            flags.append(f"--{key}={value}")
+    return flags
 
 
 def cli_main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
     try:
-        _apply_config_file(parser, argv)
+        peek, _ = parser.parse_known_args(argv)
+        if peek.config is not None:
+            argv = _config_flags(peek.config) + argv
         args = parser.parse_args(argv)
         if args.experiment is None:
             parser.error("--experiment is required")
         if args.n is None:
             parser.error("--n is required")
-        config = ExperimentConfig(
-            experiment=args.experiment,
-            n=args.n,
-            k_grid=args.k if args.k is not None else DEFAULT_K_GRID,
-            noise_grid=args.noise,
-            reps=args.reps,
-            seed=args.seed,
-            mechanism=args.mechanism,
-            beta=args.beta,
-            eta=args.eta,
-            alpha=args.alpha,
-            per_rep=args.per_rep,
-        )
+        # Every ExperimentConfig field is a parser dest of the same name.
+        config = ExperimentConfig(**{f.name: getattr(args, f.name)
+                                     for f in fields(ExperimentConfig)})
     except SystemExit as err:
         code = err.code
         if isinstance(code, str):
@@ -155,7 +126,7 @@ def cli_main(argv: list[str] | None = None) -> int:
         print(f"invalid arguments: {err}", file=sys.stderr)
         return 2
 
-    csv_text = render_csv(run_experiment(config), per_rep=config.per_rep)
+    csv_text = experiment_csv(config)
 
     if args.out is not None:
         try:

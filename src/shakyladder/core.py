@@ -11,8 +11,8 @@ and safe to share across threads.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
-from typing import Sequence
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +22,6 @@ __all__ = [
     "LOSS_TOLERANCE",
     "SubmittedModel",
     "HoldoutSample",
-    "RoundRecord",
     "Trace",
     "make_random_label_sample",
     "model_from_predictions",
@@ -61,7 +60,8 @@ class SubmittedModel:
             raise ValueError("loss_vector must be a nonempty 1-d array")
         lo = float(vec.min())
         hi = float(vec.max())
-        if lo < -LOSS_TOLERANCE or hi > 1.0 + LOSS_TOLERANCE:
+        # Written so that NaN, which fails every comparison, is rejected too.
+        if not (lo >= -LOSS_TOLERANCE and hi <= 1.0 + LOSS_TOLERANCE):
             raise ValueError(
                 f"loss values must lie in [0, 1] (tolerance {LOSS_TOLERANCE}); "
                 f"observed range [{lo}, {hi}]"
@@ -95,93 +95,53 @@ class HoldoutSample:
 
 
 @dataclass(frozen=True)
-class RoundRecord:
-    """One mechanism round: what was submitted, released, and drawn.
-
-    ``noise_draws`` holds the magnitudes of any noise variables drawn this
-    round (three per round for the randomized ladder, none for deterministic
-    mechanisms). ``population_risk`` is NaN until the evaluation oracle fills
-    it in.
-    """
-
-    round_index: int
-    empirical_risk: float
-    released: float
-    population_risk: float
-    updated: bool
-    noise_draws: tuple[float, ...] = ()
-
-    def __post_init__(self):
-        if self.round_index < 1:
-            raise ValueError("round_index starts at 1")
-        if len(self.noise_draws) > 3:
-            raise ValueError("at most three noise draws per round")
-
-
-@dataclass(frozen=True)
 class Trace:
-    """Ordered round records plus the noise bookkeeping needed for audits.
+    """One mechanism run as read-only per-round columns.
 
+    ``empirical_risks``, ``released`` and ``population_risks`` hold one value
+    per round; population risks are NaN unless the evaluation oracle supplied
+    them. ``noise`` is rounds x 3: the magnitudes of the noise variables drawn
+    each round (three for the randomized ladder, one for the noisy oracle,
+    none for deterministic mechanisms), NaN where nothing was drawn.
     ``initial_noise`` is the magnitude of the threshold noise drawn before
-    round 1 (0.0 for noiseless mechanisms); ``max_noise_magnitude`` must equal
-    the maximum over that value and every recorded draw, which
-    ``__post_init__`` enforces, as it does the release-vs-updated-flag
-    consistency with the convention that round 1 compares against R_0 = 1.
+    round 1 (0.0 for noiseless mechanisms). Update flags, the update count
+    and the maximal noise magnitude are derived from these columns, with
+    round 1 compared against R_0 = 1.
     """
 
-    records: tuple[RoundRecord, ...]
+    empirical_risks: np.ndarray
+    released: np.ndarray
+    population_risks: np.ndarray
+    noise: np.ndarray
     initial_noise: float = 0.0
-    max_noise_magnitude: float = 0.0
     params: object | None = None
 
     def __post_init__(self):
-        prev_released = 1.0
-        expected_max = self.initial_noise
-        for i, rec in enumerate(self.records):
-            if rec.round_index != i + 1:
-                raise ValueError("records must be consecutively numbered from 1")
-            if rec.updated != (rec.released < prev_released):
-                raise ValueError(
-                    f"round {rec.round_index}: updated flag inconsistent with releases"
-                )
-            prev_released = rec.released
-            if rec.noise_draws:
-                expected_max = max(expected_max, *rec.noise_draws)
-        if self.max_noise_magnitude != expected_max:
-            raise ValueError(
-                "max_noise_magnitude must equal the max over the initial threshold "
-                f"noise and all recorded draws ({expected_max}), got {self.max_noise_magnitude}"
-            )
+        for name in ("empirical_risks", "released", "population_risks", "noise"):
+            column = np.asarray(getattr(self, name), dtype=float)
+            object.__setattr__(self, name, _as_readonly(column))
+        rounds = self.released.shape
+        if not (len(rounds) == 1 and self.empirical_risks.shape == rounds
+                and self.population_risks.shape == rounds and self.noise.shape == (*rounds, 3)):
+            raise ValueError("a trace needs one risk of each kind and three noise "
+                             "magnitudes per round")
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.released)
 
     @property
-    def released(self) -> np.ndarray:
-        return np.array([r.released for r in self.records])
-
-    @property
-    def empirical_risks(self) -> np.ndarray:
-        return np.array([r.empirical_risk for r in self.records])
-
-    @property
-    def population_risks(self) -> np.ndarray:
-        return np.array([r.population_risk for r in self.records])
+    def updated(self) -> np.ndarray:
+        """Rounds whose release strictly undercut the previous one."""
+        return self.released < np.concatenate(([1.0], self.released[:-1]))
 
     @property
     def update_count(self) -> int:
-        """Number of rounds whose release strictly undercut the previous one."""
-        return sum(1 for r in self.records if r.updated)
+        return int(np.count_nonzero(self.updated))
 
-    def with_population_risks(self, risks: Sequence[float]) -> "Trace":
-        """Copy of this trace with the oracle-side population risks filled in."""
-        if len(risks) != len(self.records):
-            raise ValueError("need exactly one population risk per round")
-        records = tuple(
-            replace(rec, population_risk=float(risk))
-            for rec, risk in zip(self.records, risks)
-        )
-        return replace(self, records=records)
+    @property
+    def max_noise_magnitude(self) -> float:
+        """Max over the initial threshold noise and every recorded draw."""
+        return float(np.fmax.reduce(self.noise, axis=None, initial=self.initial_noise))
 
 
 def make_random_label_sample(n: int, seed: int | tuple[int, ...]) -> HoldoutSample:
@@ -231,13 +191,12 @@ def write_trace_csv(trace: Trace, path, clamp_releases: bool = False) -> None:
             ["round", "empirical_risk", "released", "population_risk", "updated",
              "noise1", "noise2", "noise3"]
         )
-        for rec in trace.records:
-            draws = [_fmt(d) for d in rec.noise_draws]
-            draws += [""] * (3 - len(draws))
-            released = rec.released
+        rows = zip(trace.empirical_risks.tolist(), trace.released.tolist(),
+                   trace.population_risks.tolist(), trace.updated.tolist(), trace.noise.tolist())
+        for index, (empirical, released, population, updated, draws) in enumerate(rows, start=1):
             if clamp_releases:
                 released = min(1.0, max(0.0, released))
             writer.writerow(
-                [rec.round_index, _fmt(rec.empirical_risk), _fmt(released),
-                 _fmt(rec.population_risk), int(rec.updated), *draws]
+                [index, _fmt(empirical), _fmt(released), _fmt(population), int(updated),
+                 *("" if math.isnan(d) else _fmt(d) for d in draws)]
             )

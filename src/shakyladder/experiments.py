@@ -20,7 +20,8 @@ import numpy as np
 from . import analysts
 from .audit import EvaluationSession, envelope_check, leaderboard_error
 from .core import make_random_label_sample
-from .mechanisms import PopulationMinOracle, ShakyLadder, make_mechanism, shaky_params
+from .mechanisms import (LadderConfig, PopulationMinOracle, ShakyLadder, _regime_params,
+                         make_mechanism, shaky_params)
 from .noise import Rng
 from .reduction import AdaptiveEstimator, Query
 
@@ -34,8 +35,7 @@ __all__ = [
     "VARY_NOISE_GRID",
     "run_experiment",
     "render_csv",
-    "run_vary_queries",
-    "run_vary_noise",
+    "run_vary",
     "run_envelope",
     "run_reduction_oracle",
     "run_attack_vs_mechanism",
@@ -85,6 +85,21 @@ class ExperimentConfig:
             raise ValueError("k grid must be nonempty")
         if self.noise_grid is not None and not self.noise_grid:
             raise ValueError("noise grid must be nonempty")
+        if min(self.k_grid) < 0:
+            raise ValueError("k values must be >= 0")
+        if not all(math.isfinite(m) and m >= 0.0 for m in self.resolved_noise_grid()):
+            raise ValueError("noise multipliers must be finite and >= 0")
+        if self.experiment == "reduction-oracle" and not 0.0 < self.alpha <= 1.0 / 3.0:
+            raise ValueError(f"alpha must lie in (0, 1/3] to ask any query, got {self.alpha}")
+        attacked = self.experiment in ("envelope", "attack-vs-mechanism")
+        if attacked and max(self.k_grid) > self.n:
+            raise ValueError(f"the attack needs k <= n, got k={max(self.k_grid)} > n={self.n}")
+        if self.experiment == "attack-vs-mechanism" and self.mechanism == "ladder":
+            LadderConfig(eta=self.eta)  # raises on a non-positive step
+        if self.experiment == "envelope" or (attacked and self.mechanism == "shaky"):
+            # The run's own shaky_params calls are the ones that warn.
+            for k in sorted(set(self.k_grid)):
+                _regime_params(self.n, k + 1, self.beta)
 
     def resolved_noise_grid(self) -> tuple[float, ...]:
         if self.noise_grid is not None:
@@ -166,7 +181,9 @@ def _attack_grid(n: int, k_grid, multipliers, reps: int, seed: int):
     return cells
 
 
-def _vary_rows(config: ExperimentConfig) -> list[CellResult]:
+def run_vary(config: ExperimentConfig) -> list[CellResult]:
+    """Attack error over the (k, noise multiplier) grid, for both vary
+    experiments: they differ only in their default noise grid."""
     multipliers = config.resolved_noise_grid()
     cells = _attack_grid(config.n, config.k_grid, multipliers, config.reps, config.seed)
     rows = []
@@ -175,16 +192,6 @@ def _vary_rows(config: ExperimentConfig) -> list[CellResult]:
             reps = tuple(RepResult(final_error=e) for e in cells[(k, mult)])
             rows.append(CellResult(config.experiment, "direct", config.n, k, mult, reps))
     return rows
-
-
-def run_vary_queries(config: ExperimentConfig) -> list[CellResult]:
-    """Attack error versus number of queries, one column per noise level."""
-    return _vary_rows(config)
-
-
-def run_vary_noise(config: ExperimentConfig) -> list[CellResult]:
-    """Attack error versus noise level, one column per query count."""
-    return _vary_rows(config)
 
 
 def run_envelope(config: ExperimentConfig) -> list[CellResult]:
@@ -251,22 +258,17 @@ def run_attack_vs_mechanism(config: ExperimentConfig) -> list[CellResult]:
             for rep in range(config.reps):
                 run_seed = (config.seed, k, rep)
                 sample = make_random_label_sample(config.n, run_seed)
-                stddev = mult / math.sqrt(config.n) if mult > 0 else None
                 mechanism = make_mechanism(
                     config.mechanism, n=config.n, k=k + 1, beta=config.beta,
-                    eta=config.eta, noise_stddev=stddev, seed=run_seed,
+                    eta=config.eta, noise_stddev=mult / math.sqrt(config.n), seed=run_seed,
                 )
                 report, trace = analysts.majority_attack_vs_mechanism(
                     mechanism, sample, k, run_seed, selection="theorem"
                 )
-                lberr = math.nan
-                updates = math.nan
-                max_noise = math.nan
-                if trace is not None:
-                    lberr = leaderboard_error(trace)
-                    updates = float(trace.update_count)
-                    max_noise = trace.max_noise_magnitude
-                reps.append(RepResult(report.final_error, lberr, updates, max_noise))
+                reps.append(RepResult(
+                    report.final_error, leaderboard_error(trace),
+                    float(trace.update_count), trace.max_noise_magnitude,
+                ))
             rows.append(CellResult(
                 config.experiment, config.mechanism, config.n, k, mult, tuple(reps)
             ))
@@ -274,8 +276,8 @@ def run_attack_vs_mechanism(config: ExperimentConfig) -> list[CellResult]:
 
 
 _RUNNERS = {
-    "vary-queries": run_vary_queries,
-    "vary-noise": run_vary_noise,
+    "vary-queries": run_vary,
+    "vary-noise": run_vary,
     "envelope": run_envelope,
     "reduction-oracle": run_reduction_oracle,
     "attack-vs-mechanism": run_attack_vs_mechanism,

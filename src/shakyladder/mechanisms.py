@@ -10,13 +10,14 @@ risks and exists only behind the audit-side evaluation interface.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RoundRecord, Trace
+from .core import Trace
 from .noise import Rng, gaussian, laplace
 
 __all__ = [
@@ -88,14 +89,8 @@ class MechanismParams:
             )
 
 
-def shaky_params(n: int, k: int, beta: float) -> MechanismParams:
-    """Derive the randomized-ladder parameters from (n, k, beta).
-
-    Raises :class:`ParameterRegimeError` when epsilon or delta leave their
-    required ranges. The sample-size requirement n >= (1/eps^2) ln(4 eps/delta)
-    only warns: the flagship settings sit slightly below it and the mechanism
-    still runs, it just loses the formal generalization guarantee.
-    """
+def _regime_params(n: int, k: int, beta: float) -> MechanismParams:
+    """Derive and validate the randomized-ladder parameters without warning."""
     if n < 1 or k < 1:
         raise ValueError(f"n and k must be positive, got n={n}, k={k}")
     if not 0.0 < beta < 1.0:
@@ -109,6 +104,19 @@ def shaky_params(n: int, k: int, beta: float) -> MechanismParams:
         delta=delta, epsilon=epsilon, lam=lam, sigma=sigma,
     )
     params.validate()
+    return params
+
+
+def shaky_params(n: int, k: int, beta: float) -> MechanismParams:
+    """Derive the randomized-ladder parameters from (n, k, beta).
+
+    Raises :class:`ParameterRegimeError` when epsilon or delta leave their
+    required ranges. The sample-size requirement n >= (1/eps^2) ln(4 eps/delta)
+    only warns: the flagship settings sit slightly below it and the mechanism
+    still runs, it just loses the formal generalization guarantee.
+    """
+    params = _regime_params(n, k, beta)
+    epsilon, delta = params.epsilon, params.delta
     n_min = (1.0 / epsilon**2) * math.log(4.0 * epsilon / delta)
     if n < n_min:
         warnings.warn(
@@ -129,61 +137,46 @@ class _RoundLog:
     memory.
     """
 
-    __slots__ = ("record", "initial_noise", "_max_noise", "rounds", "updates",
-                 "prev_released", "_empirical", "_released", "_updated", "_noise")
+    __slots__ = ("record", "initial_noise", "max_noise", "rounds", "updates",
+                 "prev_released", "_empirical", "_released", "_noise")
 
     def __init__(self, record: bool = True):
         self.record = record
         self.initial_noise = 0.0
-        self._max_noise = 0.0
+        self.max_noise = 0.0
         self.rounds = 0
         self.updates = 0
         self.prev_released = 1.0
         self._empirical: list[float] = []
         self._released: list[float] = []
-        self._updated: list[bool] = []
         self._noise: list[tuple[float, ...]] = []
 
-    def set_initial_noise(self, magnitude: float) -> None:
-        self.initial_noise = float(magnitude)
-        self._max_noise = max(self._max_noise, self.initial_noise)
-
-    def add(self, empirical: float, released: float, draws: tuple[float, ...] = ()) -> bool:
+    def add(self, empirical: float, released: float, draws: tuple[float, ...] = ()) -> None:
         updated = released < self.prev_released
         self.rounds += 1
         self.updates += int(updated)
         self.prev_released = released
         if draws:
-            self._max_noise = max(self._max_noise, *draws)
+            self.max_noise = max(self.max_noise, *draws)
         if self.record:
             self._empirical.append(empirical)
             self._released.append(released)
-            self._updated.append(updated)
             self._noise.append(draws)
-        return updated
 
-    @property
-    def max_noise(self) -> float:
-        return self._max_noise
-
-    def trace(self, params: MechanismParams | None = None) -> Trace:
+    def trace(self, population_risks=None, params: MechanismParams | None = None) -> Trace:
         if not self.record:
             raise RuntimeError("this mechanism was created with record=False")
-        records = tuple(
-            RoundRecord(
-                round_index=i + 1,
-                empirical_risk=self._empirical[i],
-                released=self._released[i],
-                population_risk=math.nan,
-                updated=self._updated[i],
-                noise_draws=self._noise[i],
-            )
-            for i in range(self.rounds)
-        )
+        # Row-major boolean assignment fills each round's draws left to right.
+        drawn = np.fromiter(map(len, self._noise), dtype=np.intp, count=self.rounds)
+        noise = np.full((self.rounds, 3), math.nan)
+        noise[np.arange(3) < drawn[:, None]] = list(itertools.chain.from_iterable(self._noise))
         return Trace(
-            records=records,
+            empirical_risks=self._empirical,
+            released=self._released,
+            population_risks=(np.full(self.rounds, math.nan) if population_risks is None
+                              else population_risks),
+            noise=noise,
             initial_noise=self.initial_noise,
-            max_noise_magnitude=self._max_noise,
             params=params,
         )
 
@@ -193,6 +186,8 @@ class LeaderboardMechanism:
 
     name = "base"
     needs_population_risk = False
+    #: Parameter set recorded on traces; only the randomized ladder has one.
+    params: MechanismParams | None = None
 
     def __init__(self, max_rounds: int | None = None, record: bool = True):
         self.max_rounds = max_rounds
@@ -205,10 +200,6 @@ class LeaderboardMechanism:
     @property
     def update_count(self) -> int:
         return self._log.updates
-
-    @property
-    def last_released(self) -> float:
-        return self._log.prev_released
 
     @property
     def max_noise_magnitude(self) -> float:
@@ -235,8 +226,9 @@ class LeaderboardMechanism:
             raise ValueError(f"loss vector length {vec.size}, expected {expected_n}")
         return float(np.mean(vec))
 
-    def trace(self) -> Trace:
-        return self._log.trace()
+    def trace(self, population_risks=None) -> Trace:
+        """The recorded rounds, with the oracle's population risks if given."""
+        return self._log.trace(population_risks, params=self.params)
 
     def submit(self, loss_vector) -> float:  # pragma: no cover - interface
         raise NotImplementedError
@@ -272,7 +264,7 @@ class ShakyLadder(LeaderboardMechanism):
         )
         self.best = 1.0
         self.threshold_noise = float(self._draw(params.sigma))
-        self._log.set_initial_noise(abs(self.threshold_noise))
+        self._log.initial_noise = self._log.max_noise = abs(self.threshold_noise)
 
     def submit(self, loss_vector) -> float:
         self._check_budget()
@@ -289,9 +281,6 @@ class ShakyLadder(LeaderboardMechanism):
             released = self.best
         self._log.add(risk, released, (abs(noise_cmp), abs(noise_rel), abs(noise_thr)))
         return released
-
-    def trace(self) -> Trace:
-        return self._log.trace(params=self.params)
 
 
 def zero_noise_hook(scale: float) -> float:
@@ -470,7 +459,7 @@ def make_mechanism(kind: str, *, n: int, k: int | None = None, beta: float = 0.1
 
     ``k`` bounds the round budget where one applies (always for ``shaky``,
     whose parameters derive from (n, k, beta)). ``noise_stddev`` defaults to
-    3/sqrt(n) for the noisy oracle.
+    3/sqrt(n) for the noisy oracle; a stddev of 0 means exact feedback.
     """
     if kind == "shaky":
         if k is None:
@@ -480,7 +469,7 @@ def make_mechanism(kind: str, *, n: int, k: int | None = None, beta: float = 0.1
         return Ladder(LadderConfig(eta=eta), max_rounds=k, record=record)
     if kind == "pf-ladder":
         return ParameterFreeLadder(max_rounds=k, record=record)
-    if kind == "empirical":
+    if kind == "empirical" or (kind == "noisy" and noise_stddev == 0.0):
         return ExactEmpiricalOracle(max_rounds=k, record=record)
     if kind == "noisy":
         stddev = noise_stddev if noise_stddev is not None else 3.0 / math.sqrt(n)

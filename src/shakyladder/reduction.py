@@ -46,7 +46,8 @@ class Query:
         vec = np.asarray(self.values, dtype=float)
         if vec.ndim != 1 or vec.size == 0:
             raise ValueError("query values must form a nonempty vector")
-        if float(vec.min()) < 0.0 or float(vec.max()) > 1.0:
+        # Written so that NaN, which fails every comparison, is rejected too.
+        if not (float(vec.min()) >= 0.0 and float(vec.max()) <= 1.0):
             raise ValueError("query values must lie in [0, 1]")
         if not 0.0 <= self.population_mean <= 1.0:
             raise ValueError(f"population_mean must lie in [0, 1], got {self.population_mean}")

@@ -5,10 +5,29 @@ error at or below a chosen bound, so tests can drive the estimator with an
 adversarial-but-contract-honoring mechanism. Releases refresh only when a
 submission strictly lowers the running minimum (ladder-style), which is the
 release discipline of every real mechanism in the package; see the note on
-``mode`` for why that matters.
+``mode`` for why that matters. :func:`build_trace` assembles hand-written
+traces for the audit and trace tests.
 """
 
+import math
+
+import numpy as np
+
+from shakyladder.core import Trace
 from shakyladder.mechanisms import LeaderboardMechanism
+
+
+def build_trace(population_risks, released, empirical=None, draws=None, initial_noise=0.0):
+    """Trace from per-round lists; ``draws`` holds each round's noise tuple."""
+    draws = draws if draws is not None else [()] * len(released)
+    noise = np.array([tuple(d) + (math.nan,) * (3 - len(d)) for d in draws]).reshape(-1, 3)
+    return Trace(
+        empirical_risks=empirical if empirical is not None else released,
+        released=released,
+        population_risks=population_risks,
+        noise=noise,
+        initial_noise=initial_noise,
+    )
 
 
 class PerturbedMinOracle(LeaderboardMechanism):

@@ -152,7 +152,7 @@ class TestAttackVsMechanism:
         report, trace = majority_attack_vs_mechanism(ExactEmpiricalOracle(), sample, 5, 3)
         assert len(trace) == 6  # k queries plus the majority round
         assert np.all(trace.population_risks == 0.5)
-        assert report.final_released == trace.records[-1].released
+        assert report.final_released == trace.released[-1]
 
     def test_budget_error_propagates(self):
         sample = make_random_label_sample(100, 4)

@@ -12,7 +12,7 @@ from shakyladder.audit import (
     leaderboard_error,
     error_rate_ratio,
 )
-from shakyladder.core import RoundRecord, Trace, make_random_label_sample
+from shakyladder.core import make_random_label_sample
 from shakyladder.mechanisms import (
     ExactEmpiricalOracle,
     Ladder,
@@ -23,24 +23,7 @@ from shakyladder.mechanisms import (
     zero_noise_hook,
 )
 from shakyladder.analysts import run_random_analyst
-
-
-def build_trace(population_risks, released, empirical=None, draws=None, initial_noise=0.0):
-    empirical = empirical if empirical is not None else released
-    prev = 1.0
-    records = []
-    max_noise = initial_noise
-    for i, (pop, rel) in enumerate(zip(population_risks, released)):
-        d = tuple(draws[i]) if draws is not None else ()
-        if d:
-            max_noise = max(max_noise, *d)
-        records.append(RoundRecord(
-            round_index=i + 1, empirical_risk=empirical[i], released=rel,
-            population_risk=pop, updated=rel < prev, noise_draws=d,
-        ))
-        prev = rel
-    return Trace(records=tuple(records), initial_noise=initial_noise,
-                 max_noise_magnitude=max_noise)
+from synthetic import build_trace
 
 
 def brute_force_lberr(population_risks, released):
@@ -66,12 +49,11 @@ class TestLeaderboardError:
 
     def test_empty_trace_rejected(self):
         with pytest.raises(ValueError):
-            leaderboard_error(Trace(records=()))
+            leaderboard_error(build_trace([], []))
 
     def test_missing_population_risks_rejected(self):
-        rec = RoundRecord(1, 0.5, 0.5, math.nan, updated=True)
         with pytest.raises(ValueError, match="population risks"):
-            leaderboard_error(Trace(records=(rec,)))
+            leaderboard_error(build_trace([math.nan], [0.5]))
 
     @given(
         st.lists(
@@ -140,6 +122,32 @@ class TestEnvelopeCheck:
 
 
 class TestFaithfulnessAudit:
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(min_value=-0.2, max_value=1.2),
+                st.floats(min_value=0.0, max_value=1.0),
+            ),
+            max_size=40,
+        ),
+        st.integers(min_value=1, max_value=10000),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_loop_reference(self, rows, n):
+        released = [r[0] for r in rows]
+        empirical = [r[1] for r in rows]
+        bound = 1.0 / (2.0 * math.sqrt(n))
+        prev, updates, violations, worst = 1.0, 0, 0, 0.0
+        for rel, emp in zip(released, empirical):
+            if rel < prev:
+                updates += 1
+                worst = max(worst, abs(rel - emp))
+                violations += abs(rel - emp) > bound
+            prev = rel
+        trace = build_trace([0.5] * len(rows), released, empirical=empirical)
+        assert trace.update_count == updates
+        assert faithfulness_audit(trace, n) == (violations, worst)
+
     def test_ladder_has_zero_violations(self):
         ladder = Ladder(LadderConfig(eta=0.02))
         session = EvaluationSession(ladder)
@@ -212,5 +220,5 @@ class TestEvaluationSession:
         session = EvaluationSession(ExactEmpiricalOracle())
         session.submit(SubmittedModel(np.array([0.0, 1.0]), 0.25))
         trace = session.trace()
-        assert trace.records[0].population_risk == 0.25
+        assert trace.population_risks[0] == 0.25
         assert leaderboard_error(trace) == pytest.approx(0.25)

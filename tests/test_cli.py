@@ -1,3 +1,14 @@
+import contextlib
+import io
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
 from shakyladder.cli import cli_main
 
 BASE = ["--experiment", "vary-queries", "--n", "400", "--k", "20,50",
@@ -95,3 +106,93 @@ def test_per_rep_flag(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0].endswith("max_noise_L")
     assert len(lines) == 1 + 6 * 5
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_module(argv):
+    """Run ``python -m shakyladder`` so stderr is exactly what a user sees."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "shakyladder", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--experiment", "attack-vs-mechanism", "--k", "100", "--n", "40"],  # k > n
+    ["--experiment", "envelope", "--n", "50", "--k", "100"],  # k > n
+    ["--experiment", "envelope", "--n", "64", "--k", "10"],  # epsilon >= 1/3
+    ["--experiment", "attack-vs-mechanism", "--n", "64", "--k", "10", "--reps", "1"],
+])
+def test_run_time_regime_errors_exit_2(argv):
+    result = run_module(argv)
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("entry", ["mechanism = bogus", "per_rep = maybe", "n = many"])
+def test_invalid_config_value_exits_2(tmp_path, entry):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"experiment = vary-queries\nn = 400\nk = 20\nreps = 1\n{entry}\n")
+    result = run_module(["--config", str(config)])
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("spelling,rows", [("yes", 1 + 3), ("Off", 1 + 3), ("true", 1 + 3)])
+def test_config_per_rep_spellings(tmp_path, spelling, rows):
+    config = tmp_path / "run.cfg"
+    config.write_text("experiment = vary-queries\nn = 400\nk = 20\nreps = 1\n"
+                      f"per_rep = {spelling}\n")
+    out = tmp_path / "r.csv"
+    assert cli_main(["--config", str(config), "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert len(lines) == rows
+    assert lines[0].endswith("max_noise_L") == (spelling != "Off")
+
+
+def _flag(name, values):
+    return st.tuples(st.just(name), st.sampled_from(values)).map(list)
+
+
+#: Known flags with valid, invalid and out-of-range values; sizes stay small.
+_FLAGS = st.one_of(
+    _flag("--experiment", ["vary-queries", "vary-noise", "envelope", "reduction-oracle",
+                           "attack-vs-mechanism", "bogus"]),
+    _flag("--n", ["-1", "0", "1", "8", "40", "64", "x", ""]),
+    _flag("--k", ["0", "1", "1,5", "7,3,7", "40", "64", "-1", "a,b", ""]),
+    _flag("--noise", ["0", "0,3", "1.5", "-1", "nan", "inf", "x"]),
+    _flag("--seed", ["0", "3", "-5", "x"]),
+    _flag("--mechanism", ["shaky", "ladder", "pf-ladder", "empirical", "noisy",
+                          "population-min", "bogus"]),
+    _flag("--beta", ["0.1", "0.5", "0", "1", "-1", "nan"]),
+    _flag("--eta", ["0.01", "0", "-1", "inf", "nan"]),
+    _flag("--alpha", ["0.05", "0.2", "1/3", "0.34", "0.5", "0", "-1", "nan"]),
+    st.just(["--per-rep"]),
+    st.just(["--frobnicate"]),
+    # Neither no-such-dir path exists, so nothing is written and both exit 1.
+    st.just(["--out", "no-such-dir/r.csv"]),
+    st.just(["--golden", "no-such-dir/golden.csv"]),
+    st.just(["--golden", str(Path(__file__).resolve().parent / "fixtures" / "vq_small.csv")]),
+)
+
+
+@given(
+    experiment=st.sampled_from(["vary-queries", "vary-noise", "envelope", "reduction-oracle",
+                                "attack-vs-mechanism"]),
+    n=st.integers(1, 64),
+    flags=st.lists(_FLAGS, max_size=6),
+    reps=st.sampled_from(["1", "2", "1", "2", "0"]),
+)
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_fuzzed_argv_exits_cleanly(experiment, n, flags, reps):
+    # A valid experiment and n come first, so most draws get past the
+    # required flags; drawn flags may override either of them.
+    argv = ["--experiment", experiment, "--n", str(n)]
+    argv += [part for flag in flags for part in flag] + ["--reps", reps]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli_main(argv)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in stderr.getvalue()

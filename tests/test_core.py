@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from shakyladder.core import (
     HoldoutSample,
-    RoundRecord,
     SubmittedModel,
     Trace,
     empirical_risk,
@@ -15,6 +14,7 @@ from shakyladder.core import (
     model_from_predictions,
     write_trace_csv,
 )
+from synthetic import build_trace
 
 
 class TestRandomLabelSample:
@@ -105,6 +105,11 @@ class TestSubmittedModelValidation:
         with pytest.raises(ValueError):
             SubmittedModel(np.array([-1e-9, 0.5]), 0.5)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_losses(self, bad):
+        with pytest.raises(ValueError):
+            SubmittedModel(np.array([0.5, bad]), 0.5)
+
     def test_tolerates_tiny_overshoot(self):
         model = SubmittedModel(np.array([1.0 + 5e-13, 0.0]), 0.5)
         assert model.size == 2
@@ -119,63 +124,38 @@ class TestSubmittedModelValidation:
             model.loss_vector[0] = 0.0
 
 
-def _record(i, released, prev, emp=0.5, draws=()):
-    return RoundRecord(
-        round_index=i, empirical_risk=emp, released=released,
-        population_risk=0.5, updated=released < prev, noise_draws=draws,
-    )
-
-
 class TestTraceValidation:
-    def test_round_numbering_enforced(self):
-        good = _record(1, 0.4, 1.0)
-        with pytest.raises(ValueError):
-            Trace(records=(good, _record(3, 0.3, 0.4)))
-
-    def test_updated_flag_consistency_enforced(self):
-        bad = RoundRecord(1, 0.5, 0.4, 0.5, updated=False)
-        with pytest.raises(ValueError):
-            Trace(records=(bad,))
-
     def test_first_round_compares_to_one(self):
-        rec = RoundRecord(1, 0.5, 1.0, 0.5, updated=False)
-        trace = Trace(records=(rec,))
+        trace = build_trace([0.5], [1.0], empirical=[0.5])
         assert trace.update_count == 0
 
-    def test_max_noise_must_match_records(self):
-        rec = _record(1, 0.4, 1.0, draws=(0.1, 0.2, 0.05))
-        with pytest.raises(ValueError):
-            Trace(records=(rec,), max_noise_magnitude=0.1)
-        trace = Trace(records=(rec,), max_noise_magnitude=0.2)
-        assert trace.max_noise_magnitude == 0.2
-
     def test_initial_noise_enters_max(self):
-        rec = _record(1, 0.4, 1.0, draws=(0.1,))
-        trace = Trace(records=(rec,), initial_noise=0.3, max_noise_magnitude=0.3)
+        trace = build_trace([0.5], [0.4], draws=[(0.1,)], initial_noise=0.3)
         assert trace.max_noise_magnitude == 0.3
 
     def test_update_count_counts_strict_decreases(self):
-        records = (
-            _record(1, 0.6, 1.0),
-            _record(2, 0.6, 0.6),
-            _record(3, 0.5, 0.6),
-        )
-        assert Trace(records=records).update_count == 2
+        trace = build_trace([0.5] * 3, [0.6, 0.6, 0.5])
+        assert trace.update_count == 2
 
-    def test_with_population_risks(self):
-        rec = RoundRecord(1, 0.5, 0.4, math.nan, updated=True)
-        trace = Trace(records=(rec,)).with_population_risks([0.25])
-        assert trace.records[0].population_risk == 0.25
+    def test_column_shapes_enforced(self):
         with pytest.raises(ValueError):
-            trace.with_population_risks([0.1, 0.2])
+            Trace(empirical_risks=[0.5], released=[0.4], population_risks=[0.5, 0.5],
+                  noise=np.full((1, 3), math.nan))
+        with pytest.raises(ValueError):
+            Trace(empirical_risks=[0.5], released=[0.4], population_risks=[0.5],
+                  noise=np.full((1, 2), math.nan))
+
+    def test_columns_read_only(self):
+        trace = build_trace([0.5], [0.4], draws=[(0.1, 0.2, 0.3)])
+        with pytest.raises(ValueError):
+            trace.released[0] = 0.0
+        with pytest.raises(ValueError):
+            trace.noise[0, 0] = 0.0
 
 
 def test_trace_csv_schema(tmp_path):
-    records = (
-        _record(1, 0.4, 1.0, emp=0.45, draws=(0.01, 0.02, 0.03)),
-        _record(2, 0.4, 0.4, emp=0.5),
-    )
-    trace = Trace(records=records, max_noise_magnitude=0.03)
+    trace = build_trace([0.5, 0.5], [0.4, 0.4], empirical=[0.45, 0.5],
+                        draws=[(0.01, 0.02, 0.03), ()])
     path = tmp_path / "trace.csv"
     write_trace_csv(trace, path)
     lines = path.read_text().splitlines()
@@ -187,8 +167,7 @@ def test_trace_csv_schema(tmp_path):
 
 
 def test_trace_csv_presentation_clamp(tmp_path):
-    rec = RoundRecord(1, 0.99, 1.02, 0.5, updated=False, noise_draws=(0.05,))
-    trace = Trace(records=(rec,), max_noise_magnitude=0.05)
+    trace = build_trace([0.5], [1.02], empirical=[0.99], draws=[(0.05,)])
     raw = tmp_path / "raw.csv"
     clamped = tmp_path / "clamped.csv"
     write_trace_csv(trace, raw)

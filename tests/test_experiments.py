@@ -16,8 +16,7 @@ from shakyladder.experiments import (
     run_envelope,
     run_experiment,
     run_reduction_oracle,
-    run_vary_noise,
-    run_vary_queries,
+    run_vary,
 )
 
 
@@ -48,13 +47,13 @@ class TestConfig:
 
 class TestVaryQueries:
     def test_row_count(self):
-        rows = run_vary_queries(small_config())
+        rows = run_vary(small_config())
         assert len(rows) == 2 * 3  # two k values, three default noise levels
 
     def test_cells_match_standalone_attack(self):
         # every grid cell equals a standalone run seeded with (seed, rep)
         config = small_config(noise_grid=(0.0, 2.0))
-        rows = run_vary_queries(config)
+        rows = run_vary(config)
         for cell in rows:
             stddev = cell.noise_multiplier / math.sqrt(config.n)
             for rep_index, rep in enumerate(cell.reps):
@@ -70,11 +69,11 @@ class TestVaryQueries:
             experiment="vary-queries", n=2000, k_grid=(50, 400), reps=30, seed=3,
             noise_grid=(0.0,),
         )
-        rows = {cell.k: cell.mean_error for cell in run_vary_queries(config)}
+        rows = {cell.k: cell.mean_error for cell in run_vary(config)}
         assert rows[400] < rows[50] < 0.5
 
     def test_std_error_is_sample_standard_deviation(self):
-        rows = run_vary_queries(small_config())
+        rows = run_vary(small_config())
         for cell in rows:
             errors = [rep.final_error for rep in cell.reps]
             assert cell.std_error == pytest.approx(np.std(errors, ddof=1), abs=1e-12)
@@ -82,9 +81,9 @@ class TestVaryQueries:
 
 class TestVaryNoise:
     def test_zero_multiplier_matches_vary_queries(self):
-        vq = {(c.k, 0.0): c for c in run_vary_queries(small_config(noise_grid=(0.0, 1.0)))
+        vq = {(c.k, 0.0): c for c in run_vary(small_config(noise_grid=(0.0, 1.0)))
               if c.noise_multiplier == 0.0}
-        vn = {(c.k, 0.0): c for c in run_vary_noise(
+        vn = {(c.k, 0.0): c for c in run_vary(
             small_config(experiment="vary-noise", noise_grid=(0.0, 2.0, 5.0)))
             if c.noise_multiplier == 0.0}
         for key, cell in vn.items():
@@ -97,7 +96,7 @@ class TestVaryNoise:
             experiment="vary-noise", n=2000, k_grid=(200,), reps=40, seed=5,
             noise_grid=(0.0, 1.0, 3.0),
         )
-        cells = sorted(run_vary_noise(config), key=lambda c: c.noise_multiplier)
+        cells = sorted(run_vary(config), key=lambda c: c.noise_multiplier)
         means = [c.mean_error for c in cells]
         ses = [c.std_error / math.sqrt(len(c.reps)) for c in cells]
         for i in range(len(means) - 1):
@@ -110,7 +109,7 @@ class TestRepPurity:
         # standalone attack in a shuffled order or across threads reproduces
         # the grid's per-rep values exactly
         config = small_config(reps=6, noise_grid=(0.0,))
-        cells = {c.k: [r.final_error for r in c.reps] for c in run_vary_queries(config)}
+        cells = {c.k: [r.final_error for r in c.reps] for c in run_vary(config)}
 
         def standalone(args):
             k, rep = args
@@ -160,6 +159,32 @@ class TestOtherRunners:
             assert 0 <= rep.final_error <= 1
             assert math.isfinite(rep.lberr)
 
+    def test_noisy_multiplier_zero_is_exact_feedback(self):
+        base = dict(experiment="attack-vs-mechanism", n=400, k_grid=(20,), reps=2, seed=0)
+        noisy = {c.noise_multiplier: c for c in run_attack_vs_mechanism(
+            ExperimentConfig(mechanism="noisy", noise_grid=(0.0, 3.0), **base))}
+        (exact,) = run_attack_vs_mechanism(ExperimentConfig(mechanism="empirical", **base))
+        assert noisy[0.0].reps == exact.reps
+        assert noisy[0.0].reps != noisy[3.0].reps
+
+    def test_run_time_failures_rejected_up_front(self):
+        with pytest.raises(ValueError, match="k <= n"):
+            ExperimentConfig(experiment="envelope", n=50, k_grid=(100,))
+        with pytest.raises(ValueError, match="epsilon"):
+            ExperimentConfig(experiment="attack-vs-mechanism", n=64, k_grid=(10,))
+        with pytest.raises(ValueError, match="eta"):
+            ExperimentConfig(experiment="attack-vs-mechanism", n=64, k_grid=(10,),
+                             mechanism="ladder", eta=0.0)
+        with pytest.raises(ValueError, match="alpha"):
+            ExperimentConfig(experiment="reduction-oracle", n=64, alpha=0.4)
+        with pytest.raises(ValueError, match="noise"):
+            ExperimentConfig(experiment="vary-noise", n=64, noise_grid=(-1.0,))
+
+    def test_regime_check_does_not_warn(self, recwarn):
+        # The run's shaky_params calls are the only source of regime warnings.
+        ExperimentConfig(experiment="envelope", n=10000, k_grid=(100, 1000))
+        assert not [w for w in recwarn if "generalization requirement" in str(w.message)]
+
     def test_dispatch(self):
         rows = run_experiment(small_config())
         assert rows[0].experiment == "vary-queries"
@@ -189,7 +214,7 @@ class TestCsvRendering:
         assert row[10] == "nan"  # no mechanism trace for the vector attack
 
     def test_float_formatting_17_digits(self):
-        rows = run_vary_queries(small_config())
+        rows = run_vary(small_config())
         text = render_csv(rows)
         value = text.splitlines()[1].split(",")[6]
         assert float(value) == rows[0].mean_error

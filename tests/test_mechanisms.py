@@ -1,15 +1,20 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shakyladder.audit import EvaluationSession
-from shakyladder.core import make_random_label_sample, write_trace_csv
+from shakyladder.core import SubmittedModel, make_random_label_sample, write_trace_csv
 from shakyladder.mechanisms import (
     BudgetExhaustedError,
     ExactEmpiricalOracle,
     Ladder,
     LadderConfig,
+    MECHANISM_NAMES,
     MechanismParams,
     NoisyEmpiricalOracle,
     ParameterFreeLadder,
@@ -108,7 +113,7 @@ class TestShakyLadder:
         for _ in range(20):
             mech.submit(rng.random(8))
         trace = mech.trace()
-        draw_count = sum(len(r.noise_draws) for r in trace.records) + 1
+        draw_count = int(np.count_nonzero(~np.isnan(trace.noise))) + 1
         assert draw_count == 3 * 20 + 1
 
     def test_golden_trace(self, fixtures_dir, tmp_path):
@@ -172,7 +177,7 @@ class TestParameterFreeLadder:
         vec = Rng(5).random(16)
         first = pf.submit(vec)
         assert pf.submit(vec.copy()) == first
-        assert pf.trace().records[1].updated is False
+        assert not pf.trace().updated[1]
 
     def test_update_when_gap_beats_step(self):
         n = 100
@@ -185,7 +190,7 @@ class TestParameterFreeLadder:
         assert 1.0 / math.sqrt(n) > step  # gap 0.1 clears the data-driven step
         released = pf.submit(challenger)
         assert released == pytest.approx(0.5, abs=1e-12)  # rounded at granularity 0.01
-        assert pf.trace().records[1].updated
+        assert pf.trace().updated[1]
 
     def test_release_rounded_to_leading_digit_of_step(self):
         n = 100
@@ -335,3 +340,36 @@ def test_record_false_keeps_counters_only():
     assert mech.round == 50
     with pytest.raises(RuntimeError):
         mech.trace()
+
+
+_LOSS = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0))
+
+
+@pytest.mark.parametrize("name", MECHANISM_NAMES)
+@given(
+    stream=st.lists(
+        st.tuples(st.lists(_LOSS, min_size=8, max_size=8), st.floats(0.0, 1.0)),
+        max_size=30,
+    ),
+    seed=st.integers(0, 2**32),
+)
+@settings(max_examples=40, deadline=None)
+def test_trace_agrees_with_running_counters(name, stream, seed):
+    # The counters are all a record=False run keeps; the trace derives the
+    # same quantities from its columns.
+    if name == "shaky":
+        mech = ShakyLadder(off_regime_params(n=8, k=30), seed=seed)
+    else:
+        mech = make_mechanism(name, n=8, k=30, seed=seed)
+    session = EvaluationSession(mech)
+    released = [session.submit(SubmittedModel(np.array(losses), risk)) for losses, risk in stream]
+    trace = session.trace()
+    assert len(trace) == mech.round == len(stream)
+    assert trace.update_count == mech.update_count
+    assert trace.max_noise_magnitude == mech.max_noise_magnitude
+    assert np.array_equal(trace.released, released)
+    assert np.array_equal(trace.population_risks, [risk for _, risk in stream])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.csv"
+        write_trace_csv(trace, path)
+        assert len(path.read_text().splitlines()) == 1 + mech.round

@@ -35,6 +35,11 @@ class TestQueryValidation:
         with pytest.raises(ValueError):
             Query(values=np.array([0.5, 1.2]), population_mean=0.5)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_values(self, bad):
+        with pytest.raises(ValueError):
+            Query(values=[bad, 0.5], population_mean=0.5)
+
     def test_rejects_bad_mean(self):
         with pytest.raises(ValueError):
             Query(values=np.array([0.5]), population_mean=-0.1)
