@@ -34,6 +34,9 @@ __all__ = [
     "run_random_analyst",
 ]
 
+#: Vote and correlation sums run in float32, exact for integers below 2^24.
+FLOAT32_EXACT = 2**24
+
 # Sub-stream tags so that grid harnesses can reproduce single attacks exactly.
 HIDDEN_STREAM = 1
 QUERY_STREAM = 2
@@ -121,13 +124,19 @@ def _majority_prediction(predictions: np.ndarray, signs: np.ndarray) -> np.ndarr
     """Signed pointwise vote in the +/-1 encoding, returned as 0/1 labels.
 
     ``signs`` holds +1 (count as-is), -1 (count flipped) or 0 (exclude) per
-    query. Vote weight >= 0 maps to +1, i.e. label 0. The float32 matvec is
-    exact: each weight is an integer of magnitude at most the query count.
+    query. Vote weight >= 0 maps to +1, i.e. label 0. With 0/1 predictions p
+    the weight is sum(signs) - 2 (signs @ p) over the counted rows, and the
+    float32 product is exact: every partial sum is an integer of magnitude
+    at most the query count, which stays below 2^24.
     """
-    if predictions.size == 0 or not np.any(signs):
+    if max(predictions.shape, default=0) >= FLOAT32_EXACT:
+        raise ValueError(f"vote shape {predictions.shape} reaches 2^24, where float32 "
+                         "sums stop being exact")
+    counted = signs != 0
+    if predictions.size == 0 or not np.any(counted):
         return np.zeros(predictions.shape[1] if predictions.ndim == 2 else 0, dtype=np.int8)
-    pm = (1 - 2 * predictions.astype(np.int32)).astype(np.float32)
-    weights = signs.astype(np.float32) @ pm
+    kept = signs[counted].astype(np.float32)
+    weights = kept.sum() - 2.0 * (kept @ predictions[counted])
     return (weights < 0).astype(np.int8)
 
 

@@ -2,9 +2,10 @@
 
 This module is the only place population risks meet mechanism releases. An
 :class:`EvaluationSession` drives a mechanism with scored models, handing the
-mechanism nothing but loss vectors (the population-minimum oracle being the
-single sanctioned exception), and assembles traces with true risks filled in
-so the error metrics below can be computed.
+mechanism nothing but loss vectors or their empirical risks (the
+population-minimum oracle being the single sanctioned exception), and
+assembles traces with true risks filled in so the error metrics below can be
+computed.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SubmittedModel, Trace
+from .core import LOSS_TOLERANCE, SubmittedModel, Trace
 from .mechanisms import LeaderboardMechanism, MechanismParams
 
 __all__ = [
@@ -30,9 +31,9 @@ __all__ = [
 class EvaluationSession:
     """Runs models through a mechanism while keeping the information barrier.
 
-    The mechanism sees loss vectors only; this session records the oracle-side
-    population risks so :meth:`trace` can produce a fully scored
-    :class:`~shakyladder.core.Trace`.
+    The mechanism sees loss vectors or empirical risks only; this session
+    records the oracle-side population risks so :meth:`trace` can produce a
+    fully scored :class:`~shakyladder.core.Trace`.
     """
 
     def __init__(self, mechanism: LeaderboardMechanism):
@@ -47,6 +48,25 @@ class EvaluationSession:
         else:
             released = self.mechanism.submit(model.loss_vector)
         self._population_risks.append(model.population_risk)
+        return released
+
+    def submit_risk(self, risk: float, population_risk: float) -> float:
+        """Submit a model known only by its empirical and population risks.
+
+        Both are checked like a :class:`SubmittedModel`'s losses and risk.
+        Mechanisms that read the loss vector itself (``needs_loss_vector``)
+        take models through :meth:`submit` only.
+        """
+        # Written so that NaN, which fails every comparison, is rejected too.
+        if not -LOSS_TOLERANCE <= risk <= 1.0 + LOSS_TOLERANCE:
+            raise ValueError(f"empirical risk must lie in [0, 1], got {risk}")
+        if not 0.0 <= population_risk <= 1.0:
+            raise ValueError(f"population_risk must lie in [0, 1], got {population_risk}")
+        if self.mechanism.needs_population_risk:
+            released = self.mechanism.submit_risk(risk, population_risk)
+        else:
+            released = self.mechanism.submit_risk(risk)
+        self._population_risks.append(population_risk)
         return released
 
     def submit_all(self, models) -> list[float]:

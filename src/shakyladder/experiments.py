@@ -87,6 +87,12 @@ class ExperimentConfig:
             raise ValueError("noise grid must be nonempty")
         if min(self.k_grid) < 0:
             raise ValueError("k values must be >= 0")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must lie in [0, 2^64), got {self.seed}")
+        voted = self.experiment != "reduction-oracle"
+        if voted and max(self.n, *self.k_grid) >= analysts.FLOAT32_EXACT:
+            raise ValueError("n and k must stay below 2^24, where the attack's float32 "
+                             "sums stop being exact")
         if not all(math.isfinite(m) and m >= 0.0 for m in self.resolved_noise_grid()):
             raise ValueError("noise multipliers must be finite and >= 0")
         if self.experiment == "reduction-oracle" and not 0.0 < self.alpha <= 1.0 / 3.0:

@@ -2,9 +2,11 @@
 and scoring oracles.
 
 Every mechanism consumes loss vectors and returns one released estimate per
-round, starting from the initial estimate R_0 = 1. Released values are not
-clamped to [0, 1]; presentation-layer clamping, when wanted, belongs to the
-CLI. The population-minimum oracle is the one mechanism allowed to read true
+round, starting from the initial estimate R_0 = 1. All but the
+parameter-free ladder read a loss vector only through its mean, so their
+decision logic lives in ``submit_risk`` and ``submit`` reduces a vector to
+its empirical risk first. Released values are not clamped to [0, 1];
+presentation-layer clamping, when wanted, belongs to the CLI. The population-minimum oracle is the one mechanism allowed to read true
 risks and exists only behind the audit-side evaluation interface.
 """
 
@@ -186,6 +188,9 @@ class LeaderboardMechanism:
 
     name = "base"
     needs_population_risk = False
+    #: Whether the decision reads the loss vector itself rather than its mean;
+    #: such a mechanism has no :meth:`submit_risk`.
+    needs_loss_vector = False
     #: Parameter set recorded on traces; only the randomized ladder has one.
     params: MechanismParams | None = None
 
@@ -220,18 +225,25 @@ class LeaderboardMechanism:
             return math.inf
         return self.max_rounds - self._log.rounds
 
-    def _empirical(self, loss_vector, expected_n: int | None = None) -> float:
-        vec = np.asarray(loss_vector)
-        if expected_n is not None and vec.size != expected_n:
-            raise ValueError(f"loss vector length {vec.size}, expected {expected_n}")
-        return float(np.mean(vec))
-
     def trace(self, population_risks=None) -> Trace:
         """The recorded rounds, with the oracle's population risks if given."""
         return self._log.trace(population_risks, params=self.params)
 
-    def submit(self, loss_vector) -> float:  # pragma: no cover - interface
-        raise NotImplementedError
+    def submit(self, loss_vector, *args, **kwargs) -> float:
+        """Score one loss vector: its mean goes to :meth:`submit_risk`.
+
+        A mechanism with parameters checks the vector's length against their
+        n. Further arguments (the population risk, for the mechanisms that
+        read it) go to :meth:`submit_risk` unchanged.
+        """
+        vec = np.asarray(loss_vector)
+        if self.params is not None and vec.size != self.params.n:
+            raise ValueError(f"loss vector length {vec.size}, expected {self.params.n}")
+        return self.submit_risk(float(np.mean(vec)), *args, **kwargs)
+
+    def submit_risk(self, risk: float) -> float:
+        """Run one round on a submission known by its empirical risk."""
+        raise NotImplementedError(f"{self.name} scores loss vectors, not risks")
 
 
 class ShakyLadder(LeaderboardMechanism):
@@ -249,7 +261,9 @@ class ShakyLadder(LeaderboardMechanism):
     the internal best is reassigned on every comparison success even in the
     measure-small event that noise pushes the new release above the old one.
     A full k-round run draws exactly 3k+1 Laplace variables, counting the
-    initial threshold noise.
+    initial threshold noise. Without a ``noise_hook`` all of them are drawn
+    up front as one vector, which equals the sequence of scalar draws from
+    the same stream (see :func:`~shakyladder.noise.laplace`).
     """
 
     name = "shaky"
@@ -259,16 +273,16 @@ class ShakyLadder(LeaderboardMechanism):
         super().__init__(max_rounds=params.k, record=record)
         self.params = params
         self.rng = Rng(seed, MECHANISM_STREAM)
-        self._draw = noise_hook if noise_hook is not None else (
-            lambda scale: laplace(self.rng, scale)
-        )
+        if noise_hook is None:
+            draws = iter(laplace(self.rng, params.sigma, size=3 * params.k + 1))
+            noise_hook = lambda scale: next(draws)  # every draw is at scale sigma
+        self._draw = noise_hook
         self.best = 1.0
         self.threshold_noise = float(self._draw(params.sigma))
         self._log.initial_noise = self._log.max_noise = abs(self.threshold_noise)
 
-    def submit(self, loss_vector) -> float:
+    def submit_risk(self, risk: float) -> float:
         self._check_budget()
-        risk = self._empirical(loss_vector, self.params.n)
         sigma = self.params.sigma
         noise_cmp = float(self._draw(sigma))
         noise_rel = float(self._draw(sigma))
@@ -328,9 +342,8 @@ class Ladder(LeaderboardMechanism):
         self.config = config
         self.best = 1.0
 
-    def submit(self, loss_vector) -> float:
+    def submit_risk(self, risk: float) -> float:
         self._check_budget()
-        risk = self._empirical(loss_vector)
         if risk < self.best - self.config.eta:
             if self.config.rounding == "multiples-of-eta":
                 released = round(risk / self.config.eta) * self.config.eta
@@ -356,6 +369,7 @@ class ParameterFreeLadder(LeaderboardMechanism):
     """
 
     name = "pf-ladder"
+    needs_loss_vector = True
 
     def __init__(self, max_rounds: int | None = None, record: bool = True):
         super().__init__(max_rounds=max_rounds, record=record)
@@ -394,9 +408,8 @@ class ExactEmpiricalOracle(LeaderboardMechanism):
 
     name = "empirical"
 
-    def submit(self, loss_vector) -> float:
+    def submit_risk(self, risk: float) -> float:
         self._check_budget()
-        risk = self._empirical(loss_vector)
         self._log.add(risk, risk)
         return risk
 
@@ -414,9 +427,8 @@ class NoisyEmpiricalOracle(LeaderboardMechanism):
         self.stddev = stddev
         self.rng = Rng(seed, MECHANISM_STREAM)
 
-    def submit(self, loss_vector) -> float:
+    def submit_risk(self, risk: float) -> float:
         self._check_budget()
-        risk = self._empirical(loss_vector)
         draw = gaussian(self.rng, self.stddev)
         released = risk + draw
         self._log.add(risk, released, (abs(draw),))
@@ -438,11 +450,10 @@ class PopulationMinOracle(LeaderboardMechanism):
         super().__init__(max_rounds=max_rounds, record=record)
         self.best = 1.0
 
-    def submit(self, loss_vector, population_risk: float = None) -> float:
+    def submit_risk(self, risk: float, population_risk: float | None = None) -> float:
         if population_risk is None:
             raise ValueError("population-min oracle requires the population risk")
         self._check_budget()
-        risk = self._empirical(loss_vector)
         self.best = min(self.best, float(population_risk))
         self._log.add(risk, self.best)
         return self.best

@@ -28,11 +28,11 @@ def _seed_path(seed: int | tuple[int, ...] | list[int], stream: tuple[int, ...])
         raw = (*seed, *stream)
     else:
         raw = (seed, *stream)
-    path = []
-    for part in raw:
-        part = int(part)
-        path.append(part % _UINT64)
-    return tuple(path)
+    path = tuple(int(part) for part in raw)
+    for part in path:
+        if not 0 <= part < _UINT64:
+            raise ValueError(f"seed path parts must lie in [0, 2^64), got {part}")
+    return path
 
 
 class Rng:

@@ -106,8 +106,32 @@ class AdaptiveEstimator:
         clamped = clamped or (risk != risk_raw)
         return SubmittedModel(loss_vector=values, population_risk=risk), clamped
 
+    def _scheduled_risks(self, stats: tuple[float, float, float], population_mean: float,
+                         i: int) -> tuple[float, float, bool]:
+        """Closed form of :meth:`_constructed_model` from the query's (mean, min, max).
+
+        Returns the empirical and population risk of the i-th constructed
+        model and whether it clamps. The offset map is monotone in each value
+        under rounding, so the bounds below equal the constructed vector's
+        min and max bit for bit; the empirical risk agrees with the vector's
+        mean up to rounding.
+        """
+        mean_g, min_g, max_g = stats
+        c, alpha = self.c, self.alpha
+        risk_raw = (c - 0.5 * i * alpha) + 0.5 * population_mean
+        risk = min(1.0, max(0.0, risk_raw))
+        clamped = (c + 0.5 * (min_g - i * alpha) < 0.0 or c + 0.5 * (max_g - i * alpha) > 1.0
+                   or risk != risk_raw)
+        return c + 0.5 * (mean_g - i * alpha), risk, clamped
+
     def answer(self, query: Query) -> QueryOutcome:
-        """Run the offset schedule for one query and extract its answer."""
+        """Run the offset schedule for one query and extract its answer.
+
+        Each step submits the constructed model's empirical risk, which takes
+        O(1) work after one O(n) pass over the query. The constructed loss
+        vector is built only for a step that clamps or for a mechanism that
+        reads loss vectors (``needs_loss_vector``).
+        """
         mechanism = self.session.mechanism
         if mechanism.rounds_remaining() < self.steps_per_query:
             raise BudgetExhaustedError(
@@ -115,11 +139,18 @@ class AdaptiveEstimator:
                 f"mechanism has {mechanism.rounds_remaining()} left"
             )
         c = self.c
+        values = query.values
+        stats = (float(np.mean(values)), float(values.min()), float(values.max()))
         clamped_so_far = False
         for i in range(self.steps_per_query):
-            model, clamped_i = self._constructed_model(query, i)
+            risk, population_risk, clamped_i = self._scheduled_risks(
+                stats, query.population_mean, i)
             try:
-                released = self.session.submit(model)
+                if clamped_i or mechanism.needs_loss_vector:
+                    model, _ = self._constructed_model(query, i)
+                    released = self.session.submit(model)
+                else:
+                    released = self.session.submit_risk(risk, population_risk)
             except BudgetExhaustedError as err:
                 err.partial = {
                     "query_index": self.queries_answered,

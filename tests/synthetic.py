@@ -70,10 +70,9 @@ class PerturbedMinOracle(LeaderboardMechanism):
             return self._offset
         return self.bound * float(self._rng.random())
 
-    def submit(self, loss_vector, population_risk: float = None) -> float:
+    def submit_risk(self, risk: float, population_risk: float = None) -> float:
         if population_risk is None:
             raise ValueError("perturbed oracle requires the population risk")
-        risk = self._empirical(loss_vector)
         if population_risk < self._true_min:
             self._true_min = float(population_risk)
             self._released = self._true_min + self._next_offset()
@@ -102,8 +101,7 @@ class StaleDipOracle(LeaderboardMechanism):
         self.dip_round = dip_round
         self._true_min = 1.0
 
-    def submit(self, loss_vector, population_risk: float = None) -> float:
-        risk = self._empirical(loss_vector)
+    def submit_risk(self, risk: float, population_risk: float = None) -> float:
         self._true_min = min(self._true_min, float(population_risk))
         offset = self.bound if self._log.rounds < self.dip_round else -self.bound
         released = self._true_min + offset

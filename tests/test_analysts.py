@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shakyladder.analysts import (
     AttackReport,
     HIDDEN_STREAM,
     QUERY_STREAM,
+    _majority_prediction,
     majority_attack_direct,
     majority_attack_vs_mechanism,
     random_prediction_models,
@@ -113,6 +116,26 @@ class TestDirectAttack:
         assert report.feedback_received == 7
         assert 0 <= report.selected_count <= 7
         assert math.isnan(report.final_released)
+
+
+class TestVote:
+    @given(k=st.integers(0, 12), n=st.integers(1, 12), seed=st.integers(0, 2**32))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_loop_vote(self, k, n, seed):
+        rng = Rng(seed)
+        preds = rng.integers(0, 2, (k, n), dtype=np.int8)
+        signs = rng.integers(-1, 2, k, dtype=np.int8)
+        weights = [sum(int(s) * (1 - 2 * int(p)) for s, p in zip(signs, preds[:, j]))
+                   for j in range(n)]
+        assert _majority_prediction(preds, signs).tolist() == [int(w < 0) for w in weights]
+
+    @pytest.mark.parametrize("shape", [(2**24, 1), (1, 2**24)])
+    def test_float32_bound_checked(self, shape):
+        # Broadcast views: the check fires without allocating the matrix.
+        preds = np.broadcast_to(np.int8(0), shape)
+        signs = np.broadcast_to(np.int8(1), shape[:1])
+        with pytest.raises(ValueError, match="2\\^24"):
+            _majority_prediction(preds, signs)
 
 
 class TestAttackVsMechanism:

@@ -215,6 +215,16 @@ class TestEvaluationSession:
         with pytest.raises(ValueError):
             EvaluationSession(oracle)
 
+    @pytest.mark.parametrize("risk,population_risk", [
+        (math.nan, 0.5), (math.inf, 0.5), (1.5, 0.5), (-0.1, 0.5),
+        (0.5, math.nan), (0.5, -math.inf), (0.5, 1.2),
+    ])
+    def test_submit_risk_rejects_bad_values(self, risk, population_risk):
+        session = EvaluationSession(ExactEmpiricalOracle())
+        with pytest.raises(ValueError):
+            session.submit_risk(risk, population_risk)
+        assert session.mechanism.round == 0
+
     def test_trace_carries_population_risks(self):
         from shakyladder.core import SubmittedModel
         session = EvaluationSession(ExactEmpiricalOracle())

@@ -124,6 +124,9 @@ def run_module(argv):
     ["--experiment", "envelope", "--n", "50", "--k", "100"],  # k > n
     ["--experiment", "envelope", "--n", "64", "--k", "10"],  # epsilon >= 1/3
     ["--experiment", "attack-vs-mechanism", "--n", "64", "--k", "10", "--reps", "1"],
+    ["--experiment", "vary-queries", "--n", "64", "--k", "5", "--seed", "-1"],
+    ["--experiment", "vary-queries", "--n", "64", "--k", "5", "--seed", str(2**64)],
+    ["--experiment", "vary-queries", "--n", str(2**24), "--k", "5"],  # float32 bound
 ])
 def test_run_time_regime_errors_exit_2(argv):
     result = run_module(argv)

@@ -179,6 +179,13 @@ class TestOtherRunners:
             ExperimentConfig(experiment="reduction-oracle", n=64, alpha=0.4)
         with pytest.raises(ValueError, match="noise"):
             ExperimentConfig(experiment="vary-noise", n=64, noise_grid=(-1.0,))
+        for seed in (-1, 2**64):
+            with pytest.raises(ValueError, match="seed"):
+                ExperimentConfig(experiment="vary-queries", n=64, seed=seed)
+        ExperimentConfig(experiment="vary-queries", n=2**24 - 1, k_grid=(2**24 - 1,))
+        for n, k in ((2**24, 10), (64, 2**24)):
+            with pytest.raises(ValueError, match="2\\^24"):
+                ExperimentConfig(experiment="vary-noise", n=n, k_grid=(10, k))
 
     def test_regime_check_does_not_warn(self, recwarn):
         # The run's shaky_params calls are the only source of regime warnings.

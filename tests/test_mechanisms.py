@@ -15,6 +15,7 @@ from shakyladder.mechanisms import (
     Ladder,
     LadderConfig,
     MECHANISM_NAMES,
+    MECHANISM_STREAM,
     MechanismParams,
     NoisyEmpiricalOracle,
     ParameterFreeLadder,
@@ -26,7 +27,7 @@ from shakyladder.mechanisms import (
     zero_noise_hook,
 )
 from shakyladder.analysts import random_prediction_models, run_random_analyst
-from shakyladder.noise import Rng
+from shakyladder.noise import Rng, laplace
 
 FLAGSHIP = dict(n=10000, k=100, beta=0.1)
 
@@ -115,6 +116,27 @@ class TestShakyLadder:
         trace = mech.trace()
         draw_count = int(np.count_nonzero(~np.isnan(trace.noise))) + 1
         assert draw_count == 3 * 20 + 1
+
+    def test_predrawn_noise_equals_scalar_draws(self):
+        # The default mechanism draws its 3k+1 variables as one vector; a hook
+        # drawing scalars from the same stream must see the same run.
+        params = off_regime_params(n=8, k=40, lam=0.02, sigma=0.05)
+        stream = Rng((5, 1), MECHANISM_STREAM)
+        scales = []
+
+        def scalar_draw(scale):
+            scales.append(scale)
+            return laplace(stream, scale)
+
+        predrawn = ShakyLadder(params, seed=(5, 1))
+        scalar = ShakyLadder(params, seed=(5, 1), noise_hook=scalar_draw)
+        rng = Rng(78)
+        for _ in range(params.k):
+            vec = rng.random(8)
+            assert predrawn.submit(vec) == scalar.submit(vec)
+        assert scales == [params.sigma] * (3 * params.k + 1)
+        assert_same_trace(predrawn.trace(), scalar.trace())
+        assert predrawn.update_count > 1
 
     def test_golden_trace(self, fixtures_dir, tmp_path):
         params = shaky_params(**FLAGSHIP)
@@ -316,6 +338,12 @@ class TestInformationBarrier:
         assert second.trace().population_risks[0] == 0.123
 
 
+def assert_same_trace(a, b):
+    for column in ("empirical_risks", "released", "population_risks", "noise"):
+        assert np.array_equal(getattr(a, column), getattr(b, column), equal_nan=True)
+    assert a.initial_noise == b.initial_noise
+
+
 def test_make_mechanism_factory():
     assert isinstance(make_mechanism("shaky", n=10000, k=100), ShakyLadder)
     assert isinstance(make_mechanism("ladder", n=16, eta=0.1), Ladder)
@@ -373,3 +401,34 @@ def test_trace_agrees_with_running_counters(name, stream, seed):
         path = Path(tmp) / "trace.csv"
         write_trace_csv(trace, path)
         assert len(path.read_text().splitlines()) == 1 + mech.round
+
+
+@pytest.mark.parametrize("name", [name for name in MECHANISM_NAMES if name != "pf-ladder"])
+@given(
+    stream=st.lists(
+        st.tuples(st.lists(_LOSS, min_size=8, max_size=8), st.floats(0.0, 1.0)),
+        max_size=30,
+    ),
+    seed=st.integers(0, 2**32),
+)
+@settings(max_examples=40, deadline=None)
+def test_submit_equals_submit_risk_of_mean(name, stream, seed):
+    def build():
+        if name == "shaky":
+            return ShakyLadder(off_regime_params(n=8, k=30), seed=seed)
+        return make_mechanism(name, n=8, k=30, seed=seed)
+
+    by_vector, by_risk = build(), build()
+    for losses, population_risk in stream:
+        vec = np.array(losses)
+        oracle_side = (population_risk,) if by_vector.needs_population_risk else ()
+        assert (by_vector.submit(vec, *oracle_side)
+                == by_risk.submit_risk(float(np.mean(vec)), *oracle_side))
+    assert_same_trace(by_vector.trace(), by_risk.trace())
+
+
+def test_pf_ladder_reads_vectors_only():
+    pf = ParameterFreeLadder()
+    assert pf.needs_loss_vector
+    with pytest.raises(NotImplementedError):
+        pf.submit_risk(0.5)

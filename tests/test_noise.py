@@ -23,12 +23,18 @@ class TestRng:
     def test_substream_matches_explicit_path(self):
         assert np.array_equal(Rng(9).substream(3, 4).random(10), Rng(9, 3, 4).random(10))
 
-    def test_negative_seed_normalized(self):
-        assert np.array_equal(Rng(-1).random(5), Rng(2**64 - 1).random(5))
+    @pytest.mark.parametrize("seed,stream", [
+        (-1, ()), (2**64, ()), (0, (-1,)), ((3, 2**64), ()), ((3,), (-7, 1)),
+    ])
+    def test_out_of_range_seed_parts_rejected(self, seed, stream):
+        # Reducing mod 2^64 would make -1 and 2^64 - 1 the same stream.
+        with pytest.raises(ValueError):
+            Rng(seed, *stream)
 
     def test_path_recorded(self):
         assert Rng(7, 1, 2).path == (7, 1, 2)
         assert Rng((7, 1), 2).path == (7, 1, 2)
+        assert Rng(2**64 - 1, 0).path == (2**64 - 1, 0)
 
 
 class TestLaplace:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shakyladder.audit import EvaluationSession
 from shakyladder.mechanisms import (
@@ -10,6 +12,7 @@ from shakyladder.mechanisms import (
     Ladder,
     LadderConfig,
     PopulationMinOracle,
+    make_mechanism,
 )
 from shakyladder.noise import Rng
 from shakyladder.reduction import (
@@ -174,6 +177,50 @@ class TestConstructedFunctionRange:
         model, clamped = est._constructed_model(const_query(0.0, n=8), 5)
         assert clamped
         assert float(model.loss_vector.min()) >= 0.0
+
+
+class TestScalarSchedule:
+    @given(
+        values=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=64),
+        c=st.floats(-0.5, 1.0),
+        alpha=st.floats(0.01, 0.49),
+        position=st.floats(0.0, 1.0, exclude_max=True),
+        population_mean=st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_closed_form_matches_constructed_model(self, values, c, alpha, position,
+                                                   population_mean):
+        est = fresh_estimator(alpha)
+        est.c = c
+        i = int(position * est.steps_per_query)
+        query = Query(values=np.array(values), population_mean=population_mean)
+        model, clamped = est._constructed_model(query, i)
+        stats = (float(np.mean(query.values)), float(query.values.min()),
+                 float(query.values.max()))
+        risk, population_risk, closed_clamped = est._scheduled_risks(stats, population_mean, i)
+        assert closed_clamped == clamped
+        assert population_risk == model.population_risk
+        if not clamped:
+            assert abs(risk - float(np.mean(model.loss_vector))) <= 1e-15
+
+    @pytest.mark.parametrize("name,reads_vectors", [("pf-ladder", True), ("ladder", False)])
+    def test_loss_vectors_built_only_where_read(self, name, reads_vectors):
+        # pf-ladder decides on the loss vector itself; the Ladder gets the
+        # scalar risk of every unclamped step.
+        mech = make_mechanism(name, n=40, eta=0.05)
+        session = EvaluationSession(mech)
+        vectors = []
+        submit = session.submit
+
+        def spy(model):
+            vectors.append(model.loss_vector)
+            return submit(model)
+
+        session.submit = spy
+        out = AdaptiveEstimator(session, alpha=0.1).answer(
+            Query(values=Rng(4).random(40), population_mean=0.5))
+        assert not out.clamped and mech.round == out.submissions
+        assert len(vectors) == (out.submissions if reads_vectors else 0)
 
 
 class TestOracleExactness:
