@@ -1,11 +1,20 @@
 #!/usr/bin/env python3
-"""Regenerate the golden fixtures under tests/fixtures/.
+"""Regenerate the golden fixtures under tests/fixtures/, or check them.
 
 Golden files pin exact random streams and output bytes; regenerate only when
 the pinned generator or CSV schema changes deliberately, and expect every
 golden-comparison test to be re-frozen when you do.
+
+    python scripts/make_goldens.py          # rewrite tests/fixtures/
+    python scripts/make_goldens.py --check  # regenerate into a temporary
+                                            # directory and compare bytes
+
+``--check`` exits 1 and names every fixture whose bytes would change.
 """
 
+import argparse
+import sys
+import tempfile
 from pathlib import Path
 
 from shakyladder import (
@@ -23,37 +32,65 @@ from shakyladder.experiments import ExperimentConfig, experiment_csv
 FIXTURES = Path(__file__).resolve().parent.parent / "tests" / "fixtures"
 
 
-def write_stream(name: str, values) -> None:
+def write_stream(path: Path, values) -> None:
     text = "\n".join(format(float(v), ".17g") for v in values) + "\n"
-    (FIXTURES / name).write_text(text, encoding="utf-8")
-    print(f"wrote {name}")
+    path.write_text(text, encoding="utf-8")
 
 
-def main() -> None:
-    FIXTURES.mkdir(parents=True, exist_ok=True)
-
+def write_goldens(out: Path) -> list[str]:
+    """Write every golden file into ``out``; returns their names."""
     rng = Rng(42)
-    write_stream("laplace_seed42_scale0.5.txt", [laplace(rng, 0.5) for _ in range(20)])
+    write_stream(out / "laplace_seed42_scale0.5.txt", [laplace(rng, 0.5) for _ in range(20)])
     rng = Rng(42)
-    write_stream("gaussian_seed42_stddev1.txt", [gaussian(rng, 1.0) for _ in range(20)])
+    write_stream(out / "gaussian_seed42_stddev1.txt", [gaussian(rng, 1.0) for _ in range(20)])
     rng = Rng(42)
-    write_stream("uniform_seed42.txt", [rng.random() for _ in range(20)])
+    write_stream(out / "uniform_seed42.txt", [rng.random() for _ in range(20)])
 
     # Seeded mechanism trace under a fixed random submission stream.
     params = shaky_params(10000, 100, 0.1)
     sample = make_random_label_sample(10000, 7)
     mechanism = ShakyLadder(params, seed=7)
     _, trace = run_random_analyst(mechanism, sample, 100, 7)
-    write_trace_csv(trace, FIXTURES / "shaky_trace_seed7.csv")
-    print("wrote shaky_trace_seed7.csv")
+    write_trace_csv(trace, out / "shaky_trace_seed7.csv")
 
     # Small experiment output for CLI golden comparison.
     config = ExperimentConfig(
         experiment="vary-queries", n=400, k_grid=(20, 50), reps=5, seed=1,
     )
-    (FIXTURES / "vq_small.csv").write_bytes(experiment_csv(config).encode("utf-8"))
-    print("wrote vq_small.csv")
+    (out / "vq_small.csv").write_bytes(experiment_csv(config).encode("utf-8"))
+    return [
+        "laplace_seed42_scale0.5.txt", "gaussian_seed42_stddev1.txt", "uniform_seed42.txt",
+        "shaky_trace_seed7.csv", "vq_small.csv",
+    ]
+
+
+def changed_goldens() -> list[str]:
+    """Names of the fixtures whose regenerated bytes differ (or are missing)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        fresh = Path(tmp)
+        names = write_goldens(fresh)
+        return [
+            name for name in names
+            if not (FIXTURES / name).is_file()
+            or (FIXTURES / name).read_bytes() != (fresh / name).read_bytes()
+        ]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", action="store_true",
+                        help="compare regenerated bytes with tests/fixtures/ instead of writing")
+    args = parser.parse_args(argv)
+    if args.check:
+        changed = changed_goldens()
+        for name in changed:
+            print(f"differs: {FIXTURES / name}", file=sys.stderr)
+        return 1 if changed else 0
+    FIXTURES.mkdir(parents=True, exist_ok=True)
+    for name in write_goldens(FIXTURES):
+        print(f"wrote {name}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -10,6 +10,10 @@ each query anyway.
 Internally the attacks work in the +/-1 encoding (label y corresponds to
 1 - 2y); ties in the vote resolve to +1, i.e. label 0, and the majority over
 an empty selection is the all-+1 prediction.
+
+The vector attack has one implementation, ``_attack_cells``, which reads a
+whole (k, noise) grid off one pass over the query stream; the vary
+experiments use it and :func:`majority_attack_direct` is its one-cell case.
 """
 
 from __future__ import annotations
@@ -67,6 +71,66 @@ class AttackReport:
             raise ValueError("selected_count cannot exceed queries_issued")
 
 
+def _attack_cells(n: int, k_grid, noise_stddevs, seed: int | tuple[int, ...],
+                  block_rows: int | None = None) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """The vector majority attack at every (k, noise) cell of one stream.
+
+    Returns the sorted distinct k values and two ``len(k) x len(noise)``
+    arrays: each cell's final error and selected (positively answered) query
+    count. Query i and its noise are entry i of their streams, so a cell
+    equals the attack run alone with its k and noise. The queries are read
+    once, in blocks of ``block_rows`` rows, a multiple of 8 so that blocks
+    continue one draw; results do not depend on it. Per block one product
+    gives the correlations and one folds the signed rows of every noise
+    level into a ``len(noise) x n`` vote, read off at the k boundaries; no
+    k x n matrix is held. With 0/1 query bits b and signs s the vote is
+    sum_i s_i (2 b_i - 1), negative exactly where 2 (s @ b) < 2 pos - k.
+    Every sum is an integer below 2^24, so the float32 products are exact.
+    """
+    k_sorted = sorted(set(int(k) for k in k_grid))
+    k_max = k_sorted[-1]
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if k_sorted[0] < 0:
+        raise ValueError(f"k values must be >= 0, got {k_sorted[0]}")
+    if max(n, k_max) >= FLOAT32_EXACT:
+        raise ValueError(f"n={n} and k={k_max} must stay below 2^24, where the attack's "
+                         "float32 sums stop being exact")
+    # About 2^20 entries per block by default: a few MB, so the block is still
+    # in cache when the vote product reads it again.
+    block = max(8, (2**20 // n) // 8 * 8) if block_rows is None else block_rows
+    if block < 8 or block % 8:
+        raise ValueError(f"block_rows must be a positive multiple of 8, got {block}")
+    scales = 2.0 * np.asarray(noise_stddevs, dtype=np.float64)[:, None]
+    hidden = 2.0 * Rng(seed, HIDDEN_STREAM).bits(n).astype(np.float32) - 1.0
+    hidden_negative = hidden < 0.0
+    hidden_sum = hidden.sum()
+    z = Rng(seed, NOISE_STREAM).standard_normal(k_max)
+    queries = Rng(seed, QUERY_STREAM)
+    vote = np.zeros((scales.shape[0], n), dtype=np.float32)
+    positives = np.zeros(scales.shape[0], dtype=np.int64)
+    errors = np.empty((len(k_sorted), scales.shape[0]))
+    selected = np.empty((len(k_sorted), scales.shape[0]), dtype=np.int64)
+    done = block_end = 0
+    for cell, k in enumerate(k_sorted):
+        while done < k:
+            if done == block_end:
+                bits = queries.bits((min(block, k_max - done), n)).astype(np.float32)
+                answers = (2.0 * (bits @ hidden) - hidden_sum).astype(np.float64) / n
+                positive = answers + scales * z[done:done + len(bits)] > 0.0
+                signs = np.where(positive, np.float32(1.0), np.float32(-1.0))
+                block_start, block_end = done, done + len(bits)
+            stop = min(k, block_end)
+            rows = slice(done - block_start, stop - block_start)
+            vote += signs[:, rows] @ bits[rows]
+            positives += np.count_nonzero(positive[:, rows], axis=1)
+            done = stop
+        flipped = (2.0 * vote < (2 * positives - k)[:, None]) != hidden_negative
+        errors[cell] = np.count_nonzero(flipped, axis=1) / n
+        selected[cell] = positives
+    return k_sorted, errors, selected
+
+
 def majority_attack_direct(n: int, k: int, noise_stddev: float | None = None,
                            seed: int | tuple[int, ...] = 0) -> AttackReport:
     """Majority attack on raw vectors, following the classic recipe.
@@ -76,29 +140,19 @@ def majority_attack_direct(n: int, k: int, noise_stddev: float | None = None,
     ones, and majority-votes all of them. ``noise_stddev``, when given, is the
     standard deviation of Gaussian noise applied to the risk-scale feedback;
     the correlation scale spans [-1, 1] instead of [0, 1], so internally the
-    answers receive noise of twice that standard deviation.
+    answers receive noise of twice that standard deviation. This is the
+    one-cell case of the grid the vary experiments run, and votes in float32,
+    so n and k must stay below 2^24.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    hidden = (2 * Rng(seed, HIDDEN_STREAM).integers(0, 2, n, dtype=np.int8) - 1)
-    queries = (2 * Rng(seed, QUERY_STREAM).integers(0, 2, (k, n), dtype=np.int8) - 1)
-    answers = (queries.astype(np.float64) @ hidden.astype(np.float64)) / n
-    if noise_stddev is not None:
-        if noise_stddev < 0:
-            raise ValueError(f"noise_stddev must be >= 0, got {noise_stddev}")
-        answers = answers + (2.0 * noise_stddev) * Rng(seed, NOISE_STREAM).standard_normal(k)
-    positives = queries[answers > 0.0, :]
-    negatives = queries[answers <= 0.0, :]
-    weighted = np.vstack([positives, -negatives])
-    weights = weighted.T.astype(np.float64) @ np.ones(k)
-    final = np.ones(n, dtype=np.int8)
-    final[weights < 0.0] = -1
-    final_error = float(np.mean(final != hidden))
+    if noise_stddev is not None and not (math.isfinite(noise_stddev) and noise_stddev >= 0):
+        raise ValueError(f"noise_stddev must be finite and >= 0, got {noise_stddev}")
+    # _attack_cells checks n and the 2^24 bound before it draws anything.
+    _, errors, selected = _attack_cells(n, (k,), (noise_stddev or 0.0,), seed)
     return AttackReport(
-        final_error=final_error,
-        selected_count=int(np.count_nonzero(answers > 0.0)),
+        final_error=float(errors[0, 0]),
+        selected_count=int(selected[0, 0]),
         queries_issued=k,
         feedback_received=k,
     )
@@ -107,7 +161,7 @@ def majority_attack_direct(n: int, k: int, noise_stddev: float | None = None,
 def random_prediction_models(sample: HoldoutSample, count: int,
                              seed: int | tuple[int, ...]) -> list[SubmittedModel]:
     """Independent uniform binary prediction models over the holdout."""
-    preds = Rng(seed, QUERY_STREAM).integers(0, 2, (count, sample.size), dtype=np.int8)
+    preds = Rng(seed, QUERY_STREAM).bits((count, sample.size))
     return [model_from_predictions(preds[i], sample) for i in range(count)]
 
 
@@ -173,7 +227,7 @@ def majority_attack_vs_mechanism(mechanism: LeaderboardMechanism, sample: Holdou
     if k > sample.size:
         raise ValueError(f"attack needs k <= n, got k={k} > n={sample.size}")
     session = EvaluationSession(mechanism)
-    preds = Rng(seed, QUERY_STREAM).integers(0, 2, (k, sample.size), dtype=np.int8)
+    preds = Rng(seed, QUERY_STREAM).bits((k, sample.size))
     answers = np.asarray(session.submit_all(model_from_predictions(p, sample) for p in preds))
     signs, selected = _selection_signs(answers, sample.size, selection)
     majority = model_from_predictions(_majority_prediction(preds, signs), sample)
@@ -212,7 +266,7 @@ def shifted_majority_attack(mechanism: LeaderboardMechanism, sample: HoldoutSamp
             f"mechanism has {mechanism.rounds_remaining()} left"
         )
     estimator = AdaptiveEstimator(EvaluationSession(mechanism), alpha)
-    preds = Rng(seed, QUERY_STREAM).integers(0, 2, (k, sample.size), dtype=np.int8)
+    preds = Rng(seed, QUERY_STREAM).bits((k, sample.size))
     answers = np.empty(k)
     answered = np.empty(k, dtype=bool)
     for i in range(k):

@@ -148,7 +148,7 @@ def make_random_label_sample(n: int, seed: int | tuple[int, ...]) -> HoldoutSamp
     """Holdout with labels i.i.d. uniform over {0, 1}, deterministic in seed."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    labels = Rng(seed, LABEL_STREAM).integers(0, 2, size=n, dtype=np.uint8)
+    labels = Rng(seed, LABEL_STREAM).bits(n)
     return HoldoutSample(size=n, hidden_labels=labels, seed=seed if isinstance(seed, int) else tuple(seed))
 
 

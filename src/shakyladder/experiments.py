@@ -4,10 +4,11 @@ Each repetition is a pure function of (seed, rep) via sub-stream derivation,
 so the grid runners share model draws across cells by construction: the
 noise-multiplier-zero cell of one experiment equals the no-noise cell of
 another on identical seeds, repetitions can run in any order, and reruns are
-byte-identical. The vector-attack grids evaluate all k values of a
-repetition incrementally from one query matrix; every cell still equals a
-standalone :func:`~shakyladder.analysts.majority_attack_direct` call with the
-matching sub-stream seed.
+byte-identical. The vector-attack grids evaluate every (k, noise) cell of a
+repetition in one blocked pass over its query stream, in memory
+O(block * n + noise levels * n) rather than O(max(k) * n); every cell still
+equals a standalone :func:`~shakyladder.analysts.majority_attack_direct` call
+with the matching sub-stream seed.
 """
 
 from __future__ import annotations
@@ -148,42 +149,23 @@ class CellResult:
         return float(np.std(self.errors, ddof=1))
 
 
-def _attack_grid(n: int, k_grid, multipliers, reps: int, seed: int):
+def _attack_grid(n: int, k_grid, multipliers, reps: int, seed: int,
+                 block_rows: int | None = None):
     """All (k, multiplier) cells of the vector majority attack, per rep.
 
-    One query matrix per repetition serves every cell: the selection signs
-    depend only on per-query answers, so vote weights accumulate over the
-    sorted k grid, and scaled noise reuses one standard-normal draw. Sums of
-    +/-1 entries stay below 2^24, hence the float32 products are exact and
-    every cell matches the standalone attack bit for bit.
+    Each repetition is one pass of :func:`analysts._attack_cells` over its
+    query stream, which reads off every cell on the way; multiplier m means
+    noise of standard deviation m/sqrt(n), and every cell matches the
+    standalone attack bit for bit.
     """
-    k_sorted = sorted(set(k_grid))
-    k_max = k_sorted[-1]
-    cells: dict[tuple[int, float], list[float]] = {
-        (k, m): [] for k in k_sorted for m in multipliers
-    }
     inv_sqrt_n = 1.0 / math.sqrt(n)
+    stddevs = [mult * inv_sqrt_n for mult in multipliers]
+    cells: dict[tuple[int, float], list[float]] = {}
     for rep in range(reps):
-        rep_seed = (seed, rep)
-        hidden = (2 * Rng(rep_seed, analysts.HIDDEN_STREAM).integers(0, 2, n, dtype=np.int8) - 1)
-        queries = (2 * Rng(rep_seed, analysts.QUERY_STREAM).integers(0, 2, (k_max, n), dtype=np.int8) - 1)
-        z = Rng(rep_seed, analysts.NOISE_STREAM).standard_normal(k_max)
-        qf = queries.astype(np.float32)
-        hf = hidden.astype(np.float32)
-        answers0 = (qf @ hf).astype(np.float64) / n
-        for mult in multipliers:
-            if mult == 0.0:
-                answers = answers0
-            else:
-                answers = answers0 + (2.0 * (mult * inv_sqrt_n)) * z
-            signs = np.where(answers > 0.0, 1.0, -1.0).astype(np.float32)
-            weights = np.zeros(n, dtype=np.float32)
-            start = 0
-            for k in k_sorted:
-                weights += qf[start:k].T @ signs[start:k]
-                start = k
-                final = np.where(weights < 0.0, -1, 1).astype(np.int8)
-                cells[(k, mult)].append(float(np.mean(final != hidden)))
+        k_sorted, errors, _ = analysts._attack_cells(n, k_grid, stddevs, (seed, rep), block_rows)
+        for row, k in zip(errors.tolist(), k_sorted):
+            for error, mult in zip(row, multipliers):
+                cells.setdefault((k, mult), []).append(error)
     return cells
 
 

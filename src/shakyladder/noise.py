@@ -64,6 +64,22 @@ class Rng:
         """Uniform integers in [low, high)."""
         return self._gen.integers(low, high, size=size, dtype=dtype)
 
+    def bits(self, size) -> np.ndarray:
+        """Uniform 0/1 values as uint8, equal to ``integers(0, 2, size,
+        dtype=int8 or uint8)`` on a fresh stream.
+
+        numpy draws such a value with Lemire's method on one raw byte, which
+        for the range {0, 1} reduces to the byte's top bit; bytes come from
+        the raw 64-bit words in little-endian order. Taking the top bits
+        directly skips the per-value rejection loop. Each call consumes
+        ceil(size/8) raw words, so consecutive calls whose sizes are
+        multiples of 8 continue one draw exactly.
+        """
+        shape = (size,) if isinstance(size, (int, np.integer)) else tuple(size)
+        count = math.prod(shape)
+        raw = self._gen.bit_generator.random_raw(-(-count // 8))
+        return (raw.astype("<u8", copy=False).view(np.uint8)[:count] >> 7).reshape(shape)
+
     def standard_normal(self, size=None):
         return self._gen.standard_normal(size)
 

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shakyladder import analysts
 from shakyladder.analysts import (
+    FLOAT32_EXACT,
     AttackReport,
     HIDDEN_STREAM,
     QUERY_STREAM,
@@ -109,6 +111,32 @@ class TestDirectAttack:
                 majority_attack_direct(n, k, 3.0 / math.sqrt(n), seed=(78, rep)).final_error
             )
         assert np.mean(clean) < np.mean(noisy) < 0.52
+
+    @pytest.fixture
+    def no_draws(self, monkeypatch):
+        """Make any draw by the attack fail the test: checks must come first."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("the attack drew before validating its input")
+        monkeypatch.setattr(analysts, "Rng", refuse)
+
+    @pytest.mark.parametrize("stddev", [math.nan, math.inf, -1.0])
+    def test_bad_noise_rejected_before_drawing(self, stddev, no_draws):
+        # nan used to end in a matmul shape error, inf returned a report, and
+        # -1.0 was caught only after the whole query matrix was drawn
+        with pytest.raises(ValueError, match="noise_stddev"):
+            majority_attack_direct(40000, 1000, stddev)
+
+    @pytest.mark.parametrize("n,k", [
+        (FLOAT32_EXACT, 1), (1, FLOAT32_EXACT), (FLOAT32_EXACT + 5, 2**30),
+    ])
+    def test_float32_bound_checked_before_drawing(self, n, k, no_draws):
+        with pytest.raises(ValueError, match="2\\^24"):
+            majority_attack_direct(n, k, 0.5)
+
+    @pytest.mark.parametrize("n,k", [(0, 1), (10, 0), (-3, 5)])
+    def test_bad_sizes_rejected_before_drawing(self, n, k, no_draws):
+        with pytest.raises(ValueError):
+            majority_attack_direct(n, k, 0.5)
 
     def test_report_fields(self):
         report = majority_attack_direct(100, 7, None, seed=1)

@@ -3,10 +3,14 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from reference import vstack_majority_attack
 
 from shakyladder.analysts import majority_attack_direct
 from shakyladder.experiments import (
     DEFAULT_K_GRID,
+    _attack_grid,
     ExperimentConfig,
     VARY_NOISE_GRID,
     VARY_QUERIES_NOISE_GRID,
@@ -78,6 +82,25 @@ class TestVaryQueries:
             errors = [rep.final_error for rep in cell.reps]
             assert cell.std_error == pytest.approx(np.std(errors, ddof=1), abs=1e-12)
 
+
+    @given(n=st.integers(1, 300),
+           k_grid=st.lists(st.integers(1, 100), min_size=1, max_size=5)
+           .map(lambda ks: (*ks, 1, ks[0])),
+           extra=st.lists(st.floats(0.1, 6.0), max_size=3, unique=True),
+           block_rows=st.sampled_from([None, 8, 16, 24, 64]),
+           reps=st.integers(1, 2), seed=st.integers(0, 2**32))
+    @example(n=61, k_grid=(13, 1, 100, 13, 8), extra=[3.0], block_rows=16, reps=1, seed=4)
+    @settings(max_examples=80, deadline=None)
+    def test_cells_equal_vstack_reference(self, n, k_grid, extra, block_rows, reps, seed):
+        # unsorted k grids with duplicates, k = 1, k values inside and at
+        # the end of a block, and multiplier 0 next to noisy ones
+        multipliers = (*extra, 0.0)
+        cells = _attack_grid(n, k_grid, multipliers, reps, seed, block_rows)
+        assert set(cells) == {(k, m) for k in k_grid for m in multipliers}
+        for (k, mult), errors in cells.items():
+            stddev = None if mult == 0.0 else mult * (1.0 / math.sqrt(n))
+            assert errors == [vstack_majority_attack(n, k, stddev, seed=(seed, rep)).final_error
+                              for rep in range(reps)]
 
 class TestVaryNoise:
     def test_zero_multiplier_matches_vary_queries(self):

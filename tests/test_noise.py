@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom
 
@@ -36,6 +36,36 @@ class TestRng:
         assert Rng((7, 1), 2).path == (7, 1, 2)
         assert Rng(2**64 - 1, 0).path == (2**64 - 1, 0)
 
+
+    @given(seed=st.integers(0, 2**64 - 1), stream=st.integers(0, 2**64 - 1),
+           shape=st.one_of(st.integers(0, 80),
+                           st.tuples(st.integers(0, 6), st.integers(0, 80))),
+           dtype=st.sampled_from([np.int8, np.uint8]))
+    @example(seed=0, stream=2, shape=0, dtype=np.int8)
+    @example(seed=0, stream=2, shape=1, dtype=np.uint8)
+    @example(seed=0, stream=2, shape=7, dtype=np.int8)
+    @example(seed=3, stream=1, shape=(3, 13), dtype=np.uint8)
+    @example(seed=3, stream=1, shape=(1, 7), dtype=np.int8)
+    @example(seed=3, stream=1, shape=(5, 40001), dtype=np.int8)
+    @settings(max_examples=200, deadline=None)
+    def test_bits_equal_integers_zero_two(self, seed, stream, shape, dtype):
+        # Rng.bits relies on numpy drawing integers(0, 2) as the top bit of
+        # one raw byte; if numpy changes that algorithm this fails before
+        # any golden drifts.
+        bits = Rng(seed, stream).bits(shape)
+        drawn = Rng(seed, stream).integers(0, 2, shape, dtype=dtype)
+        assert bits.dtype == np.uint8
+        assert bits.shape == drawn.shape
+        assert np.array_equal(bits, drawn)
+
+    @given(seed=st.integers(0, 2**32), n=st.integers(1, 40),
+           blocks=st.lists(st.integers(1, 4), min_size=1, max_size=4), tail=st.integers(0, 9))
+    @settings(max_examples=50, deadline=None)
+    def test_bits_blocks_of_eight_rows_continue_one_draw(self, seed, n, blocks, tail):
+        rng = Rng(seed)
+        parts = [rng.bits((8 * b, n)) for b in blocks] + [rng.bits((tail, n))]
+        rows = 8 * sum(blocks) + tail
+        assert np.array_equal(np.vstack(parts), Rng(seed).bits((rows, n)))
 
 class TestLaplace:
     def test_rejects_nonpositive_scale(self):
