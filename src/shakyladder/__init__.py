@@ -5,6 +5,7 @@ from .core import (
     HoldoutSample,
     SubmittedModel,
     Trace,
+    clamp_release,
     empirical_risk,
     make_random_label_sample,
     model_from_predictions,
@@ -21,10 +22,8 @@ from .mechanisms import (
     ParameterRegimeError,
     PopulationMinOracle,
     ShakyLadder,
-    clamp_release,
     make_mechanism,
     shaky_params,
-    zero_noise_hook,
 )
 from .audit import (
     EvalReport,
@@ -48,13 +47,13 @@ from .experiments import ExperimentConfig, render_csv, run_experiment
 __version__ = "0.1.0"
 
 __all__ = [
-    "HoldoutSample", "SubmittedModel", "Trace",
+    "HoldoutSample", "SubmittedModel", "Trace", "clamp_release",
     "empirical_risk", "make_random_label_sample", "model_from_predictions",
     "Rng", "binomial_exceedance", "gaussian", "laplace",
     "BudgetExhaustedError", "Ladder", "LadderConfig", "MechanismParams",
     "ExactEmpiricalOracle", "NoisyEmpiricalOracle", "ParameterFreeLadder",
     "ParameterRegimeError", "PopulationMinOracle", "ShakyLadder",
-    "clamp_release", "make_mechanism", "shaky_params", "zero_noise_hook",
+    "make_mechanism", "shaky_params",
     "EvalReport", "EvaluationSession", "envelope_check", "faithfulness_audit",
     "leaderboard_error", "error_rate_ratio",
     "AdaptiveEstimator", "Query", "QueryOutcome", "run_estimator_session",

@@ -26,6 +26,7 @@ __all__ = [
     "make_random_label_sample",
     "model_from_predictions",
     "empirical_risk",
+    "clamp_release",
     "write_trace_csv",
 ]
 
@@ -172,6 +173,16 @@ def empirical_risk(model: SubmittedModel) -> float:
     return float(np.mean(model.loss_vector))
 
 
+def clamp_release(value: float) -> float:
+    """Presentation-layer clamp of a released value into [0, 1].
+
+    Mechanisms never clamp internally (noise rides on raw estimates and the
+    zero-noise equivalence with the deterministic ladder depends on it);
+    apply this only when displaying or serializing releases.
+    """
+    return min(1.0, max(0.0, value))
+
+
 def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
@@ -195,7 +206,7 @@ def write_trace_csv(trace: Trace, path, clamp_releases: bool = False) -> None:
                    trace.population_risks.tolist(), trace.updated.tolist(), trace.noise.tolist())
         for index, (empirical, released, population, updated, draws) in enumerate(rows, start=1):
             if clamp_releases:
-                released = min(1.0, max(0.0, released))
+                released = clamp_release(released)
             writer.writerow(
                 [index, _fmt(empirical), _fmt(released), _fmt(population), int(updated),
                  *("" if math.isnan(d) else _fmt(d) for d in draws)]

@@ -76,6 +76,10 @@ class ExperimentConfig:
     per_rep: bool = False
 
     def __post_init__(self):
+        # Sorted tuples of distinct values (+ 0.0 folds -0.0 into 0.0): one cell each.
+        object.__setattr__(self, "k_grid", tuple(sorted(set(self.k_grid))))
+        if self.noise_grid is not None:
+            object.__setattr__(self, "noise_grid", tuple(sorted({m + 0.0 for m in self.noise_grid})))
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         if self.n < 1:
@@ -102,10 +106,10 @@ class ExperimentConfig:
         if attacked and max(self.k_grid) > self.n:
             raise ValueError(f"the attack needs k <= n, got k={max(self.k_grid)} > n={self.n}")
         if self.experiment == "attack-vs-mechanism" and self.mechanism == "ladder":
-            LadderConfig(eta=self.eta)  # raises on a non-positive step
+            LadderConfig(eta=self.eta)  # raises on a non-positive or non-finite step
         if self.experiment == "envelope" or (attacked and self.mechanism == "shaky"):
             # The run's own shaky_params calls are the ones that warn.
-            for k in sorted(set(self.k_grid)):
+            for k in self.k_grid:
                 _regime_params(self.n, k + 1, self.beta)
 
     def resolved_noise_grid(self) -> tuple[float, ...]:
@@ -175,8 +179,8 @@ def run_vary(config: ExperimentConfig) -> list[CellResult]:
     multipliers = config.resolved_noise_grid()
     cells = _attack_grid(config.n, config.k_grid, multipliers, config.reps, config.seed)
     rows = []
-    for k in sorted(set(config.k_grid)):
-        for mult in sorted(multipliers):
+    for k in config.k_grid:
+        for mult in multipliers:
             reps = tuple(RepResult(final_error=e) for e in cells[(k, mult)])
             rows.append(CellResult(config.experiment, "direct", config.n, k, mult, reps))
     return rows
@@ -186,7 +190,7 @@ def run_envelope(config: ExperimentConfig) -> list[CellResult]:
     """Leaderboard error of the randomized ladder under the majority attack,
     audited against its error envelope; mean_error is the mean lberr."""
     rows = []
-    for k in sorted(set(config.k_grid)):
+    for k in config.k_grid:
         params = shaky_params(config.n, k + 1, config.beta)
         reps = []
         for rep in range(config.reps):
@@ -240,8 +244,8 @@ def run_attack_vs_mechanism(config: ExperimentConfig) -> list[CellResult]:
     """Majority attack against a configured mechanism across the k grid."""
     multipliers = config.resolved_noise_grid() if config.mechanism == "noisy" else (0.0,)
     rows = []
-    for k in sorted(set(config.k_grid)):
-        for mult in sorted(multipliers):
+    for k in config.k_grid:
+        for mult in multipliers:
             reps = []
             for rep in range(config.reps):
                 run_seed = (config.seed, k, rep)

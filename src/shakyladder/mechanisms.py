@@ -5,16 +5,17 @@ Every mechanism consumes loss vectors and returns one released estimate per
 round, starting from the initial estimate R_0 = 1. All but the
 parameter-free ladder read a loss vector only through its mean, so their
 decision logic lives in ``submit_risk`` and ``submit`` reduces a vector to
-its empirical risk first. Released values are not clamped to [0, 1];
-presentation-layer clamping, when wanted, belongs to the CLI. The population-minimum oracle is the one mechanism allowed to read true
-risks and exists only behind the audit-side evaluation interface.
+its empirical risk first. Released values are never clamped to [0, 1]
+(see :func:`~shakyladder.core.clamp_release`). The population-minimum
+oracle is the one mechanism allowed to read true risks and exists only
+behind the audit-side evaluation interface.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,61 +131,14 @@ def shaky_params(n: int, k: int, beta: float) -> MechanismParams:
     return params
 
 
-class _RoundLog:
-    """Per-round bookkeeping shared by all mechanisms.
-
-    Always tracks the cheap scalars (round count, update count, running max
-    noise magnitude, last release); optionally keeps full per-round arrays
-    for trace construction. Long runs disable recording to stay O(1) in
-    memory.
-    """
-
-    __slots__ = ("record", "initial_noise", "max_noise", "rounds", "updates",
-                 "prev_released", "_empirical", "_released", "_noise")
-
-    def __init__(self, record: bool = True):
-        self.record = record
-        self.initial_noise = 0.0
-        self.max_noise = 0.0
-        self.rounds = 0
-        self.updates = 0
-        self.prev_released = 1.0
-        self._empirical: list[float] = []
-        self._released: list[float] = []
-        self._noise: list[tuple[float, ...]] = []
-
-    def add(self, empirical: float, released: float, draws: tuple[float, ...] = ()) -> None:
-        updated = released < self.prev_released
-        self.rounds += 1
-        self.updates += int(updated)
-        self.prev_released = released
-        if draws:
-            self.max_noise = max(self.max_noise, *draws)
-        if self.record:
-            self._empirical.append(empirical)
-            self._released.append(released)
-            self._noise.append(draws)
-
-    def trace(self, population_risks=None, params: MechanismParams | None = None) -> Trace:
-        if not self.record:
-            raise RuntimeError("this mechanism was created with record=False")
-        # Row-major boolean assignment fills each round's draws left to right.
-        drawn = np.fromiter(map(len, self._noise), dtype=np.intp, count=self.rounds)
-        noise = np.full((self.rounds, 3), math.nan)
-        noise[np.arange(3) < drawn[:, None]] = list(itertools.chain.from_iterable(self._noise))
-        return Trace(
-            empirical_risks=self._empirical,
-            released=self._released,
-            population_risks=(np.full(self.rounds, math.nan) if population_risks is None
-                              else population_risks),
-            noise=noise,
-            initial_noise=self.initial_noise,
-            params=params,
-        )
-
-
 class LeaderboardMechanism:
-    """Common surface: feed loss vectors in, get released estimates out."""
+    """Common surface: feed loss vectors in, get released estimates out.
+
+    ``round``, ``update_count``, ``max_noise_magnitude`` and ``last_release``
+    are kept on every run; with ``records_trace`` each round also appends
+    empirical, released and three NaN-padded noise magnitudes to one flat
+    buffer for :meth:`trace`, and without it a run stays O(1) in memory.
+    """
 
     name = "base"
     needs_population_risk = False
@@ -196,26 +150,28 @@ class LeaderboardMechanism:
 
     def __init__(self, max_rounds: int | None = None, record: bool = True):
         self.max_rounds = max_rounds
-        self._log = _RoundLog(record=record)
+        self.records_trace = record
+        self.round = 0
+        self.update_count = 0
+        self.initial_noise = 0.0
+        self.max_noise_magnitude = 0.0
+        self.last_release = 1.0
+        self._rows = array("d")
 
-    @property
-    def round(self) -> int:
-        return self._log.rounds
-
-    @property
-    def update_count(self) -> int:
-        return self._log.updates
-
-    @property
-    def max_noise_magnitude(self) -> float:
-        return self._log.max_noise
-
-    @property
-    def records_trace(self) -> bool:
-        return self._log.record
+    def _record(self, risk: float, released: float, draws: tuple[float, ...] = ()) -> float:
+        """Close one round: update the counters, record it, return ``released``."""
+        self.round += 1
+        if released < self.last_release:
+            self.update_count += 1
+        self.last_release = released
+        if draws:
+            self.max_noise_magnitude = max(self.max_noise_magnitude, *draws)
+        if self.records_trace:
+            self._rows.extend((risk, released, *draws, *(math.nan,) * (3 - len(draws))))
+        return released
 
     def _check_budget(self) -> None:
-        if self.max_rounds is not None and self._log.rounds >= self.max_rounds:
+        if self.max_rounds is not None and self.round >= self.max_rounds:
             raise BudgetExhaustedError(
                 f"{self.name}: round budget of {self.max_rounds} exhausted"
             )
@@ -223,11 +179,18 @@ class LeaderboardMechanism:
     def rounds_remaining(self) -> float:
         if self.max_rounds is None:
             return math.inf
-        return self.max_rounds - self._log.rounds
+        return self.max_rounds - self.round
 
     def trace(self, population_risks=None) -> Trace:
         """The recorded rounds, with the oracle's population risks if given."""
-        return self._log.trace(population_risks, params=self.params)
+        if not self.records_trace:
+            raise RuntimeError("this mechanism was created with record=False")
+        rows = np.array(self._rows).reshape(-1, 5)
+        if population_risks is None:
+            population_risks = np.full(self.round, math.nan)
+        return Trace(empirical_risks=rows[:, 0], released=rows[:, 1],
+                     population_risks=population_risks, noise=rows[:, 2:],
+                     initial_noise=self.initial_noise, params=self.params)
 
     def submit(self, loss_vector, *args, **kwargs) -> float:
         """Score one loss vector: its mean goes to :meth:`submit_risk`.
@@ -261,55 +224,37 @@ class ShakyLadder(LeaderboardMechanism):
     the internal best is reassigned on every comparison success even in the
     measure-small event that noise pushes the new release above the old one.
     A full k-round run draws exactly 3k+1 Laplace variables, counting the
-    initial threshold noise. Without a ``noise_hook`` all of them are drawn
-    up front as one vector, which equals the sequence of scalar draws from
-    the same stream (see :func:`~shakyladder.noise.laplace`).
+    initial threshold noise, all up front as one vector; round t (from 0)
+    reads entries 3t+1 to 3t+3. The vector equals the sequence of scalar
+    draws from the same stream (see :func:`~shakyladder.noise.laplace`).
+    ``sigma = 0`` is the zero-noise mechanism: every variable is 0 and
+    nothing is drawn, which reduces it to :class:`Ladder` with eta = lam.
     """
 
     name = "shaky"
 
     def __init__(self, params: MechanismParams, seed: int | tuple[int, ...],
-                 noise_hook=None, record: bool = True):
+                 record: bool = True):
         super().__init__(max_rounds=params.k, record=record)
         self.params = params
         self.rng = Rng(seed, MECHANISM_STREAM)
-        if noise_hook is None:
-            draws = iter(laplace(self.rng, params.sigma, size=3 * params.k + 1))
-            noise_hook = lambda scale: next(draws)  # every draw is at scale sigma
-        self._draw = noise_hook
+        size = 3 * params.k + 1
+        self._noise = laplace(self.rng, params.sigma, size) if params.sigma else np.zeros(size)
         self.best = 1.0
-        self.threshold_noise = float(self._draw(params.sigma))
-        self._log.initial_noise = self._log.max_noise = abs(self.threshold_noise)
+        self.threshold_noise = float(self._noise[0])
+        self.initial_noise = self.max_noise_magnitude = abs(self.threshold_noise)
 
     def submit_risk(self, risk: float) -> float:
         self._check_budget()
-        sigma = self.params.sigma
-        noise_cmp = float(self._draw(sigma))
-        noise_rel = float(self._draw(sigma))
-        noise_thr = float(self._draw(sigma))
+        start = 3 * self.round + 1
+        noise_cmp, noise_rel, noise_thr = self._noise[start:start + 3].tolist()
         if risk + noise_cmp < self.best - self.params.lam + self.threshold_noise:
             released = risk + noise_rel
             self.threshold_noise = noise_thr
             self.best = released
         else:
             released = self.best
-        self._log.add(risk, released, (abs(noise_cmp), abs(noise_rel), abs(noise_thr)))
-        return released
-
-
-def zero_noise_hook(scale: float) -> float:
-    """Test-only noise hook forcing every draw to zero."""
-    return 0.0
-
-
-def clamp_release(value: float) -> float:
-    """Presentation-layer clamp of a released value into [0, 1].
-
-    Mechanisms never clamp internally (noise rides on raw estimates and the
-    zero-noise equivalence with the deterministic ladder depends on it);
-    apply this only when displaying or serializing releases.
-    """
-    return min(1.0, max(0.0, value))
+        return self._record(risk, released, (abs(noise_cmp), abs(noise_rel), abs(noise_thr)))
 
 
 @dataclass(frozen=True)
@@ -320,8 +265,8 @@ class LadderConfig:
     rounding: str = "none"
 
     def __post_init__(self):
-        if self.eta <= 0:
-            raise ValueError(f"eta must be positive, got {self.eta}")
+        if not 0.0 < self.eta < math.inf:  # NaN fails too
+            raise ValueError(f"eta must be positive and finite, got {self.eta}")
         if self.rounding not in ("none", "multiples-of-eta"):
             raise ValueError(f"unknown rounding mode {self.rounding!r}")
 
@@ -352,8 +297,7 @@ class Ladder(LeaderboardMechanism):
             self.best = released
         else:
             released = self.best
-        self._log.add(risk, released)
-        return released
+        return self._record(risk, released)
 
 
 class ParameterFreeLadder(LeaderboardMechanism):
@@ -398,9 +342,8 @@ class ParameterFreeLadder(LeaderboardMechanism):
                 self.incumbent_loss = vec.copy()
                 self.incumbent_risk = risk
             else:
-                released = self._log.prev_released
-        self._log.add(risk, released)
-        return released
+                released = self.last_release
+        return self._record(risk, released)
 
 
 class ExactEmpiricalOracle(LeaderboardMechanism):
@@ -410,8 +353,7 @@ class ExactEmpiricalOracle(LeaderboardMechanism):
 
     def submit_risk(self, risk: float) -> float:
         self._check_budget()
-        self._log.add(risk, risk)
-        return risk
+        return self._record(risk, risk)
 
 
 class NoisyEmpiricalOracle(LeaderboardMechanism):
@@ -422,17 +364,15 @@ class NoisyEmpiricalOracle(LeaderboardMechanism):
     def __init__(self, stddev: float, seed: int | tuple[int, ...],
                  max_rounds: int | None = None, record: bool = True):
         super().__init__(max_rounds=max_rounds, record=record)
-        if stddev <= 0:
-            raise ValueError(f"stddev must be positive, got {stddev}")
+        if not 0.0 < stddev < math.inf:  # NaN fails too
+            raise ValueError(f"stddev must be positive and finite, got {stddev}")
         self.stddev = stddev
         self.rng = Rng(seed, MECHANISM_STREAM)
 
     def submit_risk(self, risk: float) -> float:
         self._check_budget()
         draw = gaussian(self.rng, self.stddev)
-        released = risk + draw
-        self._log.add(risk, released, (abs(draw),))
-        return released
+        return self._record(risk, risk + draw, (abs(draw),))
 
 
 class PopulationMinOracle(LeaderboardMechanism):
@@ -455,8 +395,7 @@ class PopulationMinOracle(LeaderboardMechanism):
             raise ValueError("population-min oracle requires the population risk")
         self._check_budget()
         self.best = min(self.best, float(population_risk))
-        self._log.add(risk, self.best)
-        return self.best
+        return self._record(risk, self.best)
 
 
 MECHANISM_NAMES = ("shaky", "ladder", "pf-ladder", "empirical", "noisy", "population-min")

@@ -97,8 +97,8 @@ def laplace(rng: Rng, scale: float, size=None):
     so Pr{|X| > t*scale} = exp(-t) exactly. Draws at scale s equal s times
     the draws at scale 1 from the same underlying uniform stream.
     """
-    if scale <= 0:
-        raise ValueError(f"scale must be positive, got {scale}")
+    if not 0.0 < scale < math.inf:  # NaN fails too
+        raise ValueError(f"scale must be positive and finite, got {scale}")
     if size is None:
         v = rng.random()
         while v == 0.0:  # measure-zero endpoint would map to +inf
@@ -117,8 +117,8 @@ def laplace(rng: Rng, scale: float, size=None):
 
 def gaussian(rng: Rng, stddev: float, size=None):
     """Centered normal draw(s) with the given standard deviation."""
-    if stddev <= 0:
-        raise ValueError(f"stddev must be positive, got {stddev}")
+    if not 0.0 < stddev < math.inf:  # NaN fails too
+        raise ValueError(f"stddev must be positive and finite, got {stddev}")
     out = stddev * rng.standard_normal(size)
     return float(out) if size is None else out
 

@@ -76,8 +76,7 @@ class PerturbedMinOracle(LeaderboardMechanism):
         if population_risk < self._true_min:
             self._true_min = float(population_risk)
             self._released = self._true_min + self._next_offset()
-        self._log.add(risk, self._released)
-        return self._released
+        return self._record(risk, self._released)
 
 
 class StaleDipOracle(LeaderboardMechanism):
@@ -103,7 +102,5 @@ class StaleDipOracle(LeaderboardMechanism):
 
     def submit_risk(self, risk: float, population_risk: float = None) -> float:
         self._true_min = min(self._true_min, float(population_risk))
-        offset = self.bound if self._log.rounds < self.dip_round else -self.bound
-        released = self._true_min + offset
-        self._log.add(risk, released)
-        return released
+        offset = self.bound if self.round < self.dip_round else -self.bound
+        return self._record(risk, self._true_min + offset)

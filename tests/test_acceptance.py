@@ -5,6 +5,7 @@ with ``pytest -s`` or on failure). The statistical criteria run at the full
 sizes they are stated for; expect the module to take a few minutes.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -25,7 +26,6 @@ from shakyladder.mechanisms import (
     PopulationMinOracle,
     ShakyLadder,
     shaky_params,
-    zero_noise_hook,
 )
 from shakyladder.noise import Rng, binomial_exceedance, laplace
 from shakyladder.reduction import AdaptiveEstimator, Query
@@ -59,7 +59,7 @@ def test_01_zero_noise_degeneration():
     params = MechanismParams(n=64, k=1000, beta=0.1, delta=1e-8,
                              epsilon=0.05, lam=0.05, sigma=0.01)
     for stream in range(100):
-        shaky = ShakyLadder(params, seed=stream, noise_hook=zero_noise_hook)
+        shaky = ShakyLadder(dataclasses.replace(params, sigma=0.0), seed=stream)
         ladder = Ladder(LadderConfig(eta=params.lam, rounding="none"))
         rng = Rng(5000, stream)
         for _ in range(1000):

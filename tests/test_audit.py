@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -20,7 +21,6 @@ from shakyladder.mechanisms import (
     MechanismParams,
     ShakyLadder,
     shaky_params,
-    zero_noise_hook,
 )
 from shakyladder.analysts import run_random_analyst
 from synthetic import build_trace
@@ -85,7 +85,7 @@ class TestEnvelopeCheck:
     def test_zero_noise_trace_deterministic(self):
         params = MechanismParams(n=64, k=50, beta=0.1, delta=1e-6,
                                  epsilon=0.05, lam=0.1, sigma=0.01)
-        mech = ShakyLadder(params, seed=0, noise_hook=zero_noise_hook)
+        mech = ShakyLadder(dataclasses.replace(params, sigma=0.0), seed=0)
         session = EvaluationSession(mech)
         from shakyladder.core import SubmittedModel
         for risk in (0.8, 0.6, 0.4):

@@ -127,11 +127,24 @@ def run_module(argv):
     ["--experiment", "vary-queries", "--n", "64", "--k", "5", "--seed", "-1"],
     ["--experiment", "vary-queries", "--n", "64", "--k", "5", "--seed", str(2**64)],
     ["--experiment", "vary-queries", "--n", str(2**24), "--k", "5"],  # float32 bound
+    *(["--experiment", "attack-vs-mechanism", "--mechanism", "ladder", "--eta", eta,
+       "--n", "100", "--k", "10", "--reps", "2"] for eta in ("nan", "inf")),
 ])
 def test_run_time_regime_errors_exit_2(argv):
     result = run_module(argv)
     assert result.returncode == 2
     assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("experiment", ["vary-noise", "attack-vs-mechanism"])
+@pytest.mark.parametrize("given,canonical", [("1,1", "1"), ("3,0,1", "0,1,3"), ("-0", "0")])
+def test_noise_grid_sorted_and_deduplicated(tmp_path, experiment, given, canonical):
+    argv = ["--experiment", experiment, "--mechanism", "noisy", "--n", "100", "--k", "10",
+            "--reps", "2", "--per-rep"]
+    out_given, out_canonical = tmp_path / "given.csv", tmp_path / "canonical.csv"
+    assert cli_main(argv + [f"--noise={given}", "--out", str(out_given)]) == 0
+    assert cli_main(argv + [f"--noise={canonical}", "--out", str(out_canonical)]) == 0
+    assert out_given.read_bytes() == out_canonical.read_bytes()
 
 
 @pytest.mark.parametrize("entry", ["mechanism = bogus", "per_rep = maybe", "n = many"])

@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +17,6 @@ from shakyladder.mechanisms import (
     Ladder,
     LadderConfig,
     MECHANISM_NAMES,
-    MECHANISM_STREAM,
     MechanismParams,
     NoisyEmpiricalOracle,
     ParameterFreeLadder,
@@ -24,10 +25,9 @@ from shakyladder.mechanisms import (
     ShakyLadder,
     make_mechanism,
     shaky_params,
-    zero_noise_hook,
 )
 from shakyladder.analysts import random_prediction_models, run_random_analyst
-from shakyladder.noise import Rng, laplace
+from shakyladder.noise import Rng
 
 FLAGSHIP = dict(n=10000, k=100, beta=0.1)
 
@@ -84,12 +84,12 @@ class TestShakyParams:
 class TestShakyLadder:
     def test_zero_noise_accepts_clear_improvement(self):
         params = off_regime_params(n=4, lam=0.5)
-        mech = ShakyLadder(params, seed=0, noise_hook=zero_noise_hook)
+        mech = ShakyLadder(dataclasses.replace(params, sigma=0.0), seed=0)
         assert mech.submit(np.full(4, 0.3)) == 0.3
 
     def test_zero_noise_rejects_insufficient_improvement(self):
         params = off_regime_params(n=4, lam=0.5)
-        mech = ShakyLadder(params, seed=0, noise_hook=zero_noise_hook)
+        mech = ShakyLadder(dataclasses.replace(params, sigma=0.0), seed=0)
         assert mech.submit(np.full(4, 0.6)) == 1.0
 
     def test_budget_error(self):
@@ -117,27 +117,6 @@ class TestShakyLadder:
         draw_count = int(np.count_nonzero(~np.isnan(trace.noise))) + 1
         assert draw_count == 3 * 20 + 1
 
-    def test_predrawn_noise_equals_scalar_draws(self):
-        # The default mechanism draws its 3k+1 variables as one vector; a hook
-        # drawing scalars from the same stream must see the same run.
-        params = off_regime_params(n=8, k=40, lam=0.02, sigma=0.05)
-        stream = Rng((5, 1), MECHANISM_STREAM)
-        scales = []
-
-        def scalar_draw(scale):
-            scales.append(scale)
-            return laplace(stream, scale)
-
-        predrawn = ShakyLadder(params, seed=(5, 1))
-        scalar = ShakyLadder(params, seed=(5, 1), noise_hook=scalar_draw)
-        rng = Rng(78)
-        for _ in range(params.k):
-            vec = rng.random(8)
-            assert predrawn.submit(vec) == scalar.submit(vec)
-        assert scales == [params.sigma] * (3 * params.k + 1)
-        assert_same_trace(predrawn.trace(), scalar.trace())
-        assert predrawn.update_count > 1
-
     def test_golden_trace(self, fixtures_dir, tmp_path):
         params = shaky_params(**FLAGSHIP)
         sample = make_random_label_sample(10000, 7)
@@ -153,7 +132,7 @@ class TestZeroNoiseDegeneration:
         # same submissions through both mechanisms, compared field by field
         params = off_regime_params(n=32, k=300, lam=0.06)
         for seed in range(5):
-            shaky = ShakyLadder(params, seed=seed, noise_hook=zero_noise_hook)
+            shaky = ShakyLadder(dataclasses.replace(params, sigma=0.0), seed=seed)
             ladder = Ladder(LadderConfig(eta=params.lam))
             rng = Rng(1000 + seed)
             for _ in range(300):
@@ -187,6 +166,12 @@ class TestLadder:
             LadderConfig(eta=0.0)
         with pytest.raises(ValueError):
             LadderConfig(eta=0.1, rounding="up")
+
+    @pytest.mark.parametrize("eta", [math.nan, math.inf])
+    def test_config_rejects_nonfinite_eta(self, eta):
+        # such a step never updates, so every run would report B = 0
+        with pytest.raises(ValueError, match="finite"):
+            LadderConfig(eta=eta)
 
 
 class TestParameterFreeLadder:
@@ -261,6 +246,11 @@ class TestOracles:
         with pytest.raises(ValueError):
             NoisyEmpiricalOracle(0.0, seed=1)
 
+    @pytest.mark.parametrize("stddev", [math.nan, math.inf])
+    def test_noisy_oracle_rejects_nonfinite_stddev(self, stddev):
+        with pytest.raises(ValueError, match="finite"):
+            NoisyEmpiricalOracle(stddev, seed=1)
+
 
 class TestMonotoneReleases:
     @pytest.mark.parametrize("kind", ["ladder", "pf-ladder"])
@@ -281,7 +271,7 @@ class TestMonotoneReleases:
 
     def test_shaky_under_zero_noise(self):
         params = off_regime_params(n=32, k=400, lam=0.03)
-        mech = ShakyLadder(params, seed=2, noise_hook=zero_noise_hook)
+        mech = ShakyLadder(dataclasses.replace(params, sigma=0.0), seed=2)
         rng = Rng(10)
         released = [mech.submit(rng.random(32)) for _ in range(400)]
         assert all(a >= b for a, b in zip(released, released[1:]))
@@ -368,6 +358,25 @@ def test_record_false_keeps_counters_only():
     assert mech.round == 50
     with pytest.raises(RuntimeError):
         mech.trace()
+
+
+def test_record_false_runs_in_constant_memory():
+    # A recording run keeps five doubles per round; a non-recording one only
+    # its counters, however many rounds it runs.
+    risks = Rng(13).random(50_000).tolist()
+
+    def growth(record):
+        ladder = Ladder(LadderConfig(eta=0.01), record=record)
+        tracemalloc.start()
+        try:
+            for risk in risks:
+                ladder.submit_risk(risk)
+            return tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+
+    assert growth(record=False) < 64 * 1024
+    assert growth(record=True) > 1024 * 1024
 
 
 _LOSS = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0))

@@ -74,6 +74,13 @@ class TestLaplace:
         with pytest.raises(ValueError):
             laplace(Rng(0), -1.0)
 
+    @pytest.mark.parametrize("scale", [math.nan, math.inf])
+    def test_rejects_nonfinite_scale(self, scale):
+        with pytest.raises(ValueError, match="finite"):
+            laplace(Rng(0), scale)
+        with pytest.raises(ValueError, match="finite"):
+            laplace(Rng(0), scale, size=3)
+
     def test_median_of_transform_is_zero(self):
         # u = 0 maps to the median: -scale * sign(0) * log1p(0) = 0.
         u = 0.0
@@ -118,6 +125,13 @@ class TestGaussian:
     def test_rejects_nonpositive_stddev(self):
         with pytest.raises(ValueError):
             gaussian(Rng(0), 0.0)
+
+    @pytest.mark.parametrize("stddev", [math.nan, math.inf])
+    def test_rejects_nonfinite_stddev(self, stddev):
+        with pytest.raises(ValueError, match="finite"):
+            gaussian(Rng(0), stddev)
+        with pytest.raises(ValueError, match="finite"):
+            gaussian(Rng(0), stddev, size=3)
 
     def test_moments(self):
         n = 10**6
