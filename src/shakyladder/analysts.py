@@ -224,6 +224,8 @@ def majority_attack_vs_mechanism(mechanism: LeaderboardMechanism, sample: Holdou
     submits the pointwise majority model as round k+1. ``feedback_received``
     counts the k query rounds whose release differed from the previous one.
     """
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
     if k > sample.size:
         raise ValueError(f"attack needs k <= n, got k={k} > n={sample.size}")
     session = EvaluationSession(mechanism)
@@ -256,6 +258,11 @@ def shifted_majority_attack(mechanism: LeaderboardMechanism, sample: HoldoutSamp
     Queries whose schedule exhausts without a trigger carry no information
     and are excluded from the vote.
     """
+    # Written so that NaN, which fails every comparison, is rejected too.
+    if not 0.0 < alpha < 0.5:
+        raise ValueError(f"alpha must lie in (0, 1/2), got {alpha}")
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
     if k > sample.size:
         raise ValueError(f"attack needs k <= n, got k={k} > n={sample.size}")
     steps = math.ceil(1.0 / alpha)

@@ -31,9 +31,10 @@ __all__ = [
 class EvaluationSession:
     """Runs models through a mechanism while keeping the information barrier.
 
-    The mechanism sees loss vectors or empirical risks only; this session
-    records the oracle-side population risks so :meth:`trace` can produce a
-    fully scored :class:`~shakyladder.core.Trace`.
+    The mechanism sees loss vectors or empirical risks only; when it records
+    a trace, this session records the oracle-side population risks so
+    :meth:`trace` can produce a fully scored :class:`~shakyladder.core.Trace`.
+    A mechanism built with ``record=False`` keeps the session O(1) in memory.
     """
 
     def __init__(self, mechanism: LeaderboardMechanism):
@@ -47,7 +48,8 @@ class EvaluationSession:
             released = self.mechanism.submit(model.loss_vector, model.population_risk)
         else:
             released = self.mechanism.submit(model.loss_vector)
-        self._population_risks.append(model.population_risk)
+        if self.mechanism.records_trace:
+            self._population_risks.append(model.population_risk)
         return released
 
     def submit_risk(self, risk: float, population_risk: float) -> float:
@@ -66,8 +68,37 @@ class EvaluationSession:
             released = self.mechanism.submit_risk(risk, population_risk)
         else:
             released = self.mechanism.submit_risk(risk)
-        self._population_risks.append(population_risk)
+        if self.mechanism.records_trace:
+            self._population_risks.append(population_risk)
         return released
+
+    def submit_risks(self, risks, population_risks, stop_below: float | None = None) -> np.ndarray:
+        """Submit models known by their risks, in order, as one batch.
+
+        Both arrays are checked like :meth:`submit_risk`'s values before any
+        round runs; the mechanism's ``submit_risks`` then stops after the
+        first release below ``stop_below``. Returns the releases.
+        """
+        risks = np.asarray(risks, dtype=float)
+        population_risks = np.asarray(population_risks, dtype=float)
+        if risks.ndim != 1 or risks.shape != population_risks.shape:
+            raise ValueError("risks and population_risks must be vectors of one length")
+        # min and max propagate NaN, which fails every comparison and is rejected too.
+        if risks.size and not (risks.min() >= -LOSS_TOLERANCE
+                               and risks.max() <= 1.0 + LOSS_TOLERANCE):
+            raise ValueError(f"empirical risks must lie in [0, 1], got values in "
+                             f"[{risks.min()}, {risks.max()}]")
+        if risks.size and not (population_risks.min() >= 0.0 and population_risks.max() <= 1.0):
+            raise ValueError(f"population risks must lie in [0, 1], got values in "
+                             f"[{population_risks.min()}, {population_risks.max()}]")
+        mechanism = self.mechanism
+        oracle_side = (population_risks,) if mechanism.needs_population_risk else ()
+        start = mechanism.round
+        try:
+            return mechanism.submit_risks(risks, *oracle_side, stop_below=stop_below)
+        finally:  # also when the budget ends mid-array: keep the rounds that ran
+            if mechanism.records_trace:
+                self._population_risks.extend(population_risks[:mechanism.round - start].tolist())
 
     def submit_all(self, models) -> list[float]:
         return [self.submit(model) for model in models]

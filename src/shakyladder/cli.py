@@ -3,7 +3,8 @@
 Exit codes: 0 success, 2 invalid arguments, 3 golden-file mismatch (1 for
 I/O failures). A plain-text key=value config file can seed any flag: its
 entries are replayed as flags ahead of the command line, so they are parsed
-and validated exactly like flags and flags given on the command line win.
+and validated exactly like flags and flags given on the command line win. A
+key the experiment does not read is therefore rejected like its flag.
 """
 
 from __future__ import annotations
@@ -56,16 +57,22 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--k", dest="k_grid", type=_grid(int, "integers"),
                         default=DEFAULT_K_GRID, metavar="K1,K2,...",
                         help="query-count grid (default 100..1000 step 100)")
+    # Flags read by only some experiments default to None: given to another, they exit 2.
     parser.add_argument("--noise", dest="noise_grid", type=_grid(float, "numbers"),
                         default=None, metavar="M1,M2,...",
-                        help="noise multipliers in units of 1/sqrt(n)")
+                        help="noise multipliers in units of 1/sqrt(n) "
+                             "(vary-*; attack-vs-mechanism with noisy)")
     parser.add_argument("--reps", type=int, default=100, help="repetitions per cell")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--mechanism", choices=MECHANISM_NAMES, default="shaky")
-    parser.add_argument("--beta", type=float, default=0.1, help="failure probability")
-    parser.add_argument("--eta", type=float, default=0.01, help="ladder step size")
-    parser.add_argument("--alpha", type=float, default=0.05,
-                        help="estimator accuracy target (reduction-oracle)")
+    parser.add_argument("--mechanism", choices=MECHANISM_NAMES, default=None,
+                        help="attacked mechanism (attack-vs-mechanism; default shaky)")
+    parser.add_argument("--beta", type=float, default=None,
+                        help="failure probability (envelope; attack-vs-mechanism with "
+                             "shaky; default 0.1)")
+    parser.add_argument("--eta", type=float, default=None,
+                        help="ladder step size (attack-vs-mechanism with ladder; default 0.01)")
+    parser.add_argument("--alpha", type=float, default=None,
+                        help="estimator accuracy target (reduction-oracle; default 0.05)")
     parser.add_argument("--out", type=Path, default=None, help="CSV output path")
     parser.add_argument("--golden", type=Path, default=None,
                         help="compare output byte-for-byte against this CSV")

@@ -55,12 +55,24 @@ CSV_HEADER = "experiment,mechanism,n,k,noise_multiplier,rep_count,mean_error,std
 PER_REP_COLUMNS = "rep,final_error,lberr,updates_B,max_noise_L"
 
 
+#: The fields only some experiments read, with their command-line flags.
+_OPTION_FLAGS = {"noise_grid": "--noise", "mechanism": "--mechanism", "beta": "--beta",
+                "eta": "--eta", "alpha": "--alpha"}
+#: Defaults of those fields where they are read (the noise grid's depend on the run).
+_OPTION_DEFAULTS = {"mechanism": "shaky", "beta": 0.1, "eta": 0.01, "alpha": 0.05}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything one experiment run depends on.
 
     Noise values are multipliers of 1/sqrt(n), applied to risk-scale
     feedback; absolute standard deviations are computed at run time.
+
+    The fields in ``_OPTION_FLAGS`` are read only by some runs (see
+    :meth:`_read_options`). One the run reads takes its default when left
+    ``None``; one it does not read must stay ``None`` and is rejected when
+    given, so that a config never claims a setting that did not apply.
     """
 
     experiment: str
@@ -69,10 +81,10 @@ class ExperimentConfig:
     noise_grid: tuple[float, ...] | None = None
     reps: int = 100
     seed: int = 0
-    mechanism: str = "shaky"
-    beta: float = 0.1
-    eta: float = 0.01
-    alpha: float = 0.05
+    mechanism: str | None = None
+    beta: float | None = None
+    eta: float | None = None
+    alpha: float | None = None
     per_rep: bool = False
 
     def __post_init__(self):
@@ -82,6 +94,14 @@ class ExperimentConfig:
             object.__setattr__(self, "noise_grid", tuple(sorted({m + 0.0 for m in self.noise_grid})))
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
+        read = self._read_options()
+        unread = [flag for name, flag in _OPTION_FLAGS.items()
+                  if name not in read and getattr(self, name) is not None]
+        if unread:
+            raise ValueError(f"{self.experiment} does not read {', '.join(unread)}")
+        for name in read:
+            if getattr(self, name) is None and name in _OPTION_DEFAULTS:
+                object.__setattr__(self, name, _OPTION_DEFAULTS[name])
         if self.n < 1:
             raise ValueError("n must be positive")
         if self.reps < 1:
@@ -111,6 +131,17 @@ class ExperimentConfig:
             # The run's own shaky_params calls are the ones that warn.
             for k in self.k_grid:
                 _regime_params(self.n, k + 1, self.beta)
+
+    def _read_options(self) -> tuple[str, ...]:
+        """The fields of ``_OPTION_FLAGS`` that this run reads."""
+        if self.experiment in ("vary-queries", "vary-noise"):
+            return ("noise_grid",)
+        if self.experiment == "envelope":
+            return ("beta",)
+        if self.experiment == "reduction-oracle":
+            return ("alpha",)
+        by_mechanism = {"shaky": ("beta",), "ladder": ("eta",), "noisy": ("noise_grid",)}
+        return ("mechanism", *by_mechanism.get(self.mechanism or _OPTION_DEFAULTS["mechanism"], ()))
 
     def resolved_noise_grid(self) -> tuple[float, ...]:
         if self.noise_grid is not None:

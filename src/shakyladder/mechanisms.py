@@ -138,6 +138,11 @@ class LeaderboardMechanism:
     are kept on every run; with ``records_trace`` each round also appends
     empirical, released and three NaN-padded noise magnitudes to one flat
     buffer for :meth:`trace`, and without it a run stays O(1) in memory.
+
+    A mechanism that reads only the empirical risk takes one round through
+    :meth:`submit_risk` and a batch of rounds through :meth:`submit_risks`,
+    which here loops over :meth:`submit_risk` and is the reference that any
+    faster override must equal: releases, counters, trace and budget end.
     """
 
     name = "base"
@@ -208,8 +213,102 @@ class LeaderboardMechanism:
         """Run one round on a submission known by its empirical risk."""
         raise NotImplementedError(f"{self.name} scores loss vectors, not risks")
 
+    def submit_risks(self, risks, *oracle_columns, stop_below: float | None = None) -> np.ndarray:
+        """Run one round per risk, in order, and return the releases.
 
-class ShakyLadder(LeaderboardMechanism):
+        Stops after the first release below ``stop_below``. Further arrays
+        (the population risks, for the mechanisms that read them) go to
+        :meth:`submit_risk` one entry per round. When the budget runs out
+        mid-array, the rounds before it stay committed and
+        :class:`BudgetExhaustedError` is raised.
+        """
+        stop = -math.inf if stop_below is None else stop_below
+        released = []
+        for row in zip(*(np.asarray(column, dtype=float).tolist()
+                         for column in (risks, *oracle_columns))):
+            released.append(self.submit_risk(*row))
+            if released[-1] < stop:
+                break
+        return np.array(released, dtype=float)
+
+
+#: Most rounds one scan pass compares; a stream that updates on nearly every
+#: round then costs O(rounds * SCAN_BLOCK) element work, not O(rounds^2).
+SCAN_BLOCK = 1024
+
+
+class IncumbentLadder(LeaderboardMechanism):
+    """A ladder whose release changes only when a submission beats ``best``.
+
+    Between such successes every round releases ``best`` again, so
+    :meth:`submit_risks` finds the next success with one vector comparison
+    per pass and closes the rounds up to it in bulk: O(updates) passes
+    instead of one Python round each. Subclasses give the comparison of a
+    block of rounds (``_successes``), the scalar update on a success
+    (``_succeed``) and the rounds' noise magnitudes (``_draws``), each
+    evaluated in the same order as their :meth:`submit_risk`.
+    """
+
+    def _successes(self, risks: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def _succeed(self, risk: float, round_index: int) -> float:
+        raise NotImplementedError
+
+    def _draws(self, count: int) -> np.ndarray | None:
+        return None
+
+    def _record_block(self, risks: np.ndarray, released: np.ndarray,
+                      draws: np.ndarray | None) -> None:
+        """Close consecutive rounds at once, as :meth:`_record` would one by one.
+
+        Every release but the last equals ``last_release``: the block ends at
+        the first success. ``draws`` holds each round's three noise magnitudes.
+        """
+        self.round += len(released)
+        last = float(released[-1])
+        if last < self.last_release:
+            self.update_count += 1
+        self.last_release = last
+        if draws is not None:
+            self.max_noise_magnitude = max(self.max_noise_magnitude, float(draws.max()))
+        if self.records_trace:
+            rows = np.full((len(released), 5), math.nan)
+            rows[:, 0] = risks
+            rows[:, 1] = released
+            if draws is not None:
+                rows[:, 2:] = draws
+            self._rows.frombytes(rows.tobytes())
+
+    def submit_risks(self, risks, *, stop_below: float | None = None) -> np.ndarray:
+        risks = np.asarray(risks, dtype=float)
+        stop = -math.inf if stop_below is None else stop_below
+        limit = len(risks)
+        if self.max_rounds is not None:
+            limit = min(limit, self.max_rounds - self.round)
+        released = np.empty(limit)
+        t = 0
+        while t < limit:
+            # A stale release already below ``stop`` ends the scan after one round.
+            end = t + 1 if self.best < stop else min(limit, t + SCAN_BLOCK)
+            hits = self._successes(risks[t:end])
+            j = t + int(hits.argmax())
+            if hits[j - t]:
+                released[t:j] = self.best
+                released[j] = self._succeed(float(risks[j]), self.round + j - t)
+                end = j + 1
+            else:
+                released[t:end] = self.best
+            self._record_block(risks[t:end], released[t:end], self._draws(end - t))
+            t = end
+            if released[t - 1] < stop:
+                return released[:t]
+        if t < len(risks):
+            self._check_budget()  # the budget ran out mid-array: raises
+        return released
+
+
+class ShakyLadder(IncumbentLadder):
     """Randomized ladder: noisy comparison, noisy release, noisy threshold.
 
     Per round t, with fresh xi_t, xi'_t, xi''_t ~ Laplace(sigma):
@@ -240,6 +339,7 @@ class ShakyLadder(LeaderboardMechanism):
         self.rng = Rng(seed, MECHANISM_STREAM)
         size = 3 * params.k + 1
         self._noise = laplace(self.rng, params.sigma, size) if params.sigma else np.zeros(size)
+        self._noise_cmp = self._noise[1::3]  # xi_t of round t
         self.best = 1.0
         self.threshold_noise = float(self._noise[0])
         self.initial_noise = self.max_noise_magnitude = abs(self.threshold_noise)
@@ -256,6 +356,21 @@ class ShakyLadder(LeaderboardMechanism):
             released = self.best
         return self._record(risk, released, (abs(noise_cmp), abs(noise_rel), abs(noise_thr)))
 
+    def _successes(self, risks: np.ndarray) -> np.ndarray:
+        noise_cmp = self._noise_cmp[self.round:self.round + len(risks)]
+        return risks + noise_cmp < self.best - self.params.lam + self.threshold_noise
+
+    def _succeed(self, risk: float, round_index: int) -> float:
+        start = 3 * round_index + 2
+        noise_rel, noise_thr = self._noise[start:start + 2].tolist()
+        self.threshold_noise = noise_thr
+        self.best = risk + noise_rel
+        return self.best
+
+    def _draws(self, count: int) -> np.ndarray:
+        start = 3 * self.round + 1
+        return np.abs(self._noise[start:start + 3 * count]).reshape(count, 3)
+
 
 @dataclass(frozen=True)
 class LadderConfig:
@@ -271,7 +386,7 @@ class LadderConfig:
             raise ValueError(f"unknown rounding mode {self.rounding!r}")
 
 
-class Ladder(LeaderboardMechanism):
+class Ladder(IncumbentLadder):
     """Deterministic threshold mechanism.
 
     Releases a new value only when the empirical risk beats the incumbent
@@ -298,6 +413,16 @@ class Ladder(LeaderboardMechanism):
         else:
             released = self.best
         return self._record(risk, released)
+
+    def _successes(self, risks: np.ndarray) -> np.ndarray:
+        return risks < self.best - self.config.eta
+
+    def _succeed(self, risk: float, round_index: int) -> float:
+        if self.config.rounding == "multiples-of-eta":
+            self.best = round(risk / self.config.eta) * self.config.eta
+        else:
+            self.best = risk
+        return self.best
 
 
 class ParameterFreeLadder(LeaderboardMechanism):

@@ -94,6 +94,10 @@ class AdaptiveEstimator:
         self.queries_answered = 0
         self.total_submissions = 0
         self.steps_per_query = math.ceil(1.0 / alpha)
+        # i*alpha and 0.5*i*alpha for every step, multiplied in the scalar order.
+        steps = np.arange(self.steps_per_query)
+        self._offsets = steps * alpha
+        self._half_offsets = 0.5 * steps * alpha
 
     def _constructed_model(self, query: Query, i: int) -> tuple[SubmittedModel, bool]:
         raw = self.c + 0.5 * (query.values - i * self.alpha)
@@ -106,31 +110,35 @@ class AdaptiveEstimator:
         clamped = clamped or (risk != risk_raw)
         return SubmittedModel(loss_vector=values, population_risk=risk), clamped
 
-    def _scheduled_risks(self, stats: tuple[float, float, float], population_mean: float,
-                         i: int) -> tuple[float, float, bool]:
-        """Closed form of :meth:`_constructed_model` from the query's (mean, min, max).
+    def _schedule(self, query: Query) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every step's empirical risk, population risk and clamp flag.
 
-        Returns the empirical and population risk of the i-th constructed
-        model and whether it clamps. The offset map is monotone in each value
-        under rounding, so the bounds below equal the constructed vector's
-        min and max bit for bit; the empirical risk agrees with the vector's
-        mean up to rounding.
+        Closed form of :meth:`_constructed_model` at every step i from the
+        query's mean, min and max. The offset map is monotone in each value
+        under rounding, so the min and max rows equal each constructed
+        vector's min and max bit for bit and clamping is decided exactly;
+        each clamp condition is monotone in i, so the unclamped steps form
+        one contiguous run. The empirical risk agrees with the constructed
+        vector's mean up to rounding.
         """
-        mean_g, min_g, max_g = stats
-        c, alpha = self.c, self.alpha
-        risk_raw = (c - 0.5 * i * alpha) + 0.5 * population_mean
-        risk = min(1.0, max(0.0, risk_raw))
-        clamped = (c + 0.5 * (min_g - i * alpha) < 0.0 or c + 0.5 * (max_g - i * alpha) > 1.0
-                   or risk != risk_raw)
-        return c + 0.5 * (mean_g - i * alpha), risk, clamped
+        values = query.values
+        stats = np.array([[np.mean(values)], [values.min()], [values.max()]])
+        risks, low, high = self.c + 0.5 * (stats - self._offsets)
+        risk_raw = (self.c - self._half_offsets) + 0.5 * query.population_mean
+        population_risks = np.clip(risk_raw, 0.0, 1.0) + 0.0  # + 0.0: no -0.0, as min/max give
+        clamped = (low < 0.0) | (high > 1.0) | (population_risks != risk_raw)
+        return risks, population_risks, clamped
 
     def answer(self, query: Query) -> QueryOutcome:
         """Run the offset schedule for one query and extract its answer.
 
-        Each step submits the constructed model's empirical risk, which takes
-        O(1) work after one O(n) pass over the query. The constructed loss
-        vector is built only for a step that clamps or for a mechanism that
-        reads loss vectors (``needs_loss_vector``).
+        The schedule's risks, population risks and clamp flags come from
+        :meth:`_schedule` after one O(n) pass over the query. The unclamped
+        steps, one contiguous run, go to the mechanism as one
+        ``session.submit_risks`` batch that stops at the first release below
+        ``c - alpha/2``, the trigger. A clamped step, and every step for a
+        mechanism that reads loss vectors (``needs_loss_vector``), submits
+        its constructed model through ``session.submit``.
         """
         mechanism = self.session.mechanism
         if mechanism.rounds_remaining() < self.steps_per_query:
@@ -139,45 +147,50 @@ class AdaptiveEstimator:
                 f"mechanism has {mechanism.rounds_remaining()} left"
             )
         c = self.c
-        values = query.values
-        stats = (float(np.mean(values)), float(values.min()), float(values.max()))
-        clamped_so_far = False
-        for i in range(self.steps_per_query):
-            risk, population_risk, clamped_i = self._scheduled_risks(
-                stats, query.population_mean, i)
-            try:
-                if clamped_i or mechanism.needs_loss_vector:
-                    model, _ = self._constructed_model(query, i)
-                    released = self.session.submit(model)
+        trigger_below = c - self.alpha / 2.0
+        risks, population_risks, clamped = self._schedule(query)
+        free = np.flatnonzero(~clamped)
+        scan_from, scan_to = 0, 0
+        if free.size and not mechanism.needs_loss_vector:
+            scan_from, scan_to = int(free[0]), int(free[-1]) + 1
+        first_round = mechanism.round
+        i = 0
+        try:
+            while i < self.steps_per_query:
+                if scan_from <= i < scan_to:
+                    released = self.session.submit_risks(
+                        risks[i:scan_to], population_risks[i:scan_to], stop_below=trigger_below)
                 else:
-                    released = self.session.submit_risk(risk, population_risk)
-            except BudgetExhaustedError as err:
-                err.partial = {
-                    "query_index": self.queries_answered,
-                    "i": i,
-                    "c": c,
-                    "submissions": self.total_submissions,
-                }
-                raise
-            self.total_submissions += 1
-            if released < c - self.alpha / 2.0:
-                answer = 2.0 * ((released - c) + 0.5 * i * self.alpha)
-                self.c = released
-                self.queries_answered += 1
-                return QueryOutcome(
-                    answer=answer, triggered=True, trigger_index=i,
-                    r_value=released, c_after=self.c,
-                    clamped=clamped_so_far or clamped_i, no_trigger=False,
-                    submissions=i + 1,
-                )
-            clamped_so_far = clamped_so_far or clamped_i
+                    model, _ = self._constructed_model(query, i)
+                    released = (self.session.submit(model),)
+                i += len(released)
+                if released[-1] < trigger_below:
+                    break
+        except BudgetExhaustedError as err:
+            done = mechanism.round - first_round
+            err.partial = {
+                "query_index": self.queries_answered,
+                "i": done,
+                "c": c,
+                "submissions": self.total_submissions + done,
+            }
+            raise
+        self.total_submissions += i
+        self.queries_answered += 1
+        if released[-1] < trigger_below:
+            r_value = float(released[-1])
+            self.c = r_value
+            return QueryOutcome(
+                answer=2.0 * ((r_value - c) + 0.5 * (i - 1) * self.alpha),
+                triggered=True, trigger_index=i - 1, r_value=r_value, c_after=r_value,
+                clamped=bool(clamped[:i].any()), no_trigger=False, submissions=i,
+            )
         # Schedule exhausted: possible only for large population means, where
         # answering 1.0 is off by at most 2*alpha. Threshold stays put.
-        self.queries_answered += 1
         return QueryOutcome(
             answer=1.0, triggered=False, trigger_index=None,
-            r_value=math.nan, c_after=self.c,
-            clamped=clamped_so_far, no_trigger=True,
+            r_value=math.nan, c_after=c,
+            clamped=bool(clamped.any()), no_trigger=True,
             submissions=self.steps_per_query,
         )
 

@@ -43,6 +43,14 @@ def loop_form_majority(hidden, queries, answers):
     return sum(1 for j in range(n) if final[j] != hidden[j]) / n
 
 
+@pytest.fixture
+def no_draws(monkeypatch):
+    """Make any draw by the attack fail the test: checks must come first."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the attack drew before validating its input")
+    monkeypatch.setattr(analysts, "Rng", refuse)
+
+
 class TestDirectAttack:
     def test_needs_positive_k_and_n(self):
         with pytest.raises(ValueError):
@@ -111,13 +119,6 @@ class TestDirectAttack:
                 majority_attack_direct(n, k, 3.0 / math.sqrt(n), seed=(78, rep)).final_error
             )
         assert np.mean(clean) < np.mean(noisy) < 0.52
-
-    @pytest.fixture
-    def no_draws(self, monkeypatch):
-        """Make any draw by the attack fail the test: checks must come first."""
-        def refuse(*args, **kwargs):
-            raise AssertionError("the attack drew before validating its input")
-        monkeypatch.setattr(analysts, "Rng", refuse)
 
     @pytest.mark.parametrize("stddev", [math.nan, math.inf, -1.0])
     def test_bad_noise_rejected_before_drawing(self, stddev, no_draws):
@@ -220,6 +221,22 @@ class TestAttackVsMechanism:
 
 
 class TestShiftedAttack:
+    @pytest.mark.parametrize("alpha", [0.0, math.nan, -0.1, 0.5, math.inf])
+    def test_bad_alpha_rejected_before_drawing(self, alpha, no_draws):
+        # alpha = 0 used to raise ZeroDivisionError, NaN "cannot convert float
+        # NaN to integer"
+        sample = make_random_label_sample(100, 23)
+        with pytest.raises(ValueError, match="alpha"):
+            shifted_majority_attack(Ladder(LadderConfig(eta=0.01)), sample, 5, alpha, seed=23)
+
+    def test_negative_k_rejected_before_drawing(self, no_draws):
+        # used to fail in numpy with "negative dimensions are not allowed"
+        sample = make_random_label_sample(100, 24)
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            shifted_majority_attack(Ladder(LadderConfig(eta=0.01)), sample, -1, 0.1, seed=24)
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            majority_attack_vs_mechanism(ExactEmpiricalOracle(), sample, -1, 24)
+
     def test_every_query_triggers_against_exact_oracle(self):
         # random queries have population mean 1/2 < 1 - 2*alpha, and each
         # triggered query lowers the threshold by alpha/2 here, so k = 8

@@ -139,12 +139,40 @@ def test_run_time_regime_errors_exit_2(argv):
 @pytest.mark.parametrize("experiment", ["vary-noise", "attack-vs-mechanism"])
 @pytest.mark.parametrize("given,canonical", [("1,1", "1"), ("3,0,1", "0,1,3"), ("-0", "0")])
 def test_noise_grid_sorted_and_deduplicated(tmp_path, experiment, given, canonical):
-    argv = ["--experiment", experiment, "--mechanism", "noisy", "--n", "100", "--k", "10",
-            "--reps", "2", "--per-rep"]
+    argv = ["--experiment", experiment, "--n", "100", "--k", "10", "--reps", "2", "--per-rep"]
+    if experiment == "attack-vs-mechanism":
+        argv += ["--mechanism", "noisy"]
     out_given, out_canonical = tmp_path / "given.csv", tmp_path / "canonical.csv"
     assert cli_main(argv + [f"--noise={given}", "--out", str(out_given)]) == 0
     assert cli_main(argv + [f"--noise={canonical}", "--out", str(out_canonical)]) == 0
     assert out_given.read_bytes() == out_canonical.read_bytes()
+
+
+@pytest.mark.parametrize("argv,unread", [
+    (["--experiment", "envelope", "--n", "10000", "--k", "100", "--reps", "1",
+      "--mechanism", "ladder", "--noise", "5", "--alpha", "7"],
+     "envelope does not read --noise, --mechanism, --alpha"),
+    (["--experiment", "attack-vs-mechanism", "--n", "10000", "--k", "100", "--reps", "1",
+      "--mechanism", "shaky", "--noise", "1,3", "--eta", "nan", "--alpha", "-1"],
+     "attack-vs-mechanism does not read --noise, --eta, --alpha"),
+    (["--experiment", "vary-noise", "--n", "400", "--k", "20", "--reps", "1",
+      "--mechanism", "ladder", "--eta", "-3", "--beta", "5"],
+     "vary-noise does not read --mechanism, --beta, --eta"),
+])
+def test_flags_the_experiment_ignores_exit_2(argv, unread):
+    # Each of these runs used to exit 0 with rows computed from the defaults.
+    result = run_module(argv)
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert unread in result.stderr
+
+
+def test_config_key_the_experiment_ignores_exits_2(tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text("experiment = vary-queries\nn = 400\nk = 20\nreps = 1\nalpha = 0.1\n")
+    result = run_module(["--config", str(config)])
+    assert result.returncode == 2
+    assert "does not read --alpha" in result.stderr
 
 
 @pytest.mark.parametrize("entry", ["mechanism = bogus", "per_rep = maybe", "n = many"])

@@ -38,6 +38,19 @@ class TestConfig:
         noise_cfg = ExperimentConfig(experiment="vary-noise", n=1000)
         assert noise_cfg.resolved_noise_grid() == VARY_NOISE_GRID
 
+    def test_options_default_only_where_read(self):
+        envelope = ExperimentConfig(experiment="envelope", n=10000, k_grid=(100,))
+        assert envelope.beta == 0.1
+        assert (envelope.mechanism, envelope.eta, envelope.alpha, envelope.noise_grid) == (
+            None, None, None, None)
+        ladder = ExperimentConfig(experiment="attack-vs-mechanism", n=400, k_grid=(20,),
+                                  mechanism="ladder")
+        assert (ladder.eta, ladder.beta, ladder.alpha) == (0.01, None, None)
+        oracle = ExperimentConfig(experiment="reduction-oracle", n=100)
+        assert (oracle.alpha, oracle.mechanism) == (0.05, None)
+        with pytest.raises(ValueError, match="reduction-oracle does not read --beta"):
+            ExperimentConfig(experiment="reduction-oracle", n=100, beta=0.1)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             ExperimentConfig(experiment="bootstrap", n=100)

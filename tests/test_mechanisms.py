@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import tempfile
 import tracemalloc
@@ -16,6 +17,7 @@ from shakyladder.mechanisms import (
     ExactEmpiricalOracle,
     Ladder,
     LadderConfig,
+    LeaderboardMechanism,
     MECHANISM_NAMES,
     MechanismParams,
     NoisyEmpiricalOracle,
@@ -361,22 +363,32 @@ def test_record_false_keeps_counters_only():
 
 
 def test_record_false_runs_in_constant_memory():
-    # A recording run keeps five doubles per round; a non-recording one only
-    # its counters, however many rounds it runs.
-    risks = Rng(13).random(50_000).tolist()
+    # A recording run keeps five doubles per round, and its session one
+    # population risk; a non-recording one only the counters, however many
+    # rounds it runs, whether one at a time or as one batch.
+    risks = Rng(13).random(50_000)
+    risk_list = risks.tolist()
 
-    def growth(record):
+    def growth(record, route):
         ladder = Ladder(LadderConfig(eta=0.01), record=record)
+        session = EvaluationSession(ladder)
         tracemalloc.start()
         try:
-            for risk in risks:
-                ladder.submit_risk(risk)
+            if route == "mechanism":
+                for risk in risk_list:
+                    ladder.submit_risk(risk)
+            elif route == "session":
+                for risk in risk_list:
+                    session.submit_risk(risk, 0.5)
+            else:
+                session.submit_risks(risks, risks)
             return tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
 
-    assert growth(record=False) < 64 * 1024
-    assert growth(record=True) > 1024 * 1024
+    for route in ("mechanism", "session", "session batch"):
+        assert growth(False, route) < 64 * 1024, route
+        assert growth(True, route) > 1024 * 1024, route
 
 
 _LOSS = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0))
@@ -441,3 +453,51 @@ def test_pf_ladder_reads_vectors_only():
     assert pf.needs_loss_vector
     with pytest.raises(NotImplementedError):
         pf.submit_risk(0.5)
+
+
+_TIE_RISK = st.sampled_from([0.0, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0])
+
+
+@pytest.mark.parametrize("name", [name for name in MECHANISM_NAMES if name != "pf-ladder"])
+@given(
+    batches=st.lists(st.tuples(st.lists(st.one_of(_TIE_RISK, st.floats(0.0, 1.0)), max_size=40),
+                               st.one_of(st.none(), _TIE_RISK, st.floats(0.0, 1.0))),
+                     max_size=4),
+    budget=st.integers(0, 80),
+    record=st.booleans(),
+    variant=st.booleans(),
+    seed=st.integers(0, 2**32),
+)
+@settings(max_examples=150, deadline=None)
+def test_submit_risks_equals_the_round_loop(name, batches, budget, record, variant, seed):
+    # The Ladder and Shaky Ladder scans against the base class's loop over
+    # submit_risk on a twin. Risks, stops and the step (eta = lam = 1/8) are
+    # dyadic often enough to tie the threshold exactly; ``variant`` switches
+    # the Ladder to multiples-of-eta rounding and the Shaky Ladder to sigma = 0,
+    # where every comparison is a bare tie test.
+    def build():
+        if name == "shaky":
+            params = off_regime_params(n=8, k=budget, lam=0.125, sigma=0.0 if variant else 0.05)
+            return ShakyLadder(params, seed=seed, record=record)
+        if name == "ladder":
+            config = LadderConfig(eta=0.125, rounding="multiples-of-eta" if variant else "none")
+            return Ladder(config, max_rounds=budget, record=record)
+        return make_mechanism(name, n=8, k=budget, seed=seed, record=record)
+
+    scan, loop = build(), build()
+    for risks, stop_below in batches:
+        columns = (np.array(risks[::-1]),) if scan.needs_population_risk else ()
+        results = []
+        for submit_risks in (scan.submit_risks,
+                             functools.partial(LeaderboardMechanism.submit_risks, loop)):
+            try:
+                results.append(submit_risks(np.array(risks), *columns, stop_below=stop_below))
+            except BudgetExhaustedError:
+                results.append(None)
+        assert (results[0] is None) == (results[1] is None)
+        if results[0] is not None:
+            assert np.array_equal(results[0], results[1])
+        for counter in ("round", "update_count", "max_noise_magnitude", "last_release"):
+            assert getattr(scan, counter) == getattr(loop, counter), counter
+        if record:
+            assert_same_trace(scan.trace(), loop.trace())

@@ -11,7 +11,10 @@ from shakyladder.mechanisms import (
     ExactEmpiricalOracle,
     Ladder,
     LadderConfig,
+    MECHANISM_NAMES,
+    MechanismParams,
     PopulationMinOracle,
+    ShakyLadder,
     make_mechanism,
 )
 from shakyladder.noise import Rng
@@ -21,6 +24,7 @@ from shakyladder.reduction import (
     run_estimator_session,
     write_session_csv,
 )
+from reference import per_step_answer
 from synthetic import PerturbedMinOracle, StaleDipOracle
 
 
@@ -195,9 +199,8 @@ class TestScalarSchedule:
         i = int(position * est.steps_per_query)
         query = Query(values=np.array(values), population_mean=population_mean)
         model, clamped = est._constructed_model(query, i)
-        stats = (float(np.mean(query.values)), float(query.values.min()),
-                 float(query.values.max()))
-        risk, population_risk, closed_clamped = est._scheduled_risks(stats, population_mean, i)
+        risks, population_risks, clamped_flags = est._schedule(query)
+        risk, population_risk, closed_clamped = risks[i], population_risks[i], clamped_flags[i]
         assert closed_clamped == clamped
         assert population_risk == model.population_risk
         if not clamped:
@@ -221,6 +224,81 @@ class TestScalarSchedule:
             Query(values=Rng(4).random(40), population_mean=0.5))
         assert not out.clamped and mech.round == out.submissions
         assert len(vectors) == (out.submissions if reads_vectors else 0)
+
+
+def twin_mechanism(name, alpha, seed, variant, record=True):
+    """A mechanism on 8-point queries whose threshold sits on the schedule's
+    alpha/2 grid; ``variant`` switches the Ladder to multiples-of-eta
+    rounding and the Shaky Ladder to zero noise."""
+    if name == "shaky":
+        params = MechanismParams(n=8, k=400, beta=0.1, delta=1e-8, epsilon=0.05,
+                                 lam=alpha / 2, sigma=0.0 if variant else 0.02)
+        return ShakyLadder(params, seed=seed, record=record)
+    if name == "ladder":
+        rounding = "multiples-of-eta" if variant else "none"
+        return Ladder(LadderConfig(eta=alpha / 2, rounding=rounding), record=record)
+    return make_mechanism(name, n=8, seed=seed, record=record)
+
+
+_DYADIC = st.sampled_from([-0.0, 0.0, 0.125, 0.25, 0.5, 0.625, 0.75, 1.0])
+
+
+class TestScanMatchesPerStep:
+    """``answer`` (one ``submit_risks`` batch per unclamped run) against the
+    per-step reference, on twin mechanisms. Thresholds drawn above 1/2 clamp
+    a prefix of the schedule; low ones clamp a suffix."""
+
+    @pytest.mark.parametrize("name", MECHANISM_NAMES)
+    @given(
+        queries=st.lists(st.tuples(
+            st.lists(st.one_of(_DYADIC, st.floats(0.0, 1.0)), min_size=8, max_size=8),
+            st.one_of(_DYADIC, st.floats(0.0, 1.0)),
+            st.one_of(st.none(), _DYADIC, st.floats(0.0, 1.0)),
+        ), min_size=1, max_size=8),
+        alpha=st.sampled_from([0.05, 0.1, 0.125, 0.25, 0.3]),
+        variant=st.booleans(),
+        record=st.booleans(),
+        seed=st.integers(0, 2**32),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_outcomes_and_state_equal(self, name, queries, alpha, variant, record, seed):
+        scan = AdaptiveEstimator(
+            EvaluationSession(twin_mechanism(name, alpha, seed, variant, record)), alpha)
+        step = AdaptiveEstimator(
+            EvaluationSession(twin_mechanism(name, alpha, seed, variant, record)), alpha)
+        for values, population_mean, c in queries:
+            if c is not None:
+                scan.c = step.c = c
+            query = Query(values=np.array(values), population_mean=population_mean)
+            assert scan.answer(query) == per_step_answer(step, query)
+            assert (scan.c, scan.total_submissions, scan.queries_answered) == (
+                step.c, step.total_submissions, step.queries_answered)
+            for counter in ("round", "update_count", "max_noise_magnitude", "last_release"):
+                assert (getattr(scan.session.mechanism, counter)
+                        == getattr(step.session.mechanism, counter)), counter
+        if record:  # bit for bit, so a -0.0 where the reference has 0.0 shows too
+            a, b = scan.session.trace(), step.session.trace()
+            for column in ("empirical_risks", "released", "population_risks", "noise"):
+                assert getattr(a, column).tobytes() == getattr(b, column).tobytes(), column
+
+    @pytest.mark.parametrize("name", ["ladder", "shaky", "population-min"])
+    def test_budget_end_mid_schedule(self, name):
+        # As in test_mid_loop_budget_error_carries_state, the budget ends
+        # three steps into the second query, here also inside a scan.
+        states = []
+        for answer in (AdaptiveEstimator.answer, per_step_answer):
+            mechanism = twin_mechanism(name, 0.1, 3, variant=False)
+            mechanism.max_rounds = 13
+            mechanism.rounds_remaining = lambda: math.inf  # defeats the upfront estimate
+            est = AdaptiveEstimator(EvaluationSession(mechanism), 0.1)
+            answer(est, const_query(0.9, n=8))
+            with pytest.raises(BudgetExhaustedError) as excinfo:
+                answer(est, const_query(0.9, n=8))
+            trace = est.session.trace()
+            states.append((excinfo.value.partial, mechanism.round, mechanism.last_release,
+                           trace.released.tolist(), trace.population_risks.tolist()))
+        assert states[0] == states[1]
+        assert states[0][0]["i"] == 3 and states[0][1] == 13
 
 
 class TestOracleExactness:
