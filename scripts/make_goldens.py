@@ -18,6 +18,8 @@ import tempfile
 from pathlib import Path
 
 from shakyladder import (
+    Ladder,
+    LadderConfig,
     ShakyLadder,
     Rng,
     gaussian,
@@ -25,6 +27,7 @@ from shakyladder import (
     make_random_label_sample,
     run_random_analyst,
     shaky_params,
+    shifted_majority_attack,
 )
 from shakyladder.core import write_trace_csv
 from shakyladder.experiments import ExperimentConfig, experiment_csv
@@ -58,9 +61,37 @@ def write_goldens(out: Path) -> list[str]:
         experiment="vary-queries", n=400, k_grid=(20, 50), reps=5, seed=1,
     )
     (out / "vq_small.csv").write_bytes(experiment_csv(config).encode("utf-8"))
+
+    # The mechanism-driven attacks, one file per configuration.
+    attacks = {
+        "envelope_small.csv": dict(experiment="envelope", n=10000, k_grid=(100, 300)),
+        "avm_ladder_small.csv": dict(experiment="attack-vs-mechanism", n=2000,
+                                     k_grid=(50, 200), mechanism="ladder"),
+        "avm_pf_ladder_small.csv": dict(experiment="attack-vs-mechanism", n=2000,
+                                        k_grid=(50, 200), mechanism="pf-ladder"),
+        "avm_noisy_small.csv": dict(experiment="attack-vs-mechanism", n=2000,
+                                    k_grid=(50, 200), mechanism="noisy", noise_grid=(1.0,)),
+    }
+    for name, fields in attacks.items():
+        config = ExperimentConfig(**fields, reps=2, seed=0, per_rep=True)
+        (out / name).write_bytes(experiment_csv(config).encode("utf-8"))
+
+    # Shifted majority attack on a non-recording Ladder, one line per seed.
+    lines = ["seed,final_error,selected_count,queries_issued,feedback_received,"
+             "final_released,rounds,update_count"]
+    for s in range(4):
+        sample = make_random_label_sample(2500, (s, 0))
+        ladder = Ladder(LadderConfig(eta=1.0 / 800.0), record=False)
+        report, _ = shifted_majority_attack(ladder, sample, 100, 1.0 / 400.0, (s, 0))
+        lines.append(",".join([
+            str(s), format(report.final_error, ".17g"), str(report.selected_count),
+            str(report.queries_issued), str(report.feedback_received),
+            format(report.final_released, ".17g"), str(ladder.round), str(ladder.update_count),
+        ]))
+    (out / "shifted_ladder_small.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     return [
         "laplace_seed42_scale0.5.txt", "gaussian_seed42_stddev1.txt", "uniform_seed42.txt",
-        "shaky_trace_seed7.csv", "vq_small.csv",
+        "shaky_trace_seed7.csv", "vq_small.csv", *attacks, "shifted_ladder_small.csv",
     ]
 
 

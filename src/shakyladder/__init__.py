@@ -38,7 +38,6 @@ from .analysts import (
     AttackReport,
     majority_attack_direct,
     majority_attack_vs_mechanism,
-    random_prediction_models,
     run_random_analyst,
     shifted_majority_attack,
 )
@@ -58,6 +57,6 @@ __all__ = [
     "leaderboard_error", "error_rate_ratio",
     "AdaptiveEstimator", "Query", "QueryOutcome", "run_estimator_session",
     "AttackReport", "majority_attack_direct", "majority_attack_vs_mechanism",
-    "random_prediction_models", "run_random_analyst", "shifted_majority_attack",
+    "run_random_analyst", "shifted_majority_attack",
     "ExperimentConfig", "render_csv", "run_experiment",
 ]

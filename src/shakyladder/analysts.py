@@ -1,19 +1,16 @@
-"""Adaptive analyst strategies: random streams and majority-vote attacks.
+"""Adaptive analyst strategies: random models and majority-vote attacks.
 
 The majority attack submits random binary models, keeps the ones the
 mechanism scored as lucky, and combines them by pointwise majority vote; the
 combined model overfits the holdout while its true risk stays exactly 1/2.
 The shifted variant wraps every query in the estimator's offset schedule so
-that mechanisms which rarely give feedback (ladders) are forced to answer
-each query anyway.
+that mechanisms which rarely give feedback (ladders) answer every query.
 
-Internally the attacks work in the +/-1 encoding (label y corresponds to
-1 - 2y); ties in the vote resolve to +1, i.e. label 0, and the majority over
-an empty selection is the all-+1 prediction.
-
-The vector attack has one implementation, ``_attack_cells``, which reads a
-whole (k, noise) grid off one pass over the query stream; the vary
-experiments use it and :func:`majority_attack_direct` is its one-cell case.
+Every attack reads its queries from ``_query_blocks`` and folds each block
+into its vote when read, so memory is O(block * n) for any k: the vector
+attack reads its whole (k, noise) grid in one pass (``_attack_cells``), the
+mechanism-driven attacks submit one batch of risks per block. Votes use the
++/-1 encoding (label y is 1 - 2y); a tie, or an empty selection, gives label 0.
 """
 
 from __future__ import annotations
@@ -24,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audit import EvaluationSession
-from .core import HoldoutSample, SubmittedModel, Trace, empirical_risk, model_from_predictions
+from .core import HoldoutSample, Trace, model_from_predictions
 from .mechanisms import BudgetExhaustedError, LeaderboardMechanism
 from .noise import Rng
 from .reduction import AdaptiveEstimator, Query
@@ -34,12 +31,15 @@ __all__ = [
     "majority_attack_direct",
     "majority_attack_vs_mechanism",
     "shifted_majority_attack",
-    "random_prediction_models",
     "run_random_analyst",
 ]
 
 #: Vote and correlation sums run in float32, exact for integers below 2^24.
 FLOAT32_EXACT = 2**24
+
+#: Entries per query block, about: a few MB, so that a block is still in
+#: cache when the vote product reads it again.
+BLOCK_ENTRIES = 2**20
 
 # Sub-stream tags so that grid harnesses can reproduce single attacks exactly.
 HIDDEN_STREAM = 1
@@ -71,21 +71,35 @@ class AttackReport:
             raise ValueError("selected_count cannot exceed queries_issued")
 
 
-def _attack_cells(n: int, k_grid, noise_stddevs, seed: int | tuple[int, ...],
-                  block_rows: int | None = None) -> tuple[list[int], np.ndarray, np.ndarray]:
+def _query_blocks(seed: int | tuple[int, ...], k: int, n: int):
+    """The one reader of the query stream: k random 0/1 rows of n entries.
+
+    Float32 blocks of about ``BLOCK_ENTRIES`` entries, in multiples of 8 rows
+    so that consecutive blocks continue one ``Rng.bits`` draw. n and k are
+    checked before anything is drawn: below 2^24 every float32 sum the
+    attacks take is an exact integer.
+    """
+    if max(n, k) >= FLOAT32_EXACT:
+        raise ValueError(f"n={n} and k={k} must stay below 2^24, where the attack's "
+                         "float32 sums stop being exact")
+    rows = max(8, BLOCK_ENTRIES // n // 8 * 8)
+    queries = Rng(seed, QUERY_STREAM)
+    return (queries.bits((min(rows, k - start), n)).astype(np.float32)
+            for start in range(0, k, rows))
+
+
+def _attack_cells(n: int, k_grid, noise_stddevs,
+                  seed: int | tuple[int, ...]) -> tuple[list[int], np.ndarray, np.ndarray]:
     """The vector majority attack at every (k, noise) cell of one stream.
 
     Returns the sorted distinct k values and two ``len(k) x len(noise)``
     arrays: each cell's final error and selected (positively answered) query
     count. Query i and its noise are entry i of their streams, so a cell
-    equals the attack run alone with its k and noise. The queries are read
-    once, in blocks of ``block_rows`` rows, a multiple of 8 so that blocks
-    continue one draw; results do not depend on it. Per block one product
-    gives the correlations and one folds the signed rows of every noise
-    level into a ``len(noise) x n`` vote, read off at the k boundaries; no
-    k x n matrix is held. With 0/1 query bits b and signs s the vote is
-    sum_i s_i (2 b_i - 1), negative exactly where 2 (s @ b) < 2 pos - k.
-    Every sum is an integer below 2^24, so the float32 products are exact.
+    equals the attack run alone with its k and noise. Per query block one
+    product gives the correlations and one folds the signed rows of every
+    noise level into a ``len(noise) x n`` vote, read off at the k boundaries.
+    With 0/1 query bits b and signs s the vote is sum_i s_i (2 b_i - 1),
+    negative exactly where 2 (s @ b) < 2 pos - k.
     """
     k_sorted = sorted(set(int(k) for k in k_grid))
     k_max = k_sorted[-1]
@@ -93,20 +107,12 @@ def _attack_cells(n: int, k_grid, noise_stddevs, seed: int | tuple[int, ...],
         raise ValueError(f"n must be >= 1, got {n}")
     if k_sorted[0] < 0:
         raise ValueError(f"k values must be >= 0, got {k_sorted[0]}")
-    if max(n, k_max) >= FLOAT32_EXACT:
-        raise ValueError(f"n={n} and k={k_max} must stay below 2^24, where the attack's "
-                         "float32 sums stop being exact")
-    # About 2^20 entries per block by default: a few MB, so the block is still
-    # in cache when the vote product reads it again.
-    block = max(8, (2**20 // n) // 8 * 8) if block_rows is None else block_rows
-    if block < 8 or block % 8:
-        raise ValueError(f"block_rows must be a positive multiple of 8, got {block}")
+    blocks = _query_blocks(seed, k_max, n)
     scales = 2.0 * np.asarray(noise_stddevs, dtype=np.float64)[:, None]
     hidden = 2.0 * Rng(seed, HIDDEN_STREAM).bits(n).astype(np.float32) - 1.0
     hidden_negative = hidden < 0.0
     hidden_sum = hidden.sum()
     z = Rng(seed, NOISE_STREAM).standard_normal(k_max)
-    queries = Rng(seed, QUERY_STREAM)
     vote = np.zeros((scales.shape[0], n), dtype=np.float32)
     positives = np.zeros(scales.shape[0], dtype=np.int64)
     errors = np.empty((len(k_sorted), scales.shape[0]))
@@ -115,7 +121,7 @@ def _attack_cells(n: int, k_grid, noise_stddevs, seed: int | tuple[int, ...],
     for cell, k in enumerate(k_sorted):
         while done < k:
             if done == block_end:
-                bits = queries.bits((min(block, k_max - done), n)).astype(np.float32)
+                bits = next(blocks)
                 answers = (2.0 * (bits @ hidden) - hidden_sum).astype(np.float64) / n
                 positive = answers + scales * z[done:done + len(bits)] > 0.0
                 signs = np.where(positive, np.float32(1.0), np.float32(-1.0))
@@ -158,61 +164,67 @@ def majority_attack_direct(n: int, k: int, noise_stddev: float | None = None,
     )
 
 
-def random_prediction_models(sample: HoldoutSample, count: int,
-                             seed: int | tuple[int, ...]) -> list[SubmittedModel]:
-    """Independent uniform binary prediction models over the holdout."""
-    preds = Rng(seed, QUERY_STREAM).bits((count, sample.size))
-    return [model_from_predictions(preds[i], sample) for i in range(count)]
+def _submit_rows(session: EvaluationSession, rows: np.ndarray,
+                 sample: HoldoutSample) -> tuple[np.ndarray, np.ndarray]:
+    """Submit 0/1 prediction rows as models in one batch; returns risks and releases.
+
+    The risks (mismatch counts over n) come from one float32 product, exact
+    below 2^24 and equal to ``np.mean`` of each 0/1 loss vector bit for bit.
+    A mechanism that reads loss vectors gets each row's model instead.
+    """
+    labels = sample.hidden_labels
+    mismatches = rows @ (1.0 - 2.0 * labels).astype(np.float32) + np.count_nonzero(labels)
+    risks = mismatches.astype(np.float64) / sample.size
+    if session.mechanism.needs_loss_vector:
+        released = [session.submit(model_from_predictions(row, sample)) for row in rows]
+    else:
+        released = session.submit_risks(risks, np.full(len(risks), 0.5))
+    return risks, np.asarray(released, dtype=float)
 
 
 def run_random_analyst(mechanism: LeaderboardMechanism, sample: HoldoutSample,
                        k: int, seed: int | tuple[int, ...]) -> tuple[list[float], Trace | None]:
     """Baseline analyst: k random models, no adaptivity."""
+    mechanism.check_size(sample.size)
     session = EvaluationSession(mechanism)
-    released = session.submit_all(random_prediction_models(sample, k, seed))
+    released = [float(r) for rows in _query_blocks(seed, k, sample.size)
+                for r in _submit_rows(session, rows, sample)[1]]
     trace = session.trace() if mechanism.records_trace else None
     return released, trace
 
 
-def _majority_prediction(predictions: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    """Signed pointwise vote in the +/-1 encoding, returned as 0/1 labels.
+def _vote_weight(rows: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """One block's pointwise vote: sum(signs) - 2 (signs @ rows).
 
     ``signs`` holds +1 (count as-is), -1 (count flipped) or 0 (exclude) per
-    query. Vote weight >= 0 maps to +1, i.e. label 0. With 0/1 predictions p
-    the weight is sum(signs) - 2 (signs @ p) over the counted rows, and the
-    float32 product is exact: every partial sum is an integer of magnitude
-    at most the query count, which stays below 2^24.
+    row. Summed over the blocks, a negative weight means label 1; every
+    partial sum is an integer below 2^24, so the float32 product is exact.
     """
-    if max(predictions.shape, default=0) >= FLOAT32_EXACT:
-        raise ValueError(f"vote shape {predictions.shape} reaches 2^24, where float32 "
-                         "sums stop being exact")
-    counted = signs != 0
-    if predictions.size == 0 or not np.any(counted):
-        return np.zeros(predictions.shape[1] if predictions.ndim == 2 else 0, dtype=np.int8)
-    kept = signs[counted].astype(np.float32)
-    weights = kept.sum() - 2.0 * (kept @ predictions[counted])
-    return (weights < 0).astype(np.int8)
+    signs = signs.astype(np.float32)
+    return signs.sum() - 2.0 * (signs @ rows)
 
 
-def _selection_signs(answers: np.ndarray, n: int, selection: str,
-                     answered: np.ndarray | None = None) -> tuple[np.ndarray, int]:
-    """Vote signs from released estimates, plus the selected-query count.
+def _selection_signs(answers: np.ndarray, n: int, selection: str, answered) -> np.ndarray:
+    """Vote signs from released estimates; the +1 signs are the selected queries.
 
     ``theorem`` keeps only estimates below 1/2 - 1/sqrt(n); ``direct`` uses
     every answered query, flipping those at or above 1/2. Unanswered queries
     (``answered`` false) are excluded either way.
     """
     if selection == "theorem":
-        mask = answers < 0.5 - 1.0 / math.sqrt(n)
-        if answered is not None:
-            mask &= answered
-        return mask.astype(np.int8), int(np.count_nonzero(mask))
-    if selection == "direct":
-        signs = np.where(answers < 0.5, 1, -1).astype(np.int8)
-        if answered is not None:
-            signs = np.where(answered, signs, 0).astype(np.int8)
-        return signs, int(np.count_nonzero(signs == 1))
-    raise ValueError(f"unknown selection mode {selection!r}")
+        return ((answers < 0.5 - 1.0 / math.sqrt(n)) & answered).astype(np.int8)
+    return np.where(answered, np.where(answers < 0.5, 1, -1), 0).astype(np.int8)
+
+
+def _check_attack(mechanism: LeaderboardMechanism, sample: HoldoutSample, k: int,
+                  selection: str) -> None:
+    mechanism.check_size(sample.size)
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
+    if k > sample.size:
+        raise ValueError(f"attack needs k <= n, got k={k} > n={sample.size}")
+    if selection not in ("theorem", "direct"):
+        raise ValueError(f"unknown selection mode {selection!r}")
 
 
 def majority_attack_vs_mechanism(mechanism: LeaderboardMechanism, sample: HoldoutSample,
@@ -224,23 +236,23 @@ def majority_attack_vs_mechanism(mechanism: LeaderboardMechanism, sample: Holdou
     submits the pointwise majority model as round k+1. ``feedback_received``
     counts the k query rounds whose release differed from the previous one.
     """
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    if k > sample.size:
-        raise ValueError(f"attack needs k <= n, got k={k} > n={sample.size}")
+    _check_attack(mechanism, sample, k, selection)
     session = EvaluationSession(mechanism)
-    preds = Rng(seed, QUERY_STREAM).bits((k, sample.size))
-    answers = np.asarray(session.submit_all(model_from_predictions(p, sample) for p in preds))
-    signs, selected = _selection_signs(answers, sample.size, selection)
-    majority = model_from_predictions(_majority_prediction(preds, signs), sample)
-    final_released = session.submit(majority)
-    feedback = int(np.count_nonzero(np.diff(np.concatenate(([1.0], answers)))))
+    vote = np.zeros(sample.size, dtype=np.float32)
+    answers = [np.ones(1)]  # R_0 = 1, so that the first round's change counts
+    selected = 0
+    for rows in _query_blocks(seed, k, sample.size):
+        answers.append(_submit_rows(session, rows, sample)[1])
+        signs = _selection_signs(answers[-1], sample.size, selection, True)
+        vote += _vote_weight(rows, signs)
+        selected += int(np.count_nonzero(signs == 1))
+    risks, released = _submit_rows(session, (vote < 0.0).astype(np.float32)[None], sample)
     report = AttackReport(
-        final_error=empirical_risk(majority),
+        final_error=float(risks[0]),
         selected_count=selected,
         queries_issued=k + 1,
-        feedback_received=feedback,
-        final_released=final_released,
+        feedback_received=int(np.count_nonzero(np.diff(np.concatenate(answers)))),
+        final_released=float(released[0]),
     )
     trace = session.trace() if mechanism.records_trace else None
     return report, trace
@@ -258,38 +270,33 @@ def shifted_majority_attack(mechanism: LeaderboardMechanism, sample: HoldoutSamp
     Queries whose schedule exhausts without a trigger carry no information
     and are excluded from the vote.
     """
-    # Written so that NaN, which fails every comparison, is rejected too.
-    if not 0.0 < alpha < 0.5:
-        raise ValueError(f"alpha must lie in (0, 1/2), got {alpha}")
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    if k > sample.size:
-        raise ValueError(f"attack needs k <= n, got k={k} > n={sample.size}")
-    steps = math.ceil(1.0 / alpha)
-    needed = (k + 1) * steps
-    if mechanism.rounds_remaining() < needed:
+    _check_attack(mechanism, sample, k, selection)
+    estimator = AdaptiveEstimator(EvaluationSession(mechanism), alpha)  # checks alpha
+    steps = estimator.steps_per_query
+    if mechanism.rounds_remaining() < (k + 1) * steps:
         raise BudgetExhaustedError(
-            f"shifted attack needs {needed} submissions ({k + 1} queries x {steps}); "
+            f"shifted attack needs {(k + 1) * steps} submissions ({k + 1} queries x {steps}); "
             f"mechanism has {mechanism.rounds_remaining()} left"
         )
-    estimator = AdaptiveEstimator(EvaluationSession(mechanism), alpha)
-    preds = Rng(seed, QUERY_STREAM).bits((k, sample.size))
-    answers = np.empty(k)
-    answered = np.empty(k, dtype=bool)
-    for i in range(k):
-        loss = preds[i] != sample.hidden_labels
-        outcome = estimator.answer(Query(values=loss.astype(float), population_mean=0.5))
-        answers[i] = outcome.answer
-        answered[i] = outcome.triggered
-    signs, selected = _selection_signs(answers, sample.size, selection, answered)
-    majority = _majority_prediction(preds, signs)
-    final_loss = majority != sample.hidden_labels
+    labels = sample.hidden_labels.astype(np.float32)  # the rows' dtype: a cheaper compare
+    vote = np.zeros(sample.size, dtype=np.float32)
+    selected = feedback = 0
+    for rows in _query_blocks(seed, k, sample.size):
+        outcomes = [estimator.answer(Query(values=(row != labels).astype(float),
+                                           population_mean=0.5)) for row in rows]
+        answered = np.array([outcome.triggered for outcome in outcomes])
+        signs = _selection_signs(np.array([outcome.answer for outcome in outcomes]),
+                                 sample.size, selection, answered)
+        vote += _vote_weight(rows, signs)
+        selected += int(np.count_nonzero(signs == 1))
+        feedback += int(np.count_nonzero(answered))
+    final_loss = (vote < 0.0) != labels
     final_outcome = estimator.answer(Query(values=final_loss.astype(float), population_mean=0.5))
     report = AttackReport(
         final_error=float(np.mean(final_loss)),
         selected_count=selected,
         queries_issued=k + 1,
-        feedback_received=int(np.count_nonzero(answered)),
+        feedback_received=feedback,
         final_released=final_outcome.answer if final_outcome.triggered else math.nan,
     )
     trace = estimator.session.trace() if mechanism.records_trace else None

@@ -100,9 +100,6 @@ class EvaluationSession:
             if mechanism.records_trace:
                 self._population_risks.extend(population_risks[:mechanism.round - start].tolist())
 
-    def submit_all(self, models) -> list[float]:
-        return [self.submit(model) for model in models]
-
     def trace(self) -> Trace:
         return self.mechanism.trace(self._population_risks)
 

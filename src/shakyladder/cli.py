@@ -14,12 +14,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from .experiments import (
-    EXPERIMENTS,
-    DEFAULT_K_GRID,
-    ExperimentConfig,
-    experiment_csv,
-)
+from .experiments import EXPERIMENTS, ExperimentConfig, experiment_csv
 from .mechanisms import MECHANISM_NAMES
 
 __all__ = ["cli_main", "main"]
@@ -54,10 +49,11 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="key=value file supplying defaults for any flag")
     parser.add_argument("--experiment", choices=EXPERIMENTS)
     parser.add_argument("--n", type=int, help="holdout size")
-    parser.add_argument("--k", dest="k_grid", type=_grid(int, "integers"),
-                        default=DEFAULT_K_GRID, metavar="K1,K2,...",
-                        help="query-count grid (default 100..1000 step 100)")
     # Flags read by only some experiments default to None: given to another, they exit 2.
+    parser.add_argument("--k", dest="k_grid", type=_grid(int, "integers"),
+                        default=None, metavar="K1,K2,...",
+                        help="query-count grid (all but reduction-oracle; "
+                             "default 100..1000 step 100)")
     parser.add_argument("--noise", dest="noise_grid", type=_grid(float, "numbers"),
                         default=None, metavar="M1,M2,...",
                         help="noise multipliers in units of 1/sqrt(n) "

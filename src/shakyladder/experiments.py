@@ -56,10 +56,11 @@ PER_REP_COLUMNS = "rep,final_error,lberr,updates_B,max_noise_L"
 
 
 #: The fields only some experiments read, with their command-line flags.
-_OPTION_FLAGS = {"noise_grid": "--noise", "mechanism": "--mechanism", "beta": "--beta",
-                "eta": "--eta", "alpha": "--alpha"}
+_OPTION_FLAGS = {"k_grid": "--k", "noise_grid": "--noise", "mechanism": "--mechanism",
+                 "beta": "--beta", "eta": "--eta", "alpha": "--alpha"}
 #: Defaults of those fields where they are read (the noise grid's depend on the run).
-_OPTION_DEFAULTS = {"mechanism": "shaky", "beta": 0.1, "eta": 0.01, "alpha": 0.05}
+_OPTION_DEFAULTS = {"k_grid": DEFAULT_K_GRID, "mechanism": "shaky", "beta": 0.1,
+                    "eta": 0.01, "alpha": 0.05}
 
 
 @dataclass(frozen=True)
@@ -77,7 +78,7 @@ class ExperimentConfig:
 
     experiment: str
     n: int
-    k_grid: tuple[int, ...] = DEFAULT_K_GRID
+    k_grid: tuple[int, ...] | None = None
     noise_grid: tuple[float, ...] | None = None
     reps: int = 100
     seed: int = 0
@@ -89,7 +90,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         # Sorted tuples of distinct values (+ 0.0 folds -0.0 into 0.0): one cell each.
-        object.__setattr__(self, "k_grid", tuple(sorted(set(self.k_grid))))
+        if self.k_grid is not None:
+            object.__setattr__(self, "k_grid", tuple(sorted(set(self.k_grid))))
         if self.noise_grid is not None:
             object.__setattr__(self, "noise_grid", tuple(sorted({m + 0.0 for m in self.noise_grid})))
         if self.experiment not in EXPERIMENTS:
@@ -106,18 +108,18 @@ class ExperimentConfig:
             raise ValueError("n must be positive")
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
-        if not self.k_grid:
-            raise ValueError("k grid must be nonempty")
+        if self.k_grid is not None:  # every run but reduction-oracle attacks
+            if not self.k_grid:
+                raise ValueError("k grid must be nonempty")
+            if self.k_grid[0] < 0:
+                raise ValueError("k values must be >= 0")
+            if max(self.n, self.k_grid[-1]) >= analysts.FLOAT32_EXACT:
+                raise ValueError("n and k must stay below 2^24, where the attack's float32 "
+                                 "sums stop being exact")
         if self.noise_grid is not None and not self.noise_grid:
             raise ValueError("noise grid must be nonempty")
-        if min(self.k_grid) < 0:
-            raise ValueError("k values must be >= 0")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must lie in [0, 2^64), got {self.seed}")
-        voted = self.experiment != "reduction-oracle"
-        if voted and max(self.n, *self.k_grid) >= analysts.FLOAT32_EXACT:
-            raise ValueError("n and k must stay below 2^24, where the attack's float32 "
-                             "sums stop being exact")
         if not all(math.isfinite(m) and m >= 0.0 for m in self.resolved_noise_grid()):
             raise ValueError("noise multipliers must be finite and >= 0")
         if self.experiment == "reduction-oracle" and not 0.0 < self.alpha <= 1.0 / 3.0:
@@ -134,14 +136,15 @@ class ExperimentConfig:
 
     def _read_options(self) -> tuple[str, ...]:
         """The fields of ``_OPTION_FLAGS`` that this run reads."""
-        if self.experiment in ("vary-queries", "vary-noise"):
-            return ("noise_grid",)
-        if self.experiment == "envelope":
-            return ("beta",)
         if self.experiment == "reduction-oracle":
             return ("alpha",)
+        if self.experiment in ("vary-queries", "vary-noise"):
+            return ("k_grid", "noise_grid")
+        if self.experiment == "envelope":
+            return ("k_grid", "beta")
         by_mechanism = {"shaky": ("beta",), "ladder": ("eta",), "noisy": ("noise_grid",)}
-        return ("mechanism", *by_mechanism.get(self.mechanism or _OPTION_DEFAULTS["mechanism"], ()))
+        mechanism = self.mechanism or _OPTION_DEFAULTS["mechanism"]
+        return ("k_grid", "mechanism", *by_mechanism.get(mechanism, ()))
 
     def resolved_noise_grid(self) -> tuple[float, ...]:
         if self.noise_grid is not None:
@@ -184,8 +187,7 @@ class CellResult:
         return float(np.std(self.errors, ddof=1))
 
 
-def _attack_grid(n: int, k_grid, multipliers, reps: int, seed: int,
-                 block_rows: int | None = None):
+def _attack_grid(n: int, k_grid, multipliers, reps: int, seed: int):
     """All (k, multiplier) cells of the vector majority attack, per rep.
 
     Each repetition is one pass of :func:`analysts._attack_cells` over its
@@ -197,7 +199,7 @@ def _attack_grid(n: int, k_grid, multipliers, reps: int, seed: int,
     stddevs = [mult * inv_sqrt_n for mult in multipliers]
     cells: dict[tuple[int, float], list[float]] = {}
     for rep in range(reps):
-        k_sorted, errors, _ = analysts._attack_cells(n, k_grid, stddevs, (seed, rep), block_rows)
+        k_sorted, errors, _ = analysts._attack_cells(n, k_grid, stddevs, (seed, rep))
         for row, k in zip(errors.tolist(), k_sorted):
             for error, mult in zip(row, multipliers):
                 cells.setdefault((k, mult), []).append(error)

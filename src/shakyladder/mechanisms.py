@@ -197,16 +197,20 @@ class LeaderboardMechanism:
                      population_risks=population_risks, noise=rows[:, 2:],
                      initial_noise=self.initial_noise, params=self.params)
 
+    def check_size(self, n: int) -> None:
+        """Reject a holdout of n points where the parameters fix another n."""
+        if self.params is not None and n != self.params.n:
+            raise ValueError(f"loss vector length {n}, expected {self.params.n}")
+
     def submit(self, loss_vector, *args, **kwargs) -> float:
         """Score one loss vector: its mean goes to :meth:`submit_risk`.
 
-        A mechanism with parameters checks the vector's length against their
-        n. Further arguments (the population risk, for the mechanisms that
-        read it) go to :meth:`submit_risk` unchanged.
+        The vector's length passes :meth:`check_size` first. Further
+        arguments (the population risk, for the mechanisms that read it) go
+        to :meth:`submit_risk` unchanged.
         """
         vec = np.asarray(loss_vector)
-        if self.params is not None and vec.size != self.params.n:
-            raise ValueError(f"loss vector length {vec.size}, expected {self.params.n}")
+        self.check_size(vec.size)
         return self.submit_risk(float(np.mean(vec)), *args, **kwargs)
 
     def submit_risk(self, risk: float) -> float:

@@ -39,8 +39,8 @@ class Rng:
     """Deterministic random stream keyed by an integer path.
 
     ``Rng(seed)`` is the root stream for a 64-bit seed; ``Rng(seed, a, b)``
-    or ``rng.substream(a, b)`` derive independent sub-streams, e.g. one per
-    repetition index. The generator is Philox4x64 seeded through
+    derives independent sub-streams, e.g. one per repetition index. The
+    generator is Philox4x64 seeded through
     ``numpy.random.SeedSequence(entropy=path)``, so the mapping from path to
     stream is fixed and documented.
     """
@@ -51,10 +51,6 @@ class Rng:
         self.path = _seed_path(seed, stream)
         ss = np.random.SeedSequence(entropy=list(self.path))
         self._gen = np.random.Generator(np.random.Philox(ss))
-
-    def substream(self, *ids: int) -> "Rng":
-        """Independent stream keyed by this path extended with ``ids``."""
-        return Rng(self.path, *ids)
 
     def random(self, size=None):
         """Uniform draws in [0, 1)."""
@@ -82,9 +78,6 @@ class Rng:
 
     def standard_normal(self, size=None):
         return self._gen.standard_normal(size)
-
-    def shuffle(self, array) -> None:
-        self._gen.shuffle(array)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Rng(path={self.path})"

@@ -141,6 +141,7 @@ class AdaptiveEstimator:
         its constructed model through ``session.submit``.
         """
         mechanism = self.session.mechanism
+        mechanism.check_size(query.values.size)
         if mechanism.rounds_remaining() < self.steps_per_query:
             raise BudgetExhaustedError(
                 f"estimator needs {self.steps_per_query} submissions per query; "

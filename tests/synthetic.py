@@ -6,15 +6,29 @@ adversarial-but-contract-honoring mechanism. Releases refresh only when a
 submission strictly lowers the running minimum (ladder-style), which is the
 release discipline of every real mechanism in the package; see the note on
 ``mode`` for why that matters. :func:`build_trace` assembles hand-written
-traces for the audit and trace tests.
+traces for the audit and trace tests, and :func:`random_prediction_models`
+and :func:`submit_all` drive a session with whole models.
 """
 
 import math
 
 import numpy as np
 
-from shakyladder.core import Trace
+from shakyladder.analysts import QUERY_STREAM
+from shakyladder.core import Trace, model_from_predictions
 from shakyladder.mechanisms import LeaderboardMechanism
+from shakyladder.noise import Rng
+
+
+def random_prediction_models(sample, count, seed):
+    """The random analyst's models, each query row as a whole model."""
+    preds = Rng(seed, QUERY_STREAM).bits((count, sample.size))
+    return [model_from_predictions(row, sample) for row in preds]
+
+
+def submit_all(session, models):
+    """Submit models one round each through ``session.submit``."""
+    return [session.submit(model) for model in models]
 
 
 def build_trace(population_risks, released, empirical=None, draws=None, initial_noise=0.0):

@@ -1,8 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shakyladder import analysts
@@ -11,24 +12,30 @@ from shakyladder.analysts import (
     AttackReport,
     HIDDEN_STREAM,
     QUERY_STREAM,
-    _majority_prediction,
+    _query_blocks,
+    _submit_rows,
+    _vote_weight,
     majority_attack_direct,
     majority_attack_vs_mechanism,
-    random_prediction_models,
     run_random_analyst,
     shifted_majority_attack,
 )
-from shakyladder.core import make_random_label_sample
+from shakyladder.audit import EvaluationSession
+from shakyladder.core import (HoldoutSample, empirical_risk, make_random_label_sample,
+                              model_from_predictions)
 from shakyladder.mechanisms import (
+    MECHANISM_NAMES,
     BudgetExhaustedError,
     ExactEmpiricalOracle,
     Ladder,
     LadderConfig,
     PopulationMinOracle,
     ShakyLadder,
+    make_mechanism,
     shaky_params,
 )
 from shakyladder.noise import Rng
+from synthetic import random_prediction_models, submit_all
 
 
 def loop_form_majority(hidden, queries, answers):
@@ -148,23 +155,128 @@ class TestDirectAttack:
 
 
 class TestVote:
-    @given(k=st.integers(0, 12), n=st.integers(1, 12), seed=st.integers(0, 2**32))
+    @given(k=st.integers(0, 12), n=st.integers(1, 12), seed=st.integers(0, 2**32),
+           cuts=st.lists(st.integers(0, 12), max_size=4))
     @settings(max_examples=100, deadline=None)
-    def test_matches_loop_vote(self, k, n, seed):
+    def test_matches_loop_vote(self, k, n, seed, cuts):
+        # the per-block weights, summed over any split of the rows into
+        # blocks, give the label of the one-loop vote; ties and an empty
+        # selection give label 0
         rng = Rng(seed)
         preds = rng.integers(0, 2, (k, n), dtype=np.int8)
         signs = rng.integers(-1, 2, k, dtype=np.int8)
         weights = [sum(int(s) * (1 - 2 * int(p)) for s, p in zip(signs, preds[:, j]))
                    for j in range(n)]
-        assert _majority_prediction(preds, signs).tolist() == [int(w < 0) for w in weights]
+        bounds = [0, *sorted(min(cut, k) for cut in cuts), k]
+        vote = np.zeros(n, dtype=np.float32)
+        for start, stop in zip(bounds, bounds[1:]):
+            vote += _vote_weight(preds[start:stop].astype(np.float32), signs[start:stop])
+        assert (vote < 0).astype(int).tolist() == [int(w < 0) for w in weights]
 
     @pytest.mark.parametrize("shape", [(2**24, 1), (1, 2**24)])
-    def test_float32_bound_checked(self, shape):
-        # Broadcast views: the check fires without allocating the matrix.
-        preds = np.broadcast_to(np.int8(0), shape)
-        signs = np.broadcast_to(np.int8(1), shape[:1])
+    def test_float32_bound_checked(self, shape, no_draws):
+        # the reader checks k and n before it draws a query
+        k, n = shape
         with pytest.raises(ValueError, match="2\\^24"):
-            _majority_prediction(preds, signs)
+            _query_blocks(0, k, n)
+
+
+class TestRiskProduct:
+    @given(labels=st.lists(st.integers(0, 1), min_size=1, max_size=70),
+           seed=st.integers(0, 2**32), count=st.integers(0, 5))
+    @example(labels=[1] * 10001, seed=3, count=2)
+    @example(labels=[0] * 13, seed=4, count=0)
+    @settings(max_examples=100, deadline=None)
+    def test_equals_empirical_risk_of_the_model(self, labels, seed, count):
+        # n not a multiple of 8, all-0 and all-1 rows and labels included
+        n = len(labels)
+        sample = HoldoutSample(size=n, hidden_labels=np.array(labels, dtype=np.uint8), seed=0)
+        rows = np.vstack([Rng(seed).integers(0, 2, (count, n)), np.zeros(n), np.ones(n)])
+        risks, released = _submit_rows(EvaluationSession(ExactEmpiricalOracle()),
+                                       rows.astype(np.float32), sample)
+        expected = [empirical_risk(model_from_predictions(row, sample)) for row in rows]
+        assert risks.tolist() == expected
+        assert released.tolist() == expected
+
+
+def _trace_columns(trace):
+    """The trace's columns as bytes: equal exactly when bit-identical, NaN included."""
+    return [column.tobytes() for column in (trace.empirical_risks, trace.released,
+                                            trace.population_risks, trace.noise)]
+
+
+class TestBlockIndependence:
+    """Reports and traces do not depend on how the query stream is blocked.
+
+    n is odd, so a block whose entry count is not a multiple of 8 would
+    break the one continued ``Rng.bits`` draw.
+    """
+
+    @staticmethod
+    def _blocked(rows_per_block, n, run):
+        with pytest.MonkeyPatch.context() as patch:
+            if rows_per_block is not None:
+                patch.setattr(analysts, "BLOCK_ENTRIES", rows_per_block * n)
+            return run()
+
+    @pytest.mark.parametrize("kind", MECHANISM_NAMES)
+    def test_attack_vs_mechanism(self, kind):
+        n, k = 1001, 70
+
+        def run():
+            sample = make_random_label_sample(n, (5, 1))
+            mechanism = make_mechanism(kind, n=n, k=k + 1, seed=(5, 2))
+            report, trace = majority_attack_vs_mechanism(mechanism, sample, k, (5, 3), "direct")
+            return report, _trace_columns(trace)
+
+        default = self._blocked(None, n, run)
+        for rows in (8, 16, 24):
+            assert self._blocked(rows, n, run) == default
+
+    @pytest.mark.parametrize("kind", ["ladder", "pf-ladder", "population-min"])
+    def test_shifted_attack(self, kind):
+        n, k = 401, 20
+
+        def run():
+            sample = make_random_label_sample(n, (6, 1))
+            mechanism = make_mechanism(kind, n=n)
+            report, trace = shifted_majority_attack(mechanism, sample, k, 0.05, (6, 3))
+            return report, mechanism.round, _trace_columns(trace)
+
+        default = self._blocked(None, n, run)
+        for rows in (8, 16):
+            assert self._blocked(rows, n, run) == default
+
+    def test_random_analyst(self):
+        n, k = 601, 50
+
+        def run():
+            sample = make_random_label_sample(n, (7, 1))
+            mechanism = make_mechanism("noisy", n=n, seed=(7, 2))
+            released, trace = run_random_analyst(mechanism, sample, k, (7, 3))
+            return released, _trace_columns(trace)
+
+        default = self._blocked(None, n, run)
+        for rows in (8, 24):
+            assert self._blocked(rows, n, run) == default
+
+
+def test_attack_memory_does_not_grow_with_k():
+    # the attack holds one query block, not the k x n matrix: at n = 5000 a
+    # 5000-query matrix alone would take 25 MB as bytes, 100 MB as float32
+    n = 5000
+
+    def peak(k):
+        sample = make_random_label_sample(n, 8)
+        tracemalloc.start()
+        try:
+            majority_attack_vs_mechanism(ExactEmpiricalOracle(record=False), sample, k, 8)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(500), peak(5000)
+    assert large < 1.2 * small + 256 * 1024, (small, large)
 
 
 class TestAttackVsMechanism:
@@ -214,10 +326,28 @@ class TestAttackVsMechanism:
         with pytest.raises(BudgetExhaustedError):
             majority_attack_vs_mechanism(mech, sample, 5, 4)
 
-    def test_unknown_selection_mode(self):
+    def test_unknown_selection_mode(self, no_draws):
         sample = make_random_label_sample(10, 0)
-        with pytest.raises(ValueError):
-            majority_attack_vs_mechanism(ExactEmpiricalOracle(), sample, 2, 0, selection="best")
+        for k in (0, 2):
+            mechanism = ExactEmpiricalOracle()
+            with pytest.raises(ValueError, match="selection"):
+                majority_attack_vs_mechanism(mechanism, sample, k, 0, selection="best")
+            assert mechanism.round == 0
+
+    @pytest.mark.parametrize("attack", ["plain", "shifted", "random"])
+    def test_size_mismatch_rejected_before_any_round(self, attack, no_draws):
+        # a Shaky Ladder for n = 10000 on a 300-point holdout: risks reach it
+        # in batches, which skip the per-vector length check of submit
+        mechanism = ShakyLadder(shaky_params(10000, 101 * 20, 0.1), seed=3)
+        sample = make_random_label_sample(300, 3)
+        with pytest.raises(ValueError, match="length 300, expected 10000"):
+            if attack == "plain":
+                majority_attack_vs_mechanism(mechanism, sample, 100, 3)
+            elif attack == "shifted":
+                shifted_majority_attack(mechanism, sample, 100, 0.05, 3)
+            else:
+                run_random_analyst(mechanism, sample, 100, 3)
+        assert mechanism.round == 0
 
 
 class TestShiftedAttack:
@@ -296,6 +426,19 @@ class TestRandomAnalyst:
         released, trace = run_random_analyst(ExactEmpiricalOracle(), sample, 4, 6)
         assert len(released) == 4
         assert np.all(trace.population_risks == 0.5)
+
+    @pytest.mark.parametrize("kind", MECHANISM_NAMES)
+    def test_equals_whole_models_one_round_each(self, kind):
+        # the batch of product risks against the models' loss vectors
+        n, k = 10000, 300
+        sample = make_random_label_sample(n, 12)
+        fast = make_mechanism(kind, n=n, k=k, seed=13)
+        released, trace = run_random_analyst(fast, sample, k, 14)
+        slow = make_mechanism(kind, n=n, k=k, seed=13)
+        session = EvaluationSession(slow)
+        assert released == submit_all(session, random_prediction_models(sample, k, 14))
+        assert _trace_columns(trace) == _trace_columns(session.trace())
+        assert (fast.round, fast.update_count) == (slow.round, slow.update_count)
 
 
 def test_attack_report_validation():

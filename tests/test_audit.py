@@ -23,7 +23,7 @@ from shakyladder.mechanisms import (
     shaky_params,
 )
 from shakyladder.analysts import run_random_analyst
-from synthetic import build_trace
+from synthetic import build_trace, random_prediction_models, submit_all
 
 
 def brute_force_lberr(population_risks, released):
@@ -152,8 +152,7 @@ class TestFaithfulnessAudit:
         ladder = Ladder(LadderConfig(eta=0.02))
         session = EvaluationSession(ladder)
         sample = make_random_label_sample(400, 3)
-        from shakyladder.analysts import random_prediction_models
-        session.submit_all(random_prediction_models(sample, 200, 3))
+        submit_all(session, random_prediction_models(sample, 200, 3))
         violations, worst = faithfulness_audit(session.trace(), 400)
         assert violations == 0
         assert worst == 0.0

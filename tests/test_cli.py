@@ -158,6 +158,8 @@ def test_noise_grid_sorted_and_deduplicated(tmp_path, experiment, given, canonic
     (["--experiment", "vary-noise", "--n", "400", "--k", "20", "--reps", "1",
       "--mechanism", "ladder", "--eta", "-3", "--beta", "5"],
      "vary-noise does not read --mechanism, --beta, --eta"),
+    (["--experiment", "reduction-oracle", "--n", "100", "--reps", "1", "--k", "5"],
+     "reduction-oracle does not read --k"),
 ])
 def test_flags_the_experiment_ignores_exit_2(argv, unread):
     # Each of these runs used to exit 0 with rows computed from the defaults.

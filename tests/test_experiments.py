@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference import vstack_majority_attack
 
+from shakyladder import analysts
 from shakyladder.analysts import majority_attack_direct
 from shakyladder.experiments import (
     DEFAULT_K_GRID,
@@ -47,9 +48,12 @@ class TestConfig:
                                   mechanism="ladder")
         assert (ladder.eta, ladder.beta, ladder.alpha) == (0.01, None, None)
         oracle = ExperimentConfig(experiment="reduction-oracle", n=100)
-        assert (oracle.alpha, oracle.mechanism) == (0.05, None)
+        assert (oracle.alpha, oracle.mechanism, oracle.k_grid) == (0.05, None, None)
         with pytest.raises(ValueError, match="reduction-oracle does not read --beta"):
             ExperimentConfig(experiment="reduction-oracle", n=100, beta=0.1)
+        # the session is sized from alpha: a k grid used to be accepted and ignored
+        with pytest.raises(ValueError, match="reduction-oracle does not read --k"):
+            ExperimentConfig(experiment="reduction-oracle", n=100, k_grid=(5,))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -100,15 +104,18 @@ class TestVaryQueries:
            k_grid=st.lists(st.integers(1, 100), min_size=1, max_size=5)
            .map(lambda ks: (*ks, 1, ks[0])),
            extra=st.lists(st.floats(0.1, 6.0), max_size=3, unique=True),
-           block_rows=st.sampled_from([None, 8, 16, 24, 64]),
+           rows_per_block=st.sampled_from([None, 8, 16, 24, 64]),
            reps=st.integers(1, 2), seed=st.integers(0, 2**32))
-    @example(n=61, k_grid=(13, 1, 100, 13, 8), extra=[3.0], block_rows=16, reps=1, seed=4)
+    @example(n=61, k_grid=(13, 1, 100, 13, 8), extra=[3.0], rows_per_block=16, reps=1, seed=4)
     @settings(max_examples=80, deadline=None)
-    def test_cells_equal_vstack_reference(self, n, k_grid, extra, block_rows, reps, seed):
+    def test_cells_equal_vstack_reference(self, n, k_grid, extra, rows_per_block, reps, seed):
         # unsorted k grids with duplicates, k = 1, k values inside and at
         # the end of a block, and multiplier 0 next to noisy ones
         multipliers = (*extra, 0.0)
-        cells = _attack_grid(n, k_grid, multipliers, reps, seed, block_rows)
+        with pytest.MonkeyPatch.context() as patch:
+            if rows_per_block is not None:  # blocks of that many rows of n entries
+                patch.setattr(analysts, "BLOCK_ENTRIES", rows_per_block * n)
+            cells = _attack_grid(n, k_grid, multipliers, reps, seed)
         assert set(cells) == {(k, m) for k in k_grid for m in multipliers}
         for (k, mult), errors in cells.items():
             stddev = None if mult == 0.0 else mult * (1.0 / math.sqrt(n))
@@ -174,7 +181,7 @@ class TestOtherRunners:
 
     def test_reduction_oracle_runner_is_exact(self):
         config = ExperimentConfig(
-            experiment="reduction-oracle", n=100, k_grid=(1,), reps=5, seed=4,
+            experiment="reduction-oracle", n=100, reps=5, seed=4,
         )
         rows = run_reduction_oracle(config)
         cell = rows[0]

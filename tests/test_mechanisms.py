@@ -28,8 +28,9 @@ from shakyladder.mechanisms import (
     make_mechanism,
     shaky_params,
 )
-from shakyladder.analysts import random_prediction_models, run_random_analyst
+from shakyladder.analysts import run_random_analyst
 from shakyladder.noise import Rng
+from synthetic import random_prediction_models, submit_all
 
 FLAGSHIP = dict(n=10000, k=100, beta=0.1)
 
@@ -318,13 +319,13 @@ class TestInformationBarrier:
         sample = make_random_label_sample(10000, 60)
         models = random_prediction_models(sample, 30, 60)
         first = EvaluationSession(ShakyLadder(params, seed=61))
-        out_a = first.submit_all(models)
+        out_a = submit_all(first, models)
         altered = [
             type(m)(loss_vector=m.loss_vector, population_risk=0.123)
             for m in models
         ]
         second = EvaluationSession(ShakyLadder(params, seed=61))
-        out_b = second.submit_all(altered)
+        out_b = submit_all(second, altered)
         assert out_a == out_b
         assert first.trace().population_risks[0] == 0.5
         assert second.trace().population_risks[0] == 0.123

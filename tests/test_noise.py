@@ -20,9 +20,6 @@ class TestRng:
         b = Rng(1234, 1).random(50)
         assert not np.array_equal(a, b)
 
-    def test_substream_matches_explicit_path(self):
-        assert np.array_equal(Rng(9).substream(3, 4).random(10), Rng(9, 3, 4).random(10))
-
     @pytest.mark.parametrize("seed,stream", [
         (-1, ()), (2**64, ()), (0, (-1,)), ((3, 2**64), ()), ((3,), (-7, 1)),
     ])

@@ -16,6 +16,7 @@ from shakyladder.mechanisms import (
     PopulationMinOracle,
     ShakyLadder,
     make_mechanism,
+    shaky_params,
 )
 from shakyladder.noise import Rng
 from shakyladder.reduction import (
@@ -55,6 +56,13 @@ class TestQueryValidation:
         q = const_query(0.5)
         with pytest.raises(ValueError):
             q.values[0] = 0.0
+
+    def test_size_mismatch_rejected_before_any_round(self):
+        # the batch path used to skip the length check: this ran 28 rounds
+        mechanism = ShakyLadder(shaky_params(10000, 2460, 0.1), seed=2)
+        with pytest.raises(ValueError, match="length 5, expected 10000"):
+            fresh_estimator(1 / 60, mechanism).answer(const_query(0.4, n=5))
+        assert mechanism.round == 0
 
 
 class TestHandWorkedAnswers:
@@ -337,7 +345,7 @@ class TestAccuracyTransfer:
         worst_descent = 0.0
         triggered = 0
         for pattern in range(patterns):
-            mech = PerturbedMinOracle(alpha / 2, rng.substream(pattern), mode=mode)
+            mech = PerturbedMinOracle(alpha / 2, Rng(rng.path, pattern), mode=mode)
             est = fresh_estimator(alpha, mech)
             for _ in range(queries_per_pattern):
                 mean = float(0.05 + 0.7 * rng.random())
