@@ -6,8 +6,10 @@ combined model overfits the holdout while its true risk stays exactly 1/2.
 The shifted variant wraps every query in the estimator's offset schedule so
 that mechanisms which rarely give feedback (ladders) answer every query.
 
-Every attack reads its queries from ``_query_blocks`` and folds each block
-into its vote when read, so memory is O(block * n) for any k: the vector
+Every attack reads its queries one bit per entry from ``_query_blocks`` and
+folds each block into its vote when read, so memory is O(block * n) for any
+k. Risks and correlations are popcounts of the packed rows, exact for any n;
+only the float32 vote unpacks rows, and only the rows it counts. The vector
 attack reads its whole (k, noise) grid in one pass (``_attack_cells``), the
 mechanism-driven attacks submit one batch of risks per block. Votes use the
 +/-1 encoding (label y is 1 - 2y); a tie, or an empty selection, gives label 0.
@@ -34,11 +36,11 @@ __all__ = [
     "run_random_analyst",
 ]
 
-#: Vote and correlation sums run in float32, exact for integers below 2^24.
+#: Votes sum +/-1 per query in float32, exact while k stays below 2^24.
 FLOAT32_EXACT = 2**24
 
-#: Entries per query block, about: a few MB, so that a block is still in
-#: cache when the vote product reads it again.
+#: Entries per query block, about: a few MB once unpacked to float32, so
+#: that a block is still in cache when the vote product reads it again.
 BLOCK_ENTRIES = 2**20
 
 # Sub-stream tags so that grid harnesses can reproduce single attacks exactly.
@@ -74,18 +76,34 @@ class AttackReport:
 def _query_blocks(seed: int | tuple[int, ...], k: int, n: int):
     """The one reader of the query stream: k random 0/1 rows of n entries.
 
-    Float32 blocks of about ``BLOCK_ENTRIES`` entries, in multiples of 8 rows
-    so that consecutive blocks continue one ``Rng.bits`` draw. n and k are
-    checked before anything is drawn: below 2^24 every float32 sum the
-    attacks take is an exact integer.
+    Packed ``Rng.bit_rows`` blocks of whole rows, about ``BLOCK_ENTRIES``
+    entries each; a row takes whole raw words, so consecutive blocks continue
+    one draw for any n. k is checked before anything is drawn: below 2^24
+    the float32 vote over the rows is exact.
     """
-    if max(n, k) >= FLOAT32_EXACT:
-        raise ValueError(f"n={n} and k={k} must stay below 2^24, where the attack's "
-                         "float32 sums stop being exact")
-    rows = max(8, BLOCK_ENTRIES // n // 8 * 8)
+    if k >= FLOAT32_EXACT:
+        raise ValueError(f"k={k} must stay below 2^24, where the attack's float32 "
+                         "vote stops being exact")
+    rows = max(1, BLOCK_ENTRIES // n)
     queries = Rng(seed, QUERY_STREAM)
-    return (queries.bits((min(rows, k - start), n)).astype(np.float32)
-            for start in range(0, k, rows))
+    return (queries.bit_rows(min(rows, k - start), n) for start in range(0, k, rows))
+
+
+def _pack(bits: np.ndarray) -> np.ndarray:
+    """A 0/1 vector as one row of the ``Rng.bit_rows`` layout."""
+    packed = np.packbits(bits, bitorder="little")
+    return np.pad(packed, (0, -packed.size % 8)).view("<u8")
+
+
+def _unpack(block: np.ndarray, n: int) -> np.ndarray:
+    """Packed rows as float32 0/1 rows of n entries, the vote's dtype."""
+    bits = np.unpackbits(block.view(np.uint8), axis=-1, count=n, bitorder="little")
+    return bits.astype(np.float32)
+
+
+def _mismatches(block: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """Per packed row, the entries where it differs from packed ``words``."""
+    return np.bitwise_count(block ^ words).sum(axis=-1, dtype=np.int64)
 
 
 def _attack_cells(n: int, k_grid, noise_stddevs,
@@ -95,8 +113,9 @@ def _attack_cells(n: int, k_grid, noise_stddevs,
     Returns the sorted distinct k values and two ``len(k) x len(noise)``
     arrays: each cell's final error and selected (positively answered) query
     count. Query i and its noise are entry i of their streams, so a cell
-    equals the attack run alone with its k and noise. Per query block one
-    product gives the correlations and one folds the signed rows of every
+    equals the attack run alone with its k and noise. Per query block a
+    popcount gives the correlations, n - 2 mismatches with the hidden
+    vector, and one float32 product folds the signed unpacked rows of every
     noise level into a ``len(noise) x n`` vote, read off at the k boundaries.
     With 0/1 query bits b and signs s the vote is sum_i s_i (2 b_i - 1),
     negative exactly where 2 (s @ b) < 2 pos - k.
@@ -109,9 +128,8 @@ def _attack_cells(n: int, k_grid, noise_stddevs,
         raise ValueError(f"k values must be >= 0, got {k_sorted[0]}")
     blocks = _query_blocks(seed, k_max, n)
     scales = 2.0 * np.asarray(noise_stddevs, dtype=np.float64)[:, None]
-    hidden = 2.0 * Rng(seed, HIDDEN_STREAM).bits(n).astype(np.float32) - 1.0
-    hidden_negative = hidden < 0.0
-    hidden_sum = hidden.sum()
+    hidden = Rng(seed, HIDDEN_STREAM).bits(n)
+    hidden_words = _pack(hidden)
     z = Rng(seed, NOISE_STREAM).standard_normal(k_max)
     vote = np.zeros((scales.shape[0], n), dtype=np.float32)
     positives = np.zeros(scales.shape[0], dtype=np.int64)
@@ -121,8 +139,9 @@ def _attack_cells(n: int, k_grid, noise_stddevs,
     for cell, k in enumerate(k_sorted):
         while done < k:
             if done == block_end:
-                bits = next(blocks)
-                answers = (2.0 * (bits @ hidden) - hidden_sum).astype(np.float64) / n
+                block = next(blocks)
+                answers = (n - 2 * _mismatches(block, hidden_words)) / n
+                bits = _unpack(block, n)
                 positive = answers + scales * z[done:done + len(bits)] > 0.0
                 signs = np.where(positive, np.float32(1.0), np.float32(-1.0))
                 block_start, block_end = done, done + len(bits)
@@ -131,7 +150,7 @@ def _attack_cells(n: int, k_grid, noise_stddevs,
             vote += signs[:, rows] @ bits[rows]
             positives += np.count_nonzero(positive[:, rows], axis=1)
             done = stop
-        flipped = (2.0 * vote < (2 * positives - k)[:, None]) != hidden_negative
+        flipped = (2.0 * vote < (2 * positives - k)[:, None]) != (hidden == 0)
         errors[cell] = np.count_nonzero(flipped, axis=1) / n
         selected[cell] = positives
     return k_sorted, errors, selected
@@ -148,13 +167,14 @@ def majority_attack_direct(n: int, k: int, noise_stddev: float | None = None,
     the correlation scale spans [-1, 1] instead of [0, 1], so internally the
     answers receive noise of twice that standard deviation. This is the
     one-cell case of the grid the vary experiments run, and votes in float32,
-    so n and k must stay below 2^24.
+    so k must stay below 2^24; the correlations are exact integer counts for
+    any n.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if noise_stddev is not None and not (math.isfinite(noise_stddev) and noise_stddev >= 0):
         raise ValueError(f"noise_stddev must be finite and >= 0, got {noise_stddev}")
-    # _attack_cells checks n and the 2^24 bound before it draws anything.
+    # _attack_cells checks n and the 2^24 bound on k before it draws anything.
     _, errors, selected = _attack_cells(n, (k,), (noise_stddev or 0.0,), seed)
     return AttackReport(
         final_error=float(errors[0, 0]),
@@ -164,19 +184,18 @@ def majority_attack_direct(n: int, k: int, noise_stddev: float | None = None,
     )
 
 
-def _submit_rows(session: EvaluationSession, rows: np.ndarray,
+def _submit_rows(session: EvaluationSession, block: np.ndarray, labels: np.ndarray,
                  sample: HoldoutSample) -> tuple[np.ndarray, np.ndarray]:
-    """Submit 0/1 prediction rows as models in one batch; returns risks and releases.
+    """Submit packed 0/1 prediction rows as models in one batch; returns risks and releases.
 
-    The risks (mismatch counts over n) come from one float32 product, exact
-    below 2^24 and equal to ``np.mean`` of each 0/1 loss vector bit for bit.
-    A mechanism that reads loss vectors gets each row's model instead.
+    A row's risk is its mismatch popcount against the packed ``labels`` over
+    n, equal to ``np.mean`` of its 0/1 loss vector bit for bit. A mechanism
+    that reads loss vectors gets each row's model, unpacked, instead.
     """
-    labels = sample.hidden_labels
-    mismatches = rows @ (1.0 - 2.0 * labels).astype(np.float32) + np.count_nonzero(labels)
-    risks = mismatches.astype(np.float64) / sample.size
+    risks = _mismatches(block, labels) / sample.size
     if session.mechanism.needs_loss_vector:
-        released = [session.submit(model_from_predictions(row, sample)) for row in rows]
+        released = [session.submit(model_from_predictions(row, sample))
+                    for row in _unpack(block, sample.size)]
     else:
         released = session.submit_risks(risks, np.full(len(risks), 0.5))
     return risks, np.asarray(released, dtype=float)
@@ -187,8 +206,9 @@ def run_random_analyst(mechanism: LeaderboardMechanism, sample: HoldoutSample,
     """Baseline analyst: k random models, no adaptivity."""
     mechanism.check_size(sample.size)
     session = EvaluationSession(mechanism)
-    released = [float(r) for rows in _query_blocks(seed, k, sample.size)
-                for r in _submit_rows(session, rows, sample)[1]]
+    labels = _pack(sample.hidden_labels)
+    released = [float(r) for block in _query_blocks(seed, k, sample.size)
+                for r in _submit_rows(session, block, labels, sample)[1]]
     trace = session.trace() if mechanism.records_trace else None
     return released, trace
 
@@ -217,7 +237,7 @@ def _selection_signs(answers: np.ndarray, n: int, selection: str, answered) -> n
 
 
 def _check_attack(mechanism: LeaderboardMechanism, sample: HoldoutSample, k: int,
-                  selection: str) -> None:
+                  selection: str, steps: int = 1) -> None:
     mechanism.check_size(sample.size)
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
@@ -225,6 +245,9 @@ def _check_attack(mechanism: LeaderboardMechanism, sample: HoldoutSample, k: int
         raise ValueError(f"attack needs k <= n, got k={k} > n={sample.size}")
     if selection not in ("theorem", "direct"):
         raise ValueError(f"unknown selection mode {selection!r}")
+    if mechanism.rounds_remaining() < (k + 1) * steps:
+        raise BudgetExhaustedError(f"attack needs {(k + 1) * steps} submissions ({k + 1} queries "
+                                   f"x {steps}); mechanism has {mechanism.rounds_remaining()} left")
 
 
 def majority_attack_vs_mechanism(mechanism: LeaderboardMechanism, sample: HoldoutSample,
@@ -238,15 +261,17 @@ def majority_attack_vs_mechanism(mechanism: LeaderboardMechanism, sample: Holdou
     """
     _check_attack(mechanism, sample, k, selection)
     session = EvaluationSession(mechanism)
+    labels = _pack(sample.hidden_labels)
     vote = np.zeros(sample.size, dtype=np.float32)
     answers = [np.ones(1)]  # R_0 = 1, so that the first round's change counts
     selected = 0
-    for rows in _query_blocks(seed, k, sample.size):
-        answers.append(_submit_rows(session, rows, sample)[1])
+    for block in _query_blocks(seed, k, sample.size):
+        answers.append(_submit_rows(session, block, labels, sample)[1])
         signs = _selection_signs(answers[-1], sample.size, selection, True)
-        vote += _vote_weight(rows, signs)
+        voting = signs != 0
+        vote += _vote_weight(_unpack(block[voting], sample.size), signs[voting])
         selected += int(np.count_nonzero(signs == 1))
-    risks, released = _submit_rows(session, (vote < 0.0).astype(np.float32)[None], sample)
+    risks, released = _submit_rows(session, _pack(vote < 0.0)[None], labels, sample)
     report = AttackReport(
         final_error=float(risks[0]),
         selected_count=selected,
@@ -270,18 +295,13 @@ def shifted_majority_attack(mechanism: LeaderboardMechanism, sample: HoldoutSamp
     Queries whose schedule exhausts without a trigger carry no information
     and are excluded from the vote.
     """
-    _check_attack(mechanism, sample, k, selection)
     estimator = AdaptiveEstimator(EvaluationSession(mechanism), alpha)  # checks alpha
-    steps = estimator.steps_per_query
-    if mechanism.rounds_remaining() < (k + 1) * steps:
-        raise BudgetExhaustedError(
-            f"shifted attack needs {(k + 1) * steps} submissions ({k + 1} queries x {steps}); "
-            f"mechanism has {mechanism.rounds_remaining()} left"
-        )
+    _check_attack(mechanism, sample, k, selection, estimator.steps_per_query)
     labels = sample.hidden_labels.astype(np.float32)  # the rows' dtype: a cheaper compare
     vote = np.zeros(sample.size, dtype=np.float32)
     selected = feedback = 0
-    for rows in _query_blocks(seed, k, sample.size):
+    for block in _query_blocks(seed, k, sample.size):
+        rows = _unpack(block, sample.size)
         outcomes = [estimator.answer(Query(values=(row != labels).astype(float),
                                            population_mean=0.5)) for row in rows]
         answered = np.array([outcome.triggered for outcome in outcomes])

@@ -113,9 +113,9 @@ class ExperimentConfig:
                 raise ValueError("k grid must be nonempty")
             if self.k_grid[0] < 0:
                 raise ValueError("k values must be >= 0")
-            if max(self.n, self.k_grid[-1]) >= analysts.FLOAT32_EXACT:
-                raise ValueError("n and k must stay below 2^24, where the attack's float32 "
-                                 "sums stop being exact")
+            if self.k_grid[-1] >= analysts.FLOAT32_EXACT:
+                raise ValueError("k must stay below 2^24, where the attack's float32 "
+                                 "vote stops being exact")
         if self.noise_grid is not None and not self.noise_grid:
             raise ValueError("noise grid must be nonempty")
         if not 0 <= self.seed < 2**64:

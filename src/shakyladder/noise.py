@@ -76,6 +76,18 @@ class Rng:
         raw = self._gen.bit_generator.random_raw(-(-count // 8))
         return (raw.astype("<u8", copy=False).view(np.uint8)[:count] >> 7).reshape(shape)
 
+    def bit_rows(self, rows: int, n: int) -> np.ndarray:
+        """``rows`` rows of n uniform bits, packed one bit per entry into a
+        ``(rows, ceil(n/64))`` little-endian uint64 array of raw Philox words.
+
+        Entry j of a row is bit ``j % 64`` (least significant first) of word
+        ``j // 64``; the bits at and above ``n % 64`` in a row's last word
+        are zero. Calls continue one draw exactly for any row counts.
+        """
+        raw = self._gen.bit_generator.random_raw((rows, -(-n // 64))).astype("<u8", copy=False)
+        raw[:, -1] &= np.uint64((_UINT64 - 1) >> (-n % 64))
+        return raw
+
     def standard_normal(self, size=None):
         return self._gen.standard_normal(size)
 

@@ -12,3 +12,11 @@ FIXTURES = Path(__file__).resolve().parent / "fixtures"
 @pytest.fixture(scope="session")
 def fixtures_dir() -> Path:
     return FIXTURES
+
+
+@pytest.fixture
+def no_draws(monkeypatch):
+    """Make any draw by the attacks fail the test: checks must come first."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the attack drew before validating its input")
+    monkeypatch.setattr("shakyladder.analysts.Rng", refuse)

@@ -1,9 +1,10 @@
 """Reference implementations that the fast paths are tested against.
 
-:func:`vstack_majority_attack` is the classic float64 recipe of the vector
-majority attack, kept verbatim: it draws the whole k x n query matrix with
-``Rng.integers``, scores it in float64 and votes through an explicit
-``vstack`` of kept and flipped rows.
+:func:`query_bits` is the query stream unpacked with plain numpy, one 0/1
+entry per value. :func:`vstack_majority_attack` is the classic float64
+recipe of the vector majority attack: it draws the whole k x n query matrix
+that way, scores it in float64 and votes through an explicit ``vstack`` of
+kept and flipped rows.
 
 :func:`per_step_answer` is the estimator's offset schedule one session round
 per step, each step's risks from the scalar closed form.
@@ -19,6 +20,12 @@ from shakyladder.noise import Rng
 from shakyladder.reduction import QueryOutcome
 
 
+def query_bits(seed, k: int, n: int) -> np.ndarray:
+    """The k x n uint8 0/1 query matrix, unpacked from ``Rng.bit_rows``."""
+    packed = Rng(seed, QUERY_STREAM).bit_rows(k, n)
+    return np.unpackbits(packed.view(np.uint8), axis=1, count=n, bitorder="little")
+
+
 def vstack_majority_attack(n: int, k: int, noise_stddev: float | None = None,
                            seed: int | tuple[int, ...] = 0) -> AttackReport:
     if k < 1:
@@ -26,7 +33,7 @@ def vstack_majority_attack(n: int, k: int, noise_stddev: float | None = None,
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     hidden = (2 * Rng(seed, HIDDEN_STREAM).integers(0, 2, n, dtype=np.int8) - 1)
-    queries = (2 * Rng(seed, QUERY_STREAM).integers(0, 2, (k, n), dtype=np.int8) - 1)
+    queries = 2 * query_bits(seed, k, n).astype(np.int8) - 1
     answers = (queries.astype(np.float64) @ hidden.astype(np.float64)) / n
     if noise_stddev is not None:
         if noise_stddev < 0:

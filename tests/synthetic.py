@@ -14,15 +14,14 @@ import math
 
 import numpy as np
 
-from shakyladder.analysts import QUERY_STREAM
+from reference import query_bits
 from shakyladder.core import Trace, model_from_predictions
 from shakyladder.mechanisms import LeaderboardMechanism
-from shakyladder.noise import Rng
 
 
 def random_prediction_models(sample, count, seed):
     """The random analyst's models, each query row as a whole model."""
-    preds = Rng(seed, QUERY_STREAM).bits((count, sample.size))
+    preds = query_bits(seed, count, sample.size)
     return [model_from_predictions(row, sample) for row in preds]
 
 

@@ -11,7 +11,6 @@ from shakyladder.analysts import (
     FLOAT32_EXACT,
     AttackReport,
     HIDDEN_STREAM,
-    QUERY_STREAM,
     _query_blocks,
     _submit_rows,
     _vote_weight,
@@ -35,6 +34,7 @@ from shakyladder.mechanisms import (
     shaky_params,
 )
 from shakyladder.noise import Rng
+from reference import query_bits
 from synthetic import random_prediction_models, submit_all
 
 
@@ -48,14 +48,6 @@ def loop_form_majority(hidden, queries, answers):
             weights[j] += sign * queries[qi, j]
     final = [1 if w >= 0.0 else -1 for w in weights]
     return sum(1 for j in range(n) if final[j] != hidden[j]) / n
-
-
-@pytest.fixture
-def no_draws(monkeypatch):
-    """Make any draw by the attack fail the test: checks must come first."""
-    def refuse(*args, **kwargs):
-        raise AssertionError("the attack drew before validating its input")
-    monkeypatch.setattr(analysts, "Rng", refuse)
 
 
 class TestDirectAttack:
@@ -90,21 +82,21 @@ class TestDirectAttack:
             n, k = 50, 21
             report = majority_attack_direct(n, k, None, seed=seed)
             hidden = 2 * Rng(seed, HIDDEN_STREAM).integers(0, 2, n, dtype=np.int8) - 1
-            queries = (2 * Rng(seed, QUERY_STREAM).integers(0, 2, (k, n), dtype=np.int8) - 1).astype(float)
+            queries = 2.0 * query_bits(seed, k, n) - 1.0
             answers = (queries @ hidden) / n
             assert report.final_error == pytest.approx(
                 loop_form_majority(hidden, queries, answers), abs=1e-15
             )
 
     def test_monte_carlo_pinned_mean(self):
-        # regression value frozen from the first seeded oracle run; the
-        # documented bound is far looser
+        # regression value frozen from the seeded run on the packed query
+        # stream (one bit per entry); the documented bound is far looser
         errs = [
             majority_attack_direct(10000, 500, None, seed=(31, rep)).final_error
             for rep in range(100)
         ]
         mean = float(np.mean(errs))
-        assert mean == pytest.approx(0.42839200000000005, abs=1e-12)
+        assert mean == pytest.approx(0.42927200000000004, abs=1e-12)
         assert mean < 0.5 - 0.5 * math.sqrt(500 / 10000) * 0.2
 
     def test_bias_grows_with_k(self):
@@ -135,7 +127,7 @@ class TestDirectAttack:
             majority_attack_direct(40000, 1000, stddev)
 
     @pytest.mark.parametrize("n,k", [
-        (FLOAT32_EXACT, 1), (1, FLOAT32_EXACT), (FLOAT32_EXACT + 5, 2**30),
+        (1, FLOAT32_EXACT), (64, FLOAT32_EXACT + 1), (FLOAT32_EXACT + 5, 2**30),
     ])
     def test_float32_bound_checked_before_drawing(self, n, k, no_draws):
         with pytest.raises(ValueError, match="2\\^24"):
@@ -173,30 +165,38 @@ class TestVote:
             vote += _vote_weight(preds[start:stop].astype(np.float32), signs[start:stop])
         assert (vote < 0).astype(int).tolist() == [int(w < 0) for w in weights]
 
-    @pytest.mark.parametrize("shape", [(2**24, 1), (1, 2**24)])
+    @pytest.mark.parametrize("shape", [(2**24, 1), (2**24 + 5, 2**24)])
     def test_float32_bound_checked(self, shape, no_draws):
-        # the reader checks k and n before it draws a query
+        # the reader checks k before it draws a query
         k, n = shape
         with pytest.raises(ValueError, match="2\\^24"):
             _query_blocks(0, k, n)
 
 
 class TestRiskProduct:
-    @given(labels=st.lists(st.integers(0, 1), min_size=1, max_size=70),
+    @given(n=st.one_of(st.sampled_from([1, 63, 64, 65]), st.integers(1, 300)),
+           labels=st.sampled_from(["random", "zeros", "ones"]),
            seed=st.integers(0, 2**32), count=st.integers(0, 5))
-    @example(labels=[1] * 10001, seed=3, count=2)
-    @example(labels=[0] * 13, seed=4, count=0)
+    @example(n=10001, labels="ones", seed=3, count=2)
+    @example(n=13, labels="zeros", seed=4, count=0)
     @settings(max_examples=100, deadline=None)
-    def test_equals_empirical_risk_of_the_model(self, labels, seed, count):
-        # n not a multiple of 8, all-0 and all-1 rows and labels included
-        n = len(labels)
-        sample = HoldoutSample(size=n, hidden_labels=np.array(labels, dtype=np.uint8), seed=0)
-        rows = np.vstack([Rng(seed).integers(0, 2, (count, n)), np.zeros(n), np.ones(n)])
-        risks, released = _submit_rows(EvaluationSession(ExactEmpiricalOracle()),
-                                       rows.astype(np.float32), sample)
-        expected = [empirical_risk(model_from_predictions(row, sample)) for row in rows]
+    def test_equals_empirical_risk_of_the_model(self, n, labels, seed, count):
+        # rows come straight from Rng.bit_rows, so a set bit past n in a
+        # row's last word would count as a mismatch; all-0 and all-1 rows
+        # and labels included
+        hidden = {"random": Rng(seed, 1).bits(n), "zeros": np.zeros(n, dtype=np.uint8),
+                  "ones": np.ones(n, dtype=np.uint8)}[labels]
+        sample = HoldoutSample(size=n, hidden_labels=hidden, seed=0)
+        block = np.vstack([Rng(seed).bit_rows(count, n),
+                           analysts._pack(np.zeros(n, dtype=np.uint8)),
+                           analysts._pack(np.ones(n, dtype=np.uint8))])
+        risks, released = _submit_rows(EvaluationSession(ExactEmpiricalOracle()), block,
+                                       analysts._pack(hidden), sample)
+        rows = np.unpackbits(block.view(np.uint8), axis=1, count=n, bitorder="little")
+        expected = [float(np.mean(row != hidden)) for row in rows]
         assert risks.tolist() == expected
         assert released.tolist() == expected
+        assert expected == [empirical_risk(model_from_predictions(row, sample)) for row in rows]
 
 
 def _trace_columns(trace):
@@ -208,8 +208,9 @@ def _trace_columns(trace):
 class TestBlockIndependence:
     """Reports and traces do not depend on how the query stream is blocked.
 
-    n is odd, so a block whose entry count is not a multiple of 8 would
-    break the one continued ``Rng.bits`` draw.
+    No n here is a multiple of 64 and some row counts are odd, so a block
+    that did not end on a whole row's words would break the one continued
+    ``Rng.bit_rows`` draw.
     """
 
     @staticmethod
@@ -230,7 +231,7 @@ class TestBlockIndependence:
             return report, _trace_columns(trace)
 
         default = self._blocked(None, n, run)
-        for rows in (8, 16, 24):
+        for rows in (1, 7, 24):
             assert self._blocked(rows, n, run) == default
 
     @pytest.mark.parametrize("kind", ["ladder", "pf-ladder", "population-min"])
@@ -244,7 +245,7 @@ class TestBlockIndependence:
             return report, mechanism.round, _trace_columns(trace)
 
         default = self._blocked(None, n, run)
-        for rows in (8, 16):
+        for rows in (3, 16):
             assert self._blocked(rows, n, run) == default
 
     def test_random_analyst(self):
@@ -257,7 +258,7 @@ class TestBlockIndependence:
             return released, _trace_columns(trace)
 
         default = self._blocked(None, n, run)
-        for rows in (8, 24):
+        for rows in (5, 24):
             assert self._blocked(rows, n, run) == default
 
 
@@ -318,13 +319,14 @@ class TestAttackVsMechanism:
         assert np.all(trace.population_risks == 0.5)
         assert report.final_released == trace.released[-1]
 
-    def test_budget_error_propagates(self):
+    def test_budget_error_propagates(self, no_draws):
         sample = make_random_label_sample(100, 4)
-        params = shaky_params(10000, 100, 0.1)
-        # mechanism sized for exactly k rounds cannot take the majority model
+        # mechanism sized for exactly k rounds cannot take the majority model;
+        # the budget is checked before any query is drawn or submitted
         mech = Ladder(LadderConfig(eta=0.1), max_rounds=5)
         with pytest.raises(BudgetExhaustedError):
             majority_attack_vs_mechanism(mech, sample, 5, 4)
+        assert mech.round == 0
 
     def test_unknown_selection_mode(self, no_draws):
         sample = make_random_label_sample(10, 0)

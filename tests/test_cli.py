@@ -126,7 +126,7 @@ def run_module(argv):
     ["--experiment", "attack-vs-mechanism", "--n", "64", "--k", "10", "--reps", "1"],
     ["--experiment", "vary-queries", "--n", "64", "--k", "5", "--seed", "-1"],
     ["--experiment", "vary-queries", "--n", "64", "--k", "5", "--seed", str(2**64)],
-    ["--experiment", "vary-queries", "--n", str(2**24), "--k", "5"],  # float32 bound
+    ["--experiment", "vary-queries", "--n", "64", "--k", str(2**24)],  # float32 bound
     *(["--experiment", "attack-vs-mechanism", "--mechanism", "ladder", "--eta", eta,
        "--n", "100", "--k", "10", "--reps", "2"] for eta in ("nan", "inf")),
 ])

@@ -226,7 +226,13 @@ class TestOtherRunners:
             with pytest.raises(ValueError, match="seed"):
                 ExperimentConfig(experiment="vary-queries", n=64, seed=seed)
         ExperimentConfig(experiment="vary-queries", n=2**24 - 1, k_grid=(2**24 - 1,))
-        for n, k in ((2**24, 10), (64, 2**24)):
+
+    def test_float32_bound_is_on_k_only(self, no_draws):
+        # correlations and risks are exact popcounts for any n; only the
+        # float32 vote bounds k
+        for n in (2**24, 2**30):
+            ExperimentConfig(experiment="vary-noise", n=n, k_grid=(10,))
+        for n, k in ((64, 2**24), (2**24, 2**24 + 1)):
             with pytest.raises(ValueError, match="2\\^24"):
                 ExperimentConfig(experiment="vary-noise", n=n, k_grid=(10, k))
 

@@ -64,6 +64,30 @@ class TestRng:
         rows = 8 * sum(blocks) + tail
         assert np.array_equal(np.vstack(parts), Rng(seed).bits((rows, n)))
 
+    @given(seed=st.integers(0, 2**64 - 1), rows=st.integers(0, 4),
+           n=st.one_of(st.sampled_from([1, 63, 64, 65, 128]), st.integers(1, 300)))
+    @settings(max_examples=60, deadline=None)
+    def test_bit_rows_layout(self, seed, rows, n):
+        # entry j of a row is bit j % 64, least significant first, of the
+        # row's word j // 64 of the raw stream; bits past n are zero
+        words = -(-n // 64)
+        packed = Rng(seed).bit_rows(rows, n)
+        raw = Rng(seed)._gen.bit_generator.random_raw(rows * words)
+        assert packed.dtype == np.dtype("<u8")
+        assert packed.shape == (rows, words)
+        for i in range(rows):
+            for j in range(64 * words):
+                expected = (int(raw[i * words + j // 64]) >> (j % 64)) & 1 if j < n else 0
+                assert (int(packed[i, j // 64]) >> (j % 64)) & 1 == expected
+
+    @given(seed=st.integers(0, 2**32), n=st.integers(1, 200),
+           blocks=st.lists(st.integers(0, 5), min_size=1, max_size=4))
+    @settings(max_examples=50, deadline=None)
+    def test_bit_rows_calls_continue_one_draw(self, seed, n, blocks):
+        rng = Rng(seed)
+        parts = [rng.bit_rows(rows, n) for rows in blocks]
+        assert np.array_equal(np.vstack(parts), Rng(seed).bit_rows(sum(blocks), n))
+
 class TestLaplace:
     def test_rejects_nonpositive_scale(self):
         with pytest.raises(ValueError):
