@@ -61,6 +61,9 @@ def write_goldens(out: Path) -> list[str]:
         experiment="vary-queries", n=400, k_grid=(20, 50), reps=5, seed=1,
     )
     (out / "vq_small.csv").write_bytes(experiment_csv(config).encode("utf-8"))
+    # All seven default noise levels; one sign pattern holds over 255 rows of a block.
+    config = ExperimentConfig(experiment="vary-noise", n=200, k_grid=(500, 3000), reps=2)
+    (out / "vn_small.csv").write_bytes(experiment_csv(config).encode("utf-8"))
 
     # The mechanism-driven attacks, one file per configuration.
     attacks = {
@@ -91,7 +94,8 @@ def write_goldens(out: Path) -> list[str]:
     (out / "shifted_ladder_small.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     return [
         "laplace_seed42_scale0.5.txt", "gaussian_seed42_stddev1.txt", "uniform_seed42.txt",
-        "shaky_trace_seed7.csv", "vq_small.csv", *attacks, "shifted_ladder_small.csv",
+        "shaky_trace_seed7.csv", "vq_small.csv", "vn_small.csv", *attacks,
+        "shifted_ladder_small.csv",
     ]
 
 

@@ -9,10 +9,10 @@ that mechanisms which rarely give feedback (ladders) answer every query.
 Every attack reads its queries one bit per entry from ``_query_blocks`` and
 folds each block into its vote when read, so memory is O(block * n) for any
 k. Risks and correlations are popcounts of the packed rows, exact for any n;
-only the float32 vote unpacks rows, and only the rows it counts. The vector
-attack reads its whole (k, noise) grid in one pass (``_attack_cells``), the
-mechanism-driven attacks submit one batch of risks per block. Votes use the
-+/-1 encoding (label y is 1 - 2y); a tie, or an empty selection, gives label 0.
+only votes unpack rows. The vector attack reads its (k, noise) grid in one
+pass (``_attack_cells``) and counts bits per sign pattern, the mechanism-
+driven attacks submit one batch of risks per block and vote in float32.
+Votes use +/-1 (label y is 1 - 2y); a tie or an empty selection gives label 0.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ __all__ = [
 #: Votes sum +/-1 per query in float32, exact while k stays below 2^24.
 FLOAT32_EXACT = 2**24
 
-#: Entries per query block, about: a few MB once unpacked to float32, so
-#: that a block is still in cache when the vote product reads it again.
+#: Entries per query block, about: 1 MB as unpacked uint8 bits (4 MB as the
+#: mechanism-driven attacks' float32 rows), small enough to stay in cache.
 BLOCK_ENTRIES = 2**20
 
 # Sub-stream tags so that grid harnesses can reproduce single attacks exactly.
@@ -95,10 +95,10 @@ def _pack(bits: np.ndarray) -> np.ndarray:
     return np.pad(packed, (0, -packed.size % 8)).view("<u8")
 
 
-def _unpack(block: np.ndarray, n: int) -> np.ndarray:
-    """Packed rows as float32 0/1 rows of n entries, the vote's dtype."""
+def _unpack(block: np.ndarray, n: int, dtype=np.float32) -> np.ndarray:
+    """Packed rows as 0/1 rows of n entries, float32 (the vote product's dtype) by default."""
     bits = np.unpackbits(block.view(np.uint8), axis=-1, count=n, bitorder="little")
-    return bits.astype(np.float32)
+    return bits.astype(dtype, copy=False)
 
 
 def _mismatches(block: np.ndarray, words: np.ndarray) -> np.ndarray:
@@ -115,10 +115,11 @@ def _attack_cells(n: int, k_grid, noise_stddevs,
     count. Query i and its noise are entry i of their streams, so a cell
     equals the attack run alone with its k and noise. Per query block a
     popcount gives the correlations, n - 2 mismatches with the hidden
-    vector, and one float32 product folds the signed unpacked rows of every
-    noise level into a ``len(noise) x n`` vote, read off at the k boundaries.
-    With 0/1 query bits b and signs s the vote is sum_i s_i (2 b_i - 1),
-    negative exactly where 2 (s @ b) < 2 pos - k.
+    vector; per segment the rows are grouped by sign pattern across the levels
+    (at most 2 per level: a sign is monotone in the scale), unpacked to uint8
+    and summed per pattern into float32 count rows. With 0/1 bits b and signs
+    s, (+/-1 patterns) @ counts is s @ b per level; the vote is negative where
+    2 (s @ b) < 2 pos - k.
     """
     k_sorted = sorted(set(int(k) for k in k_grid))
     k_max = k_sorted[-1]
@@ -131,25 +132,32 @@ def _attack_cells(n: int, k_grid, noise_stddevs,
     hidden = Rng(seed, HIDDEN_STREAM).bits(n)
     hidden_words = _pack(hidden)
     z = Rng(seed, NOISE_STREAM).standard_normal(k_max)
-    vote = np.zeros((scales.shape[0], n), dtype=np.float32)
-    positives = np.zeros(scales.shape[0], dtype=np.int64)
-    errors = np.empty((len(k_sorted), scales.shape[0]))
-    selected = np.empty((len(k_sorted), scales.shape[0]), dtype=np.int64)
+    slots = {}  # a sign pattern across the levels, as bytes -> its row of counts
+    counts = np.zeros((2 * len(scales), n), dtype=np.float32)
+    positives = np.zeros(len(scales), dtype=np.int64)
+    errors = np.empty((len(k_sorted), len(scales)))
+    selected = np.empty((len(k_sorted), len(scales)), dtype=np.int64)
     done = block_end = 0
     for cell, k in enumerate(k_sorted):
         while done < k:
             if done == block_end:
                 block = next(blocks)
                 answers = (n - 2 * _mismatches(block, hidden_words)) / n
-                bits = _unpack(block, n)
-                positive = answers + scales * z[done:done + len(bits)] > 0.0
-                signs = np.where(positive, np.float32(1.0), np.float32(-1.0))
-                block_start, block_end = done, done + len(bits)
+                positive = answers + scales * z[done:done + len(block)] > 0.0
+                block_start, block_end = done, done + len(block)
             stop = min(k, block_end)
             rows = slice(done - block_start, stop - block_start)
-            vote += signs[:, rows] @ bits[rows]
+            order = np.lexsort(positive[:, rows])  # the rows grouped by sign pattern
+            grouped = positive[:, rows][:, order]
+            starts = np.flatnonzero(np.r_[True, np.diff(grouped, axis=1).any(axis=0)])
+            bits = _unpack(block[rows][order], n, np.uint8)
+            for start, group in zip(starts.tolist(), np.split(bits, starts[1:])):
+                counts[slots.setdefault(grouped[:, start].tobytes(), len(slots))] += group.sum(
+                    axis=0, dtype=np.min_scalar_type(len(group)))
             positives += np.count_nonzero(positive[:, rows], axis=1)
             done = stop
+        plus = np.frombuffer(b"".join(slots), bool).reshape(len(slots), len(scales)).T
+        vote = np.where(plus, np.float32(1.0), np.float32(-1.0)) @ counts[:len(slots)]
         flipped = (2.0 * vote < (2 * positives - k)[:, None]) != (hidden == 0)
         errors[cell] = np.count_nonzero(flipped, axis=1) / n
         selected[cell] = positives

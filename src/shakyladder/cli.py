@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -153,4 +154,5 @@ def cli_main(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:  # pragma: no cover - console entry point
+    warnings.formatwarning = lambda message, *_: f"warning: {message}\n"  # no source line
     sys.exit(cli_main())

@@ -5,10 +5,10 @@ so the grid runners share model draws across cells by construction: the
 noise-multiplier-zero cell of one experiment equals the no-noise cell of
 another on identical seeds, repetitions can run in any order, and reruns are
 byte-identical. The vector-attack grids evaluate every (k, noise) cell of a
-repetition in one blocked pass over its query stream, in memory
-O(block * n + noise levels * n) rather than O(max(k) * n); every cell still
-equals a standalone :func:`~shakyladder.analysts.majority_attack_direct` call
-with the matching sub-stream seed.
+repetition in one blocked pass over its query stream, in memory O(block * n)
+plus a count row of n per sign pattern (at most 2 per noise level) rather
+than O(max(k) * n); every cell equals a standalone ``majority_attack_direct``
+call with the matching sub-stream seed.
 """
 
 from __future__ import annotations

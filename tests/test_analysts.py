@@ -11,6 +11,7 @@ from shakyladder.analysts import (
     FLOAT32_EXACT,
     AttackReport,
     HIDDEN_STREAM,
+    _attack_cells,
     _query_blocks,
     _submit_rows,
     _vote_weight,
@@ -22,6 +23,7 @@ from shakyladder.analysts import (
 from shakyladder.audit import EvaluationSession
 from shakyladder.core import (HoldoutSample, empirical_risk, make_random_label_sample,
                               model_from_predictions)
+from shakyladder.experiments import VARY_NOISE_GRID
 from shakyladder.mechanisms import (
     MECHANISM_NAMES,
     BudgetExhaustedError,
@@ -34,7 +36,7 @@ from shakyladder.mechanisms import (
     shaky_params,
 )
 from shakyladder.noise import Rng
-from reference import query_bits
+from reference import query_bits, vstack_majority_attack
 from synthetic import random_prediction_models, submit_all
 
 
@@ -137,6 +139,45 @@ class TestDirectAttack:
     def test_bad_sizes_rejected_before_drawing(self, n, k, no_draws):
         with pytest.raises(ValueError):
             majority_attack_direct(n, k, 0.5)
+
+    @pytest.mark.parametrize("n,k", [
+        (64, 2000),   # one sign pattern holds more than 255 rows of a block
+        (4, 270000),  # ... and more than 65535 rows of one block here
+    ])
+    def test_pattern_counts_do_not_overflow(self, n, k):
+        # each pattern's rows are summed in an integer type sized to its row count
+        assert majority_attack_direct(n, k, None, seed=3) == vstack_majority_attack(n, k, None, 3)
+
+    def test_more_levels_than_a_word_has_bits(self):
+        # 70 distinct levels: a sign pattern keyed as an int64 bitmask would
+        # merge rows that differ only at levels 64 and up
+        n, k, seed = 100, 400, 5
+        stddevs = [m / math.sqrt(n) for m in np.linspace(0.0, 6.0, 70)]
+        _, errors, selected = _attack_cells(n, (k,), stddevs, seed)
+        for level, stddev in enumerate(stddevs):
+            ref = vstack_majority_attack(n, k, stddev, seed)
+            assert (errors[0, level], selected[0, level]) == (ref.final_error,
+                                                              ref.selected_count), level
+
+    @given(n=st.integers(1, 200), k_grid=st.lists(st.integers(0, 300), min_size=1, max_size=4),
+           multipliers=st.lists(st.floats(0.0, 6.0), min_size=1, max_size=8),
+           rows_per_block=st.sampled_from([None, 3, 16]), seed=st.integers(0, 2**32),
+           data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_noise_order_permutes_columns(self, n, k_grid, multipliers, rows_per_block, seed,
+                                          data):
+        # the sign patterns are bits in the order of the levels given; any
+        # order counts the same rows, so a shuffle only permutes the columns
+        stddevs = [m / math.sqrt(n) for m in multipliers]
+        perm = data.draw(st.permutations(range(len(stddevs))))
+        with pytest.MonkeyPatch.context() as patch:
+            if rows_per_block is not None:
+                patch.setattr(analysts, "BLOCK_ENTRIES", rows_per_block * n)
+            ks, errors, selected = _attack_cells(n, k_grid, stddevs, seed)
+            shuffled = _attack_cells(n, k_grid, [stddevs[i] for i in perm], seed)
+        assert shuffled[0] == ks
+        np.testing.assert_array_equal(shuffled[1], errors[:, perm])
+        np.testing.assert_array_equal(shuffled[2], selected[:, perm])
 
     def test_report_fields(self):
         report = majority_attack_direct(100, 7, None, seed=1)
@@ -278,6 +319,23 @@ def test_attack_memory_does_not_grow_with_k():
 
     small, large = peak(500), peak(5000)
     assert large < 1.2 * small + 256 * 1024, (small, large)
+
+    # the vector attack's grid holds one block as uint8 bits (1 MB) and one
+    # float32 count row per sign pattern (at most 14 x 160 KB), whatever k
+    n = 40000
+    stddevs = [m / math.sqrt(n) for m in VARY_NOISE_GRID]
+
+    def grid_peak(k):
+        tracemalloc.start()
+        try:
+            _attack_cells(n, (100, k), stddevs, 8)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = grid_peak(200), grid_peak(1000)
+    assert large < 1.2 * small + 256 * 1024, (small, large)
+    assert max(small, large) < 8 * 2**20, (small, large)
 
 
 class TestAttackVsMechanism:

@@ -136,6 +136,17 @@ def test_run_time_regime_errors_exit_2(argv):
     assert "Traceback" not in result.stderr
 
 
+def test_regime_warnings_print_as_one_plain_line():
+    # n = 10000 is below the Shaky Ladder's generalization requirement at these k
+    result = run_module(["--experiment", "envelope", "--n", "10000", "--k", "100,300",
+                         "--reps", "1"])
+    assert result.returncode == 0, result.stderr
+    lines = result.stderr.splitlines()
+    assert len(lines) == 2, lines
+    assert all(line.startswith("warning: n=10000 is below the generalization requirement")
+               for line in lines), lines
+
+
 @pytest.mark.parametrize("experiment", ["vary-noise", "attack-vs-mechanism"])
 @pytest.mark.parametrize("given,canonical", [("1,1", "1"), ("3,0,1", "0,1,3"), ("-0", "0")])
 def test_noise_grid_sorted_and_deduplicated(tmp_path, experiment, given, canonical):
