@@ -61,7 +61,7 @@ def write_goldens(out: Path) -> list[str]:
         experiment="vary-queries", n=400, k_grid=(20, 50), reps=5, seed=1,
     )
     (out / "vq_small.csv").write_bytes(experiment_csv(config).encode("utf-8"))
-    # All seven default noise levels; one sign pattern holds over 255 rows of a block.
+    # All seven default noise levels; one threshold group holds over 255 rows of a block.
     config = ExperimentConfig(experiment="vary-noise", n=200, k_grid=(500, 3000), reps=2)
     (out / "vn_small.csv").write_bytes(experiment_csv(config).encode("utf-8"))
 

@@ -10,8 +10,9 @@ Every attack reads its queries one bit per entry from ``_query_blocks`` and
 folds each block into its vote when read, so memory is O(block * n) for any
 k. Risks and correlations are popcounts of the packed rows, exact for any n;
 only votes unpack rows. The vector attack reads its (k, noise) grid in one
-pass (``_attack_cells``) and counts bits per sign pattern, the mechanism-
-driven attacks submit one batch of risks per block and vote in float32.
+pass (``_attack_cells``) and counts bits per threshold group of the noise
+levels, the mechanism-driven attacks submit one batch of risks per block and
+vote in float32.
 Votes use +/-1 (label y is 1 - 2y); a tie or an empty selection gives label 0.
 """
 
@@ -43,6 +44,12 @@ FLOAT32_EXACT = 2**24
 #: mechanism-driven attacks' float32 rows), small enough to stay in cache.
 BLOCK_ENTRIES = 2**20
 
+#: Rows a uint8 pending count sums before its flush into the float32 counts.
+PENDING_ROWS = 255
+
+#: Columns per slice of the vote at each k, so that its operands stay in cache.
+VOTE_COLUMNS = 8192
+
 # Sub-stream tags so that grid harnesses can reproduce single attacks exactly.
 HIDDEN_STREAM = 1
 QUERY_STREAM = 2
@@ -58,6 +65,10 @@ class AttackReport:
     attack's query rounds on which the mechanism's output moved;
     ``final_released`` is the mechanism's estimate for the final model (NaN
     when there is none, e.g. for the standalone vector attack).
+    ``clamped_queries`` and ``untriggered_queries`` count the shifted attack's
+    estimator queries, the final one included, whose offset schedule clamped
+    or ran out without a trigger: the reduction's guarantees do not cover
+    their answers. Both are 0 for the attacks that send no estimator query.
     """
 
     final_error: float
@@ -65,12 +76,18 @@ class AttackReport:
     queries_issued: int
     feedback_received: int
     final_released: float = math.nan
+    clamped_queries: int = 0
+    untriggered_queries: int = 0
 
     def __post_init__(self):
         if not 0.0 <= self.final_error <= 1.0:
             raise ValueError(f"final_error must lie in [0, 1], got {self.final_error}")
         if self.selected_count > self.queries_issued:
             raise ValueError("selected_count cannot exceed queries_issued")
+        for name in ("clamped_queries", "untriggered_queries"):
+            if not 0 <= getattr(self, name) <= self.queries_issued:
+                raise ValueError(f"{name} must lie in [0, queries_issued], "
+                                 f"got {getattr(self, name)}")
 
 
 def _query_blocks(seed: int | tuple[int, ...], k: int, n: int):
@@ -114,12 +131,18 @@ def _attack_cells(n: int, k_grid, noise_stddevs,
     arrays: each cell's final error and selected (positively answered) query
     count. Query i and its noise are entry i of their streams, so a cell
     equals the attack run alone with its k and noise. Per query block a
-    popcount gives the correlations, n - 2 mismatches with the hidden
-    vector; per segment the rows are grouped by sign pattern across the levels
-    (at most 2 per level: a sign is monotone in the scale), unpacked to uint8
-    and summed per pattern into float32 count rows. With 0/1 bits b and signs
-    s, (+/-1 patterns) @ counts is s @ b per level; the vote is negative where
-    2 (s @ b) < 2 pos - k.
+    popcount gives the correlations, n - 2 mismatches with the hidden vector.
+    A query's sign is monotone in the noise scale, so over the L levels in
+    ascending scale its positive levels are a prefix (z <= 0) or a suffix
+    (z > 0): its threshold group is ``up`` or ``2L+1-up`` for ``up``
+    positive levels, and level j is positive on groups j+1 .. L+1+j. Per
+    segment the rows are sorted by group, unpacked to uint8 and summed per
+    group into a uint8 pending row, flushed into the group's float32 counts
+    before it would hold more than ``PENDING_ROWS`` rows. With 0/1 bits b
+    and signs s, (+/-1 group signs) @ (counts + pending) is s @ b per level;
+    at each k the vote is negative where s @ b > pos - k/2, computed
+    ``VOTE_COLUMNS`` columns at a time. Every sum is an integer below 2^24,
+    exact in float32.
     """
     k_sorted = sorted(set(int(k) for k in k_grid))
     k_max = k_sorted[-1]
@@ -127,40 +150,61 @@ def _attack_cells(n: int, k_grid, noise_stddevs,
         raise ValueError(f"n must be >= 1, got {n}")
     if k_sorted[0] < 0:
         raise ValueError(f"k values must be >= 0, got {k_sorted[0]}")
+    stddevs = np.asarray(noise_stddevs, dtype=np.float64)
+    if not np.isfinite(stddevs).all():
+        raise ValueError(f"noise stddevs must be finite, got {noise_stddevs}")
     blocks = _query_blocks(seed, k_max, n)
-    scales = 2.0 * np.asarray(noise_stddevs, dtype=np.float64)[:, None]
+    order, levels = np.argsort(stddevs, kind="stable"), len(stddevs)  # ascending scale
+    scales = 2.0 * stddevs[order, None]
+    group_ids, level = np.arange(2 * levels + 2), np.arange(levels)[:, None]
+    signs = np.where((level < group_ids) & (group_ids <= levels + 1 + level),
+                     np.float32(1.0), np.float32(-1.0))
     hidden = Rng(seed, HIDDEN_STREAM).bits(n)
-    hidden_words = _pack(hidden)
+    hidden_words, hidden_zero = _pack(hidden), hidden == 0
     z = Rng(seed, NOISE_STREAM).standard_normal(k_max)
-    slots = {}  # a sign pattern across the levels, as bytes -> its row of counts
-    counts = np.zeros((2 * len(scales), n), dtype=np.float32)
-    positives = np.zeros(len(scales), dtype=np.int64)
-    errors = np.empty((len(k_sorted), len(scales)))
-    selected = np.empty((len(k_sorted), len(scales)), dtype=np.int64)
+    counts = np.zeros((len(group_ids), n), dtype=np.float32)
+    pending = np.zeros((len(group_ids), n), dtype=np.uint8)
+    held = [0] * len(group_ids)  # per group, the rows summed into pending since its flush
+    positives = np.zeros(levels, dtype=np.int64)
+    errors = np.empty((len(k_sorted), levels))
+    selected = np.empty((len(k_sorted), levels), dtype=np.int64)
     done = block_end = 0
     for cell, k in enumerate(k_sorted):
         while done < k:
             if done == block_end:
                 block = next(blocks)
                 answers = (n - 2 * _mismatches(block, hidden_words)) / n
-                positive = answers + scales * z[done:done + len(block)] > 0.0
+                noise = z[done:done + len(block)]
+                positive = answers + scales * noise > 0.0
+                up = np.count_nonzero(positive, axis=0)
+                groups = np.where(noise > 0.0, 2 * levels + 1 - up, up)
                 block_start, block_end = done, done + len(block)
             stop = min(k, block_end)
             rows = slice(done - block_start, stop - block_start)
-            order = np.lexsort(positive[:, rows])  # the rows grouped by sign pattern
-            grouped = positive[:, rows][:, order]
-            starts = np.flatnonzero(np.r_[True, np.diff(grouped, axis=1).any(axis=0)])
-            bits = _unpack(block[rows][order], n, np.uint8)
-            for start, group in zip(starts.tolist(), np.split(bits, starts[1:])):
-                counts[slots.setdefault(grouped[:, start].tobytes(), len(slots))] += group.sum(
-                    axis=0, dtype=np.min_scalar_type(len(group)))
+            sizes = np.bincount(groups[rows], minlength=len(held))
+            present = np.flatnonzero(sizes)
+            bits = _unpack(block[rows][np.argsort(groups[rows], kind="stable")], n, np.uint8)
+            for group, part in zip(present.tolist(),
+                                   np.split(bits, np.cumsum(sizes[present])[:-1])):
+                if len(part) > PENDING_ROWS:  # too many rows for a uint8 sum: add directly
+                    counts[group] += part.sum(axis=0, dtype=np.min_scalar_type(len(part)))
+                    continue
+                if held[group] + len(part) > PENDING_ROWS:
+                    counts[group] += pending[group]
+                    pending[group], held[group] = 0, 0
+                pending[group] += part.sum(axis=0, dtype=np.uint8)
+                held[group] += len(part)
             positives += np.count_nonzero(positive[:, rows], axis=1)
             done = stop
-        plus = np.frombuffer(b"".join(slots), bool).reshape(len(slots), len(scales)).T
-        vote = np.where(plus, np.float32(1.0), np.float32(-1.0)) @ counts[:len(slots)]
-        flipped = (2.0 * vote < (2 * positives - k)[:, None]) != (hidden == 0)
-        errors[cell] = np.count_nonzero(flipped, axis=1) / n
-        selected[cell] = positives
+        half = ((2 * positives - k) / 2).astype(np.float32)[:, None]
+        wrong = np.zeros(levels, dtype=np.int64)
+        for start in range(0, n, VOTE_COLUMNS):
+            cols = slice(start, start + VOTE_COLUMNS)
+            vote = signs @ counts[:, cols] + signs @ pending[:, cols]
+            flipped = (vote < half) != hidden_zero[cols]
+            wrong += [np.count_nonzero(row) for row in flipped]
+        errors[cell, order] = wrong / n
+        selected[cell, order] = positives
     return k_sorted, errors, selected
 
 
@@ -307,7 +351,7 @@ def shifted_majority_attack(mechanism: LeaderboardMechanism, sample: HoldoutSamp
     _check_attack(mechanism, sample, k, selection, estimator.steps_per_query)
     labels = sample.hidden_labels.astype(np.float32)  # the rows' dtype: a cheaper compare
     vote = np.zeros(sample.size, dtype=np.float32)
-    selected = feedback = 0
+    selected = feedback = clamped = 0
     for block in _query_blocks(seed, k, sample.size):
         rows = _unpack(block, sample.size)
         outcomes = [estimator.answer(Query(values=(row != labels).astype(float),
@@ -318,6 +362,7 @@ def shifted_majority_attack(mechanism: LeaderboardMechanism, sample: HoldoutSamp
         vote += _vote_weight(rows, signs)
         selected += int(np.count_nonzero(signs == 1))
         feedback += int(np.count_nonzero(answered))
+        clamped += sum(outcome.clamped for outcome in outcomes)
     final_loss = (vote < 0.0) != labels
     final_outcome = estimator.answer(Query(values=final_loss.astype(float), population_mean=0.5))
     report = AttackReport(
@@ -326,6 +371,8 @@ def shifted_majority_attack(mechanism: LeaderboardMechanism, sample: HoldoutSamp
         queries_issued=k + 1,
         feedback_received=feedback,
         final_released=final_outcome.answer if final_outcome.triggered else math.nan,
+        clamped_queries=clamped + final_outcome.clamped,
+        untriggered_queries=k - feedback + (not final_outcome.triggered),
     )
     trace = estimator.session.trace() if mechanism.records_trace else None
     return report, trace

@@ -6,9 +6,9 @@ noise-multiplier-zero cell of one experiment equals the no-noise cell of
 another on identical seeds, repetitions can run in any order, and reruns are
 byte-identical. The vector-attack grids evaluate every (k, noise) cell of a
 repetition in one blocked pass over its query stream, in memory O(block * n)
-plus a count row of n per sign pattern (at most 2 per noise level) rather
-than O(max(k) * n); every cell equals a standalone ``majority_attack_direct``
-call with the matching sub-stream seed.
+plus a float32 count row and a uint8 pending row of n per threshold group
+(2 per noise level, plus 2) rather than O(max(k) * n); every cell equals a
+standalone ``majority_attack_direct`` call with the matching sub-stream seed.
 """
 
 from __future__ import annotations

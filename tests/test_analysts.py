@@ -12,6 +12,7 @@ from shakyladder.analysts import (
     AttackReport,
     HIDDEN_STREAM,
     _attack_cells,
+    _pack,
     _query_blocks,
     _submit_rows,
     _vote_weight,
@@ -36,6 +37,7 @@ from shakyladder.mechanisms import (
     shaky_params,
 )
 from shakyladder.noise import Rng
+from shakyladder.reduction import AdaptiveEstimator
 from reference import query_bits, vstack_majority_attack
 from synthetic import random_prediction_models, submit_all
 
@@ -159,15 +161,54 @@ class TestDirectAttack:
             assert (errors[0, level], selected[0, level]) == (ref.final_error,
                                                               ref.selected_count), level
 
-    @given(n=st.integers(1, 200), k_grid=st.lists(st.integers(0, 300), min_size=1, max_size=4),
+    @pytest.mark.parametrize("stddev", [math.nan, math.inf])
+    def test_grid_rejects_nonfinite_levels_before_drawing(self, stddev, no_draws):
+        # the threshold groups need every level's sign to be monotone in its
+        # scale, which a NaN or infinite scale breaks
+        with pytest.raises(ValueError, match="finite"):
+            _attack_cells(100, (10,), [0.1, stddev], 0)
+
+    def test_equal_levels_give_equal_columns(self):
+        n, k_grid, seed = 300, (40, 700), 9
+        stddevs = [m / math.sqrt(n) for m in (1.0, 0.0, 1.0, 3.0, 0.0, 1.0)]
+        _, errors, selected = _attack_cells(n, k_grid, stddevs, seed)
+        for same in ([0, 2, 5], [1, 4]):
+            for column in same[1:]:
+                np.testing.assert_array_equal(errors[:, column], errors[:, same[0]])
+                np.testing.assert_array_equal(selected[:, column], selected[:, same[0]])
+        for level in (0, 1, 3):
+            ref = vstack_majority_attack(n, k_grid[1], stddevs[level], seed)
+            assert (errors[1, level], selected[1, level]) == (ref.final_error,
+                                                              ref.selected_count)
+
+    def test_pending_counts_flush_before_overflow(self, monkeypatch):
+        # all-ones query rows, one per block: a group's uint8 pending row
+        # then holds its row count in every column, so holding a 256th row
+        # before the flush would wrap it to 0. Without noise the ~800 rows
+        # of each of the two groups past k = 100 would lose 3 x 256 that way,
+        # enough to move the vote (+/-1700) past its threshold (+/-850).
+        n, k_grid, seed = 101, (100, 1700), 6
+        ones = _pack(np.ones(n, dtype=np.uint8))
+        monkeypatch.setattr(Rng, "bit_rows", lambda self, rows, n: np.tile(ones, (rows, 1)))
+        monkeypatch.setattr(analysts, "BLOCK_ENTRIES", n)
+        stddevs = [0.0, 2.0 / math.sqrt(n)]
+        ks, errors, selected = _attack_cells(n, k_grid, stddevs, seed)
+        for cell, k in enumerate(ks):
+            for level, stddev in enumerate(stddevs):
+                ref = vstack_majority_attack(n, k, stddev, seed)
+                assert (errors[cell, level], selected[cell, level]) == (ref.final_error,
+                                                                        ref.selected_count)
+
+    @given(n=st.integers(1, 200),
+           k_grid=st.lists(st.integers(0, 300) | st.integers(250, 1500), min_size=1, max_size=4),
            multipliers=st.lists(st.floats(0.0, 6.0), min_size=1, max_size=8),
-           rows_per_block=st.sampled_from([None, 3, 16]), seed=st.integers(0, 2**32),
-           data=st.data())
+           rows_per_block=st.sampled_from([None, 3, 16, 254, 255, 256]),
+           seed=st.integers(0, 2**32), data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_noise_order_permutes_columns(self, n, k_grid, multipliers, rows_per_block, seed,
                                           data):
-        # the sign patterns are bits in the order of the levels given; any
-        # order counts the same rows, so a shuffle only permutes the columns
+        # the threshold groups follow the levels sorted by scale, whatever
+        # order they are given in, so a shuffle only permutes the columns
         stddevs = [m / math.sqrt(n) for m in multipliers]
         perm = data.draw(st.permutations(range(len(stddevs))))
         with pytest.MonkeyPatch.context() as patch:
@@ -320,8 +361,9 @@ def test_attack_memory_does_not_grow_with_k():
     small, large = peak(500), peak(5000)
     assert large < 1.2 * small + 256 * 1024, (small, large)
 
-    # the vector attack's grid holds one block as uint8 bits (1 MB) and one
-    # float32 count row per sign pattern (at most 14 x 160 KB), whatever k
+    # the vector attack's grid holds one block as uint8 bits (1 MB), and per
+    # threshold group a float32 count row and a uint8 pending row (16 x 200
+    # KB for seven levels), whatever k
     n = 40000
     stddevs = [m / math.sqrt(n) for m in VARY_NOISE_GRID]
 
@@ -457,6 +499,48 @@ class TestShiftedAttack:
             )
             assert shifted.feedback_received >= plain.feedback_received
 
+    @pytest.mark.parametrize("k,expected", [(100, [0, 0, 0]), (120, [0, 0, 0]),
+                                            (200, [70, 67, 68])])
+    def test_clamped_queries_counted(self, k, expected, monkeypatch):
+        # the query budget floor(1/(3 alpha)) is 133 here: k = 100 and 120
+        # stay inside it, while at k = 200 the schedule clamps from about
+        # query 130 on; the count includes the final query
+        n, alpha = 2500, 1 / 400
+        outcomes = []
+        answer = AdaptiveEstimator.answer
+
+        def recording_answer(self, query):
+            outcomes.append(answer(self, query))
+            return outcomes[-1]
+
+        monkeypatch.setattr(AdaptiveEstimator, "answer", recording_answer)
+        counts = []
+        for rep in range(3):
+            outcomes.clear()
+            sample = make_random_label_sample(n, (rep, 0))
+            mech = Ladder(LadderConfig(eta=alpha / 2), record=False)
+            report, _ = shifted_majority_attack(mech, sample, k, alpha, (rep, 0))
+            assert len(outcomes) == report.queries_issued == k + 1
+            assert report.clamped_queries == sum(out.clamped for out in outcomes)
+            assert report.untriggered_queries == 0
+            counts.append(report.clamped_queries)
+        assert counts == expected
+
+    def test_untriggered_queries_counted(self):
+        # a ladder with eta = 1/2 never releases below the threshold, so no
+        # query triggers, the final one included
+        sample = make_random_label_sample(200, 3)
+        report, _ = shifted_majority_attack(Ladder(LadderConfig(eta=0.5)), sample, 5, 0.1, 3)
+        assert (report.feedback_received, report.untriggered_queries) == (0, 6)
+        assert report.clamped_queries == 0
+        assert math.isnan(report.final_released)
+
+    def test_other_attacks_report_no_estimator_queries(self):
+        sample = make_random_label_sample(200, 4)
+        plain, _ = majority_attack_vs_mechanism(ExactEmpiricalOracle(), sample, 20, 4)
+        for report in (plain, majority_attack_direct(200, 20, 0.1, seed=4)):
+            assert (report.clamped_queries, report.untriggered_queries) == (0, 0)
+
     def test_neutralized_by_randomized_ladder(self):
         # at parameters where the randomized ladder is alive, the shifted
         # attack extracts nothing: mean final error stays at one half
@@ -506,3 +590,11 @@ def test_attack_report_validation():
         AttackReport(final_error=1.5, selected_count=0, queries_issued=1, feedback_received=0)
     with pytest.raises(ValueError):
         AttackReport(final_error=0.5, selected_count=2, queries_issued=1, feedback_received=0)
+    for field in ("clamped_queries", "untriggered_queries"):
+        for bad in (-1, 4):
+            with pytest.raises(ValueError, match=field):
+                AttackReport(final_error=0.5, selected_count=0, queries_issued=3,
+                             feedback_received=0, **{field: bad})
+        report = AttackReport(final_error=0.5, selected_count=0, queries_issued=3,
+                              feedback_received=0, **{field: 3})
+        assert getattr(report, field) == 3

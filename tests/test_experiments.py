@@ -101,20 +101,29 @@ class TestVaryQueries:
 
 
     @given(n=st.integers(1, 300),
-           k_grid=st.lists(st.integers(1, 100), min_size=1, max_size=5)
+           k_grid=st.lists(st.integers(1, 100) | st.integers(250, 1200), min_size=1, max_size=5)
            .map(lambda ks: (*ks, 1, ks[0])),
            extra=st.lists(st.floats(0.1, 6.0), max_size=3, unique=True),
-           rows_per_block=st.sampled_from([None, 8, 16, 24, 64]),
+           rows_per_block=st.sampled_from([None, 8, 16, 24, 64, 254, 255, 256]),
+           vote_columns=st.sampled_from([None, 5, 64]),
            reps=st.integers(1, 2), seed=st.integers(0, 2**32))
-    @example(n=61, k_grid=(13, 1, 100, 13, 8), extra=[3.0], rows_per_block=16, reps=1, seed=4)
+    @example(n=61, k_grid=(13, 1, 100, 13, 8), extra=[3.0], rows_per_block=16,
+             vote_columns=None, reps=1, seed=4)
+    @example(n=23, k_grid=(1200, 1, 600), extra=[0.5], rows_per_block=255, vote_columns=5,
+             reps=1, seed=5)
     @settings(max_examples=80, deadline=None)
-    def test_cells_equal_vstack_reference(self, n, k_grid, extra, rows_per_block, reps, seed):
+    def test_cells_equal_vstack_reference(self, n, k_grid, extra, rows_per_block, vote_columns,
+                                          reps, seed):
         # unsorted k grids with duplicates, k = 1, k values inside and at
-        # the end of a block, and multiplier 0 next to noisy ones
+        # the end of a block, multiplier 0 next to noisy ones, blocks on
+        # both sides of the 255 rows a uint8 pending count holds, k values
+        # far enough apart for its flushes, and vote slices with a short last
         multipliers = (*extra, 0.0)
         with pytest.MonkeyPatch.context() as patch:
             if rows_per_block is not None:  # blocks of that many rows of n entries
                 patch.setattr(analysts, "BLOCK_ENTRIES", rows_per_block * n)
+            if vote_columns is not None:
+                patch.setattr(analysts, "VOTE_COLUMNS", vote_columns)
             cells = _attack_grid(n, k_grid, multipliers, reps, seed)
         assert set(cells) == {(k, m) for k in k_grid for m in multipliers}
         for (k, mult), errors in cells.items():
