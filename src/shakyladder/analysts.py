@@ -9,10 +9,10 @@ that mechanisms which rarely give feedback (ladders) answer every query.
 Every attack reads its queries one bit per entry from ``_query_blocks`` and
 folds each block into its vote when read, so memory is O(block * n) for any
 k. Risks and correlations are popcounts of the packed rows, exact for any n;
-only votes unpack rows. The vector attack reads its (k, noise) grid in one
-pass (``_attack_cells``) and counts bits per threshold group of the noise
-levels, the mechanism-driven attacks submit one batch of risks per block and
-vote in float32.
+only votes unpack rows, to uint8. The vector attack reads its (k, noise)
+grid in one pass (``_attack_cells``), counts bits per threshold group of the
+noise levels and votes in float32; the mechanism-driven attacks submit one
+batch of risks per block and vote with exact integer sign counts.
 Votes use +/-1 (label y is 1 - 2y); a tie or an empty selection gives label 0.
 """
 
@@ -37,11 +37,10 @@ __all__ = [
     "run_random_analyst",
 ]
 
-#: Votes sum +/-1 per query in float32, exact while k stays below 2^24.
+#: The vector grid's votes sum +/-1 per query in float32, exact while k stays below 2^24.
 FLOAT32_EXACT = 2**24
 
-#: Entries per query block, about: 1 MB as unpacked uint8 bits (4 MB as the
-#: mechanism-driven attacks' float32 rows), small enough to stay in cache.
+#: Entries per query block, about: 1 MB as unpacked uint8 bits, small enough to stay in cache.
 BLOCK_ENTRIES = 2**20
 
 #: Rows a uint8 pending count sums before its flush into the float32 counts.
@@ -95,12 +94,8 @@ def _query_blocks(seed: int | tuple[int, ...], k: int, n: int):
 
     Packed ``Rng.bit_rows`` blocks of whole rows, about ``BLOCK_ENTRIES``
     entries each; a row takes whole raw words, so consecutive blocks continue
-    one draw for any n. k is checked before anything is drawn: below 2^24
-    the float32 vote over the rows is exact.
+    one draw for any n.
     """
-    if k >= FLOAT32_EXACT:
-        raise ValueError(f"k={k} must stay below 2^24, where the attack's float32 "
-                         "vote stops being exact")
     rows = max(1, BLOCK_ENTRIES // n)
     queries = Rng(seed, QUERY_STREAM)
     return (queries.bit_rows(min(rows, k - start), n) for start in range(0, k, rows))
@@ -112,10 +107,9 @@ def _pack(bits: np.ndarray) -> np.ndarray:
     return np.pad(packed, (0, -packed.size % 8)).view("<u8")
 
 
-def _unpack(block: np.ndarray, n: int, dtype=np.float32) -> np.ndarray:
-    """Packed rows as 0/1 rows of n entries, float32 (the vote product's dtype) by default."""
-    bits = np.unpackbits(block.view(np.uint8), axis=-1, count=n, bitorder="little")
-    return bits.astype(dtype, copy=False)
+def _unpack(block: np.ndarray, n: int) -> np.ndarray:
+    """Packed rows as uint8 0/1 rows of n entries."""
+    return np.unpackbits(block.view(np.uint8), axis=-1, count=n, bitorder="little")
 
 
 def _mismatches(block: np.ndarray, words: np.ndarray) -> np.ndarray:
@@ -150,6 +144,9 @@ def _attack_cells(n: int, k_grid, noise_stddevs,
         raise ValueError(f"n must be >= 1, got {n}")
     if k_sorted[0] < 0:
         raise ValueError(f"k values must be >= 0, got {k_sorted[0]}")
+    if k_max >= FLOAT32_EXACT:
+        raise ValueError(f"k={k_max} must stay below 2^24, where the attack's float32 "
+                         "vote stops being exact")
     stddevs = np.asarray(noise_stddevs, dtype=np.float64)
     if not np.isfinite(stddevs).all():
         raise ValueError(f"noise stddevs must be finite, got {noise_stddevs}")
@@ -183,7 +180,7 @@ def _attack_cells(n: int, k_grid, noise_stddevs,
             rows = slice(done - block_start, stop - block_start)
             sizes = np.bincount(groups[rows], minlength=len(held))
             present = np.flatnonzero(sizes)
-            bits = _unpack(block[rows][np.argsort(groups[rows], kind="stable")], n, np.uint8)
+            bits = _unpack(block[rows][np.argsort(groups[rows], kind="stable")], n)
             for group, part in zip(present.tolist(),
                                    np.split(bits, np.cumsum(sizes[present])[:-1])):
                 if len(part) > PENDING_ROWS:  # too many rows for a uint8 sum: add directly
@@ -192,7 +189,7 @@ def _attack_cells(n: int, k_grid, noise_stddevs,
                 if held[group] + len(part) > PENDING_ROWS:
                     counts[group] += pending[group]
                     pending[group], held[group] = 0, 0
-                pending[group] += part.sum(axis=0, dtype=np.uint8)
+                pending[group] += part[0] if len(part) == 1 else part.sum(axis=0, dtype=np.uint8)
                 held[group] += len(part)
             positives += np.count_nonzero(positive[:, rows], axis=1)
             done = stop
@@ -218,9 +215,9 @@ def majority_attack_direct(n: int, k: int, noise_stddev: float | None = None,
     standard deviation of Gaussian noise applied to the risk-scale feedback;
     the correlation scale spans [-1, 1] instead of [0, 1], so internally the
     answers receive noise of twice that standard deviation. This is the
-    one-cell case of the grid the vary experiments run, and votes in float32,
-    so k must stay below 2^24; the correlations are exact integer counts for
-    any n.
+    one-cell case of the grid the vary experiments run, the only attack that
+    votes in float32, so k must stay below 2^24 here alone; the correlations
+    are exact integer counts for any n.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -265,15 +262,15 @@ def run_random_analyst(mechanism: LeaderboardMechanism, sample: HoldoutSample,
     return released, trace
 
 
-def _vote_weight(rows: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    """One block's pointwise vote: sum(signs) - 2 (signs @ rows).
+def _sign_count(plus: np.ndarray, minus: np.ndarray) -> np.ndarray:
+    """One block's exact vote count: its 0/1 rows of sign +1 summed, less those of sign -1.
 
-    ``signs`` holds +1 (count as-is), -1 (count flipped) or 0 (exclude) per
-    row. Summed over the blocks, a negative weight means label 1; every
-    partial sum is an integer below 2^24, so the float32 product is exact.
+    Each sum runs in the narrowest type that holds its row count. Summed over
+    the blocks, with ``balance`` the sum of the signs, label 1 is where
+    2 * count > balance: there the +/-1 vote balance - 2 * count is negative.
     """
-    signs = signs.astype(np.float32)
-    return signs.sum() - 2.0 * (signs @ rows)
+    return np.subtract(*(rows.sum(axis=0, dtype=np.min_scalar_type(len(rows)))
+                         for rows in (plus, minus)), dtype=np.int64)
 
 
 def _selection_signs(answers: np.ndarray, n: int, selection: str, answered) -> np.ndarray:
@@ -314,16 +311,16 @@ def majority_attack_vs_mechanism(mechanism: LeaderboardMechanism, sample: Holdou
     _check_attack(mechanism, sample, k, selection)
     session = EvaluationSession(mechanism)
     labels = _pack(sample.hidden_labels)
-    vote = np.zeros(sample.size, dtype=np.float32)
+    count = np.zeros(sample.size, dtype=np.int64)
     answers = [np.ones(1)]  # R_0 = 1, so that the first round's change counts
-    selected = 0
+    selected = balance = 0
     for block in _query_blocks(seed, k, sample.size):
         answers.append(_submit_rows(session, block, labels, sample)[1])
         signs = _selection_signs(answers[-1], sample.size, selection, True)
-        voting = signs != 0
-        vote += _vote_weight(_unpack(block[voting], sample.size), signs[voting])
+        count += _sign_count(*(_unpack(block[signs == s], sample.size) for s in (1, -1)))
+        balance += int(signs.sum())
         selected += int(np.count_nonzero(signs == 1))
-    risks, released = _submit_rows(session, _pack(vote < 0.0)[None], labels, sample)
+    risks, released = _submit_rows(session, _pack(2 * count > balance)[None], labels, sample)
     report = AttackReport(
         final_error=float(risks[0]),
         selected_count=selected,
@@ -349,9 +346,8 @@ def shifted_majority_attack(mechanism: LeaderboardMechanism, sample: HoldoutSamp
     """
     estimator = AdaptiveEstimator(EvaluationSession(mechanism), alpha)  # checks alpha
     _check_attack(mechanism, sample, k, selection, estimator.steps_per_query)
-    labels = sample.hidden_labels.astype(np.float32)  # the rows' dtype: a cheaper compare
-    vote = np.zeros(sample.size, dtype=np.float32)
-    selected = feedback = clamped = 0
+    labels, count = sample.hidden_labels, np.zeros(sample.size, dtype=np.int64)
+    selected = balance = feedback = clamped = 0
     for block in _query_blocks(seed, k, sample.size):
         rows = _unpack(block, sample.size)
         outcomes = [estimator.answer(Query(values=(row != labels).astype(float),
@@ -359,11 +355,12 @@ def shifted_majority_attack(mechanism: LeaderboardMechanism, sample: HoldoutSamp
         answered = np.array([outcome.triggered for outcome in outcomes])
         signs = _selection_signs(np.array([outcome.answer for outcome in outcomes]),
                                  sample.size, selection, answered)
-        vote += _vote_weight(rows, signs)
+        count += _sign_count(rows[signs == 1], rows[signs == -1])
+        balance += int(signs.sum())
         selected += int(np.count_nonzero(signs == 1))
         feedback += int(np.count_nonzero(answered))
         clamped += sum(outcome.clamped for outcome in outcomes)
-    final_loss = (vote < 0.0) != labels
+    final_loss = (2 * count > balance) != labels
     final_outcome = estimator.answer(Query(values=final_loss.astype(float), population_mean=0.5))
     report = AttackReport(
         final_error=float(np.mean(final_loss)),

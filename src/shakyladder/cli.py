@@ -10,6 +10,7 @@ key the experiment does not read is therefore rejected like its flag.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import warnings
 from dataclasses import fields
@@ -41,6 +42,7 @@ _PER_REP = {"1": True, "true": True, "yes": True, "on": True,
             "0": False, "false": False, "no": False, "off": False}
 
 
+@functools.cache  # parsing leaves the parser unchanged, so one serves every call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="shakyladder",

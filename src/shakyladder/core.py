@@ -90,7 +90,7 @@ class HoldoutSample:
         labels = _as_readonly(self.hidden_labels)
         if labels.shape != (self.size,):
             raise ValueError("hidden_labels length must equal size")
-        if labels.size and not np.isin(labels, (0, 1)).all():
+        if not ((labels == 0) | (labels == 1)).all():
             raise ValueError("hidden_labels must be binary")
         object.__setattr__(self, "hidden_labels", labels)
 

@@ -113,8 +113,8 @@ class ExperimentConfig:
                 raise ValueError("k grid must be nonempty")
             if self.k_grid[0] < 0:
                 raise ValueError("k values must be >= 0")
-            if self.k_grid[-1] >= analysts.FLOAT32_EXACT:
-                raise ValueError("k must stay below 2^24, where the attack's float32 "
+            if self.experiment.startswith("vary-") and self.k_grid[-1] >= analysts.FLOAT32_EXACT:
+                raise ValueError("k must stay below 2^24, where the vector attack's float32 "
                                  "vote stops being exact")
         if self.noise_grid is not None and not self.noise_grid:
             raise ValueError("noise grid must be nonempty")

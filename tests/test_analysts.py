@@ -13,9 +13,8 @@ from shakyladder.analysts import (
     HIDDEN_STREAM,
     _attack_cells,
     _pack,
-    _query_blocks,
+    _sign_count,
     _submit_rows,
-    _vote_weight,
     majority_attack_direct,
     majority_attack_vs_mechanism,
     run_random_analyst,
@@ -233,26 +232,28 @@ class TestVote:
            cuts=st.lists(st.integers(0, 12), max_size=4))
     @settings(max_examples=100, deadline=None)
     def test_matches_loop_vote(self, k, n, seed, cuts):
-        # the per-block weights, summed over any split of the rows into
+        # the per-block sign counts, summed over any split of the rows into
         # blocks, give the label of the one-loop vote; ties and an empty
         # selection give label 0
         rng = Rng(seed)
-        preds = rng.integers(0, 2, (k, n), dtype=np.int8)
+        preds = rng.integers(0, 2, (k, n), dtype=np.int8).astype(np.uint8)
         signs = rng.integers(-1, 2, k, dtype=np.int8)
         weights = [sum(int(s) * (1 - 2 * int(p)) for s, p in zip(signs, preds[:, j]))
                    for j in range(n)]
         bounds = [0, *sorted(min(cut, k) for cut in cuts), k]
-        vote = np.zeros(n, dtype=np.float32)
+        count = np.zeros(n, dtype=np.int64)
         for start, stop in zip(bounds, bounds[1:]):
-            vote += _vote_weight(preds[start:stop].astype(np.float32), signs[start:stop])
-        assert (vote < 0).astype(int).tolist() == [int(w < 0) for w in weights]
+            rows, block_signs = preds[start:stop], signs[start:stop]
+            count += _sign_count(rows[block_signs == 1], rows[block_signs == -1])
+        assert (2 * count > int(signs.sum())).astype(int).tolist() == [int(w < 0)
+                                                                       for w in weights]
 
     @pytest.mark.parametrize("shape", [(2**24, 1), (2**24 + 5, 2**24)])
     def test_float32_bound_checked(self, shape, no_draws):
-        # the reader checks k before it draws a query
+        # only the vector grid votes in float32; it checks k before it draws a query
         k, n = shape
         with pytest.raises(ValueError, match="2\\^24"):
-            _query_blocks(0, k, n)
+            _attack_cells(n, (k,), (0.0,), 0)
 
 
 class TestRiskProduct:
@@ -347,19 +348,23 @@ class TestBlockIndependence:
 def test_attack_memory_does_not_grow_with_k():
     # the attack holds one query block, not the k x n matrix: at n = 5000 a
     # 5000-query matrix alone would take 25 MB as bytes, 100 MB as float32
-    n = 5000
-
-    def peak(k):
+    def peak(n, k, selection="theorem"):
         sample = make_random_label_sample(n, 8)
         tracemalloc.start()
         try:
-            majority_attack_vs_mechanism(ExactEmpiricalOracle(record=False), sample, k, 8)
+            majority_attack_vs_mechanism(ExactEmpiricalOracle(record=False), sample, k, 8,
+                                         selection)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    small, large = peak(500), peak(5000)
+    small, large = peak(5000, 500), peak(5000, 5000)
     assert large < 1.2 * small + 256 * 1024, (small, large)
+    # with direct selection every row votes: per block its +1 and its -1 rows
+    # unpacked to uint8 (about 1 MB together at n = 10^4) and their integer
+    # sums; a float32 copy of the block alone would take 4 MB
+    direct = peak(10**4, 5000, "direct")
+    assert direct < 2 * 2**20, direct
 
     # the vector attack's grid holds one block as uint8 bits (1 MB), and per
     # threshold group a float32 count row and a uint8 pending row (16 x 200
@@ -381,6 +386,27 @@ def test_attack_memory_does_not_grow_with_k():
 
 
 class TestAttackVsMechanism:
+    @pytest.mark.parametrize("label", [0, 1])
+    def test_sign_counts_do_not_overflow(self, label, monkeypatch):
+        # all-ones query rows and constant labels: every row has risk 0 or 1,
+        # so under direct selection all 300 rows of the one block vote with
+        # the same sign. Each column then sums to 300, which a uint8 sum would
+        # wrap to 44, flipping every label. The attack needs k <= n, so a
+        # block holds more than 255 rows only from n = 256 up.
+        n = k = 300
+        labels = np.full(n, label, dtype=np.uint8)
+        sample = HoldoutSample(size=n, hidden_labels=labels, seed=0)
+        ones = _pack(np.ones(n, dtype=np.uint8))
+        monkeypatch.setattr(Rng, "bit_rows", lambda self, rows, n: np.tile(ones, (rows, 1)))
+        report, _ = majority_attack_vs_mechanism(ExactEmpiricalOracle(record=False), sample, k,
+                                                 0, selection="direct")
+        rows = np.ones((k, n), dtype=np.uint8)
+        signs = [1 if np.mean(row != labels) < 0.5 else -1 for row in rows]
+        votes = [sum(s * (1 - 2 * int(b)) for s, b in zip(signs, rows[:, j])) for j in range(n)]
+        final = np.array([int(vote < 0) for vote in votes])
+        assert report.final_error == float(np.mean(final != labels)) == 0.0
+        assert report.selected_count == signs.count(1) == k * label
+
     def test_rejects_k_above_n(self):
         sample = make_random_label_sample(10, 0)
         with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from shakyladder import cli
 from shakyladder.cli import cli_main
 
 BASE = ["--experiment", "vary-queries", "--n", "400", "--k", "20,50",
@@ -106,6 +107,18 @@ def test_per_rep_flag(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0].endswith("max_noise_L")
     assert len(lines) == 1 + 6 * 5
+
+
+def test_consecutive_calls_share_no_state(tmp_path):
+    # one parser serves every call in a process: a --per-rep run must not
+    # leave the next run's header with the per-rep columns
+    per_rep, plain = tmp_path / "per_rep.csv", tmp_path / "plain.csv"
+    assert cli._build_parser() is cli._build_parser()
+    assert cli_main(BASE + ["--per-rep", "--out", str(per_rep)]) == 0
+    assert cli_main(BASE + ["--out", str(plain)]) == 0
+    assert per_rep.read_text().splitlines()[0].endswith("max_noise_L")
+    assert plain.read_text().splitlines()[0] == ("experiment,mechanism,n,k,noise_multiplier,"
+                                                 "rep_count,mean_error,std_error")
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"

@@ -181,3 +181,14 @@ def test_holdout_sample_validation():
         HoldoutSample(size=2, hidden_labels=np.array([0, 2]), seed=0)
     with pytest.raises(ValueError):
         HoldoutSample(size=3, hidden_labels=np.array([0, 1]), seed=0)
+
+
+@pytest.mark.parametrize("labels", [[True, False, True], [0.0, 1.0, 1.0], [1, 0, 0]])
+def test_holdout_sample_accepts_binary_labels(labels):
+    assert HoldoutSample(size=3, hidden_labels=np.array(labels), seed=0).size == 3
+
+
+@pytest.mark.parametrize("bad", [2, -1, 0.5, math.nan])
+def test_holdout_sample_rejects_non_binary_labels(bad):
+    with pytest.raises(ValueError, match="binary"):
+        HoldoutSample(size=3, hidden_labels=np.array([0, 1, bad]), seed=0)
