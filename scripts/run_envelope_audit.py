@@ -2,8 +2,9 @@
 """Audit the randomized ladder's error envelope under the majority attack.
 
 Runs the selection-mode attack against the mechanism across a k grid and
-reports, per repetition, the leaderboard error together with the envelope
-18 eps sqrt(B) + lam + 2L recomputed from the trace. Writes a per-rep CSV.
+writes a per-rep CSV with each repetition's leaderboard error (lberr), update
+count B and max noise magnitude L. The envelope checked is
+18 eps sqrt(B) + lam + 2L, with eps and lam from shaky_params(n, k+1, beta).
 
 Usage: python scripts/run_envelope_audit.py [--n N] [--k K1,K2,...] [--reps R]
 """

@@ -103,8 +103,9 @@ def _query_blocks(seed: int | tuple[int, ...], k: int, n: int):
 
 def _pack(bits: np.ndarray) -> np.ndarray:
     """A 0/1 vector as one row of the ``Rng.bit_rows`` layout."""
-    packed = np.packbits(bits, bitorder="little")
-    return np.pad(packed, (0, -packed.size % 8)).view("<u8")
+    words = np.zeros(-(-len(bits) // 64) * 8, dtype=np.uint8)
+    words[:-(-len(bits) // 8)] = np.packbits(bits, bitorder="little")
+    return words.view("<u8")
 
 
 def _unpack(block: np.ndarray, n: int) -> np.ndarray:

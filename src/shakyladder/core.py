@@ -115,7 +115,6 @@ class Trace:
     population_risks: np.ndarray
     noise: np.ndarray
     initial_noise: float = 0.0
-    params: object | None = None
 
     def __post_init__(self):
         for name in ("empirical_risks", "released", "population_risks", "noise"):
@@ -187,14 +186,13 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def write_trace_csv(trace: Trace, path, clamp_releases: bool = False) -> None:
+def write_trace_csv(trace: Trace, path) -> None:
     """Serialize a trace as CSV with one row per round.
 
     Columns: round, empirical_risk, released, population_risk, updated,
     noise1, noise2, noise3 (missing draws are blank). UTF-8, LF endings,
-    17 significant digits. ``clamp_releases`` applies the presentation-layer
-    clamp into [0, 1] to the released column only; mechanism state is never
-    clamped.
+    17 significant digits. Releases are written unclamped, as the mechanism
+    made them.
     """
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
@@ -205,8 +203,6 @@ def write_trace_csv(trace: Trace, path, clamp_releases: bool = False) -> None:
         rows = zip(trace.empirical_risks.tolist(), trace.released.tolist(),
                    trace.population_risks.tolist(), trace.updated.tolist(), trace.noise.tolist())
         for index, (empirical, released, population, updated, draws) in enumerate(rows, start=1):
-            if clamp_releases:
-                released = clamp_release(released)
             writer.writerow(
                 [index, _fmt(empirical), _fmt(released), _fmt(population), int(updated),
                  *("" if math.isnan(d) else _fmt(d) for d in draws)]

@@ -150,7 +150,8 @@ class LeaderboardMechanism:
     #: Whether the decision reads the loss vector itself rather than its mean;
     #: such a mechanism has no :meth:`submit_risk`.
     needs_loss_vector = False
-    #: Parameter set recorded on traces; only the randomized ladder has one.
+    #: Parameter set that fixes n for :meth:`check_size`; only the randomized
+    #: ladder has one.
     params: MechanismParams | None = None
 
     def __init__(self, max_rounds: int | None = None, record: bool = True):
@@ -195,7 +196,7 @@ class LeaderboardMechanism:
             population_risks = np.full(self.round, math.nan)
         return Trace(empirical_risks=rows[:, 0], released=rows[:, 1],
                      population_risks=population_risks, noise=rows[:, 2:],
-                     initial_noise=self.initial_noise, params=self.params)
+                     initial_noise=self.initial_noise)
 
     def check_size(self, n: int) -> None:
         """Reject a holdout of n points where the parameters fix another n."""
@@ -242,44 +243,34 @@ SCAN_BLOCK = 1024
 
 
 class IncumbentLadder(LeaderboardMechanism):
-    """A ladder whose release changes only when a submission beats ``best``.
+    """A ladder whose release changes only when a submission beats the
+    incumbent, its ``last_release``.
 
-    Between such successes every round releases ``best`` again, so
+    Between such successes every round releases the incumbent again, so
     :meth:`submit_risks` finds the next success with one vector comparison
-    per pass and closes the rounds up to it in bulk: O(updates) passes
-    instead of one Python round each. Subclasses give the comparison of a
-    block of rounds (``_successes``), the scalar update on a success
-    (``_succeed``) and the rounds' noise magnitudes (``_draws``), each
-    evaluated in the same order as their :meth:`submit_risk`.
+    per pass, closes the stale rounds before it in bulk and runs the success
+    itself through :meth:`submit_risk`: O(updates) passes instead of one
+    Python round each. Subclasses give the comparison of a block of rounds
+    (``_successes``), evaluated in the same order as their
+    :meth:`submit_risk`, and the rounds' noise magnitudes (``_draws``).
     """
 
     def _successes(self, risks: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def _succeed(self, risk: float, round_index: int) -> float:
-        raise NotImplementedError
-
     def _draws(self, count: int) -> np.ndarray | None:
         return None
 
-    def _record_block(self, risks: np.ndarray, released: np.ndarray,
-                      draws: np.ndarray | None) -> None:
-        """Close consecutive rounds at once, as :meth:`_record` would one by one.
-
-        Every release but the last equals ``last_release``: the block ends at
-        the first success. ``draws`` holds each round's three noise magnitudes.
-        """
-        self.round += len(released)
-        last = float(released[-1])
-        if last < self.last_release:
-            self.update_count += 1
-        self.last_release = last
+    def _record_stale(self, risks: np.ndarray, draws: np.ndarray | None) -> None:
+        """Close rounds that repeat ``last_release``, as :meth:`_record` would
+        one by one. ``draws`` holds each round's three noise magnitudes."""
+        self.round += len(risks)
         if draws is not None:
             self.max_noise_magnitude = max(self.max_noise_magnitude, float(draws.max()))
         if self.records_trace:
-            rows = np.full((len(released), 5), math.nan)
+            rows = np.full((len(risks), 5), math.nan)
             rows[:, 0] = risks
-            rows[:, 1] = released
+            rows[:, 1] = self.last_release
             if draws is not None:
                 rows[:, 2:] = draws
             self._rows.frombytes(rows.tobytes())
@@ -294,17 +285,18 @@ class IncumbentLadder(LeaderboardMechanism):
         t = 0
         while t < limit:
             # A stale release already below ``stop`` ends the scan after one round.
-            end = t + 1 if self.best < stop else min(limit, t + SCAN_BLOCK)
+            end = t + 1 if self.last_release < stop else min(limit, t + SCAN_BLOCK)
             hits = self._successes(risks[t:end])
             j = t + int(hits.argmax())
-            if hits[j - t]:
-                released[t:j] = self.best
-                released[j] = self._succeed(float(risks[j]), self.round + j - t)
-                end = j + 1
-            else:
-                released[t:end] = self.best
-            self._record_block(risks[t:end], released[t:end], self._draws(end - t))
-            t = end
+            if not hits[j - t]:
+                j = end
+            if j > t:
+                self._record_stale(risks[t:j], self._draws(j - t))
+                released[t:j] = self.last_release
+            if j < end:
+                released[j] = self.submit_risk(float(risks[j]))
+                j += 1
+            t = j
             if released[t - 1] < stop:
                 return released[:t]
         if t < len(risks):
@@ -322,16 +314,17 @@ class ShakyLadder(IncumbentLadder):
         else:
             release R_{t-1}
 
-    The comparison is strict; ties do not update. The update counter follows
-    the released sequence (release strictly below the previous one), while
-    the internal best is reassigned on every comparison success even in the
-    measure-small event that noise pushes the new release above the old one.
+    The comparison is strict; ties do not update. The incumbent R_{t-1} is
+    the last release, replaced on every comparison success even in the
+    measure-small event that noise pushes the new release above the old one;
+    the update counter counts only releases strictly below the previous one.
     A full k-round run draws exactly 3k+1 Laplace variables, counting the
-    initial threshold noise, all up front as one vector; round t (from 0)
-    reads entries 3t+1 to 3t+3. The vector equals the sequence of scalar
-    draws from the same stream (see :func:`~shakyladder.noise.laplace`).
-    ``sigma = 0`` is the zero-noise mechanism: every variable is 0 and
-    nothing is drawn, which reduces it to :class:`Ladder` with eta = lam.
+    initial threshold noise, all up front as one vector; ``_round_noise`` is
+    its k x 3 view after the first entry, with row t (from 0) holding xi_t,
+    xi'_t and xi''_t. The vector equals the sequence of scalar draws from the
+    same stream (see :func:`~shakyladder.noise.laplace`). ``sigma = 0`` is the
+    zero-noise mechanism: every variable is 0 and nothing is drawn, which
+    reduces it to :class:`Ladder` with eta = lam.
     """
 
     name = "shaky"
@@ -342,38 +335,27 @@ class ShakyLadder(IncumbentLadder):
         self.params = params
         self.rng = Rng(seed, MECHANISM_STREAM)
         size = 3 * params.k + 1
-        self._noise = laplace(self.rng, params.sigma, size) if params.sigma else np.zeros(size)
-        self._noise_cmp = self._noise[1::3]  # xi_t of round t
-        self.best = 1.0
-        self.threshold_noise = float(self._noise[0])
+        noise = laplace(self.rng, params.sigma, size) if params.sigma else np.zeros(size)
+        self._round_noise = noise[1:].reshape(params.k, 3)
+        self.threshold_noise = float(noise[0])
         self.initial_noise = self.max_noise_magnitude = abs(self.threshold_noise)
 
     def submit_risk(self, risk: float) -> float:
         self._check_budget()
-        start = 3 * self.round + 1
-        noise_cmp, noise_rel, noise_thr = self._noise[start:start + 3].tolist()
-        if risk + noise_cmp < self.best - self.params.lam + self.threshold_noise:
+        noise_cmp, noise_rel, noise_thr = self._round_noise[self.round].tolist()
+        if risk + noise_cmp < self.last_release - self.params.lam + self.threshold_noise:
             released = risk + noise_rel
             self.threshold_noise = noise_thr
-            self.best = released
         else:
-            released = self.best
+            released = self.last_release
         return self._record(risk, released, (abs(noise_cmp), abs(noise_rel), abs(noise_thr)))
 
     def _successes(self, risks: np.ndarray) -> np.ndarray:
-        noise_cmp = self._noise_cmp[self.round:self.round + len(risks)]
-        return risks + noise_cmp < self.best - self.params.lam + self.threshold_noise
-
-    def _succeed(self, risk: float, round_index: int) -> float:
-        start = 3 * round_index + 2
-        noise_rel, noise_thr = self._noise[start:start + 2].tolist()
-        self.threshold_noise = noise_thr
-        self.best = risk + noise_rel
-        return self.best
+        noise_cmp = self._round_noise[self.round:self.round + len(risks), 0]
+        return risks + noise_cmp < self.last_release - self.params.lam + self.threshold_noise
 
     def _draws(self, count: int) -> np.ndarray:
-        start = 3 * self.round + 1
-        return np.abs(self._noise[start:start + 3 * count]).reshape(count, 3)
+        return np.abs(self._round_noise[self.round:self.round + count])
 
 
 @dataclass(frozen=True)
@@ -404,29 +386,20 @@ class Ladder(IncumbentLadder):
                  record: bool = True):
         super().__init__(max_rounds=max_rounds, record=record)
         self.config = config
-        self.best = 1.0
 
     def submit_risk(self, risk: float) -> float:
         self._check_budget()
-        if risk < self.best - self.config.eta:
+        if risk < self.last_release - self.config.eta:
             if self.config.rounding == "multiples-of-eta":
                 released = round(risk / self.config.eta) * self.config.eta
             else:
                 released = risk
-            self.best = released
         else:
-            released = self.best
+            released = self.last_release
         return self._record(risk, released)
 
     def _successes(self, risks: np.ndarray) -> np.ndarray:
-        return risks < self.best - self.config.eta
-
-    def _succeed(self, risk: float, round_index: int) -> float:
-        if self.config.rounding == "multiples-of-eta":
-            self.best = round(risk / self.config.eta) * self.config.eta
-        else:
-            self.best = risk
-        return self.best
+        return risks < self.last_release - self.config.eta
 
 
 class ParameterFreeLadder(LeaderboardMechanism):
@@ -515,16 +488,11 @@ class PopulationMinOracle(LeaderboardMechanism):
     name = "population-min"
     needs_population_risk = True
 
-    def __init__(self, max_rounds: int | None = None, record: bool = True):
-        super().__init__(max_rounds=max_rounds, record=record)
-        self.best = 1.0
-
     def submit_risk(self, risk: float, population_risk: float | None = None) -> float:
         if population_risk is None:
             raise ValueError("population-min oracle requires the population risk")
         self._check_budget()
-        self.best = min(self.best, float(population_risk))
-        return self._record(risk, self.best)
+        return self._record(risk, min(self.last_release, float(population_risk)))
 
 
 MECHANISM_NAMES = ("shaky", "ladder", "pf-ladder", "empirical", "noisy", "population-min")

@@ -9,6 +9,7 @@ from shakyladder.core import (
     HoldoutSample,
     SubmittedModel,
     Trace,
+    clamp_release,
     empirical_risk,
     make_random_label_sample,
     model_from_predictions,
@@ -167,13 +168,14 @@ def test_trace_csv_schema(tmp_path):
 
 
 def test_trace_csv_presentation_clamp(tmp_path):
+    # The CSV keeps the raw release; clamping is left to whoever displays it.
     trace = build_trace([0.5], [1.02], empirical=[0.99], draws=[(0.05,)])
     raw = tmp_path / "raw.csv"
-    clamped = tmp_path / "clamped.csv"
     write_trace_csv(trace, raw)
-    write_trace_csv(trace, clamped, clamp_releases=True)
-    assert raw.read_text().splitlines()[1].split(",")[2] == "1.02"
-    assert clamped.read_text().splitlines()[1].split(",")[2] == "1"
+    written = raw.read_text().splitlines()[1].split(",")[2]
+    assert written == "1.02"
+    assert clamp_release(float(written)) == 1.0
+    assert clamp_release(-0.01) == 0.0
 
 
 def test_holdout_sample_validation():

@@ -502,3 +502,52 @@ def test_submit_risks_equals_the_round_loop(name, batches, budget, record, varia
             assert getattr(scan, counter) == getattr(loop, counter), counter
         if record:
             assert_same_trace(scan.trace(), loop.trace())
+
+
+@pytest.mark.parametrize("name", ["ladder", "shaky"])
+@given(
+    batches=st.lists(st.tuples(st.lists(st.one_of(_TIE_RISK, st.floats(0.0, 1.0)), max_size=40),
+                               st.one_of(st.none(), _TIE_RISK, st.floats(0.0, 1.0))),
+                     max_size=4),
+    variant=st.booleans(),
+    seed=st.integers(0, 2**32),
+)
+@settings(max_examples=100, deadline=None)
+def test_scan_runs_each_success_through_submit_risk(name, batches, variant, seed):
+    # The scan only finds the next comparison success: submit_risk runs it,
+    # once per success, and every comparison, within a batch and after it,
+    # reads the incumbent from last_release. Ties and ``variant`` as above.
+    if name == "shaky":
+        params = off_regime_params(n=8, k=200, lam=0.125, sigma=0.0 if variant else 0.05)
+        mech = ShakyLadder(params, seed=seed)
+        noise, threshold = mech._round_noise, mech.threshold_noise
+    else:
+        config = LadderConfig(eta=0.125, rounding="multiples-of-eta" if variant else "none")
+        mech = Ladder(config, max_rounds=200)
+        noise, threshold = np.zeros((200, 3)), 0.0
+    calls = []
+    run_round = mech.submit_risk
+
+    def counted(risk):
+        calls.append(mech.round)
+        return run_round(risk)
+
+    mech.submit_risk = counted
+    successes = 0
+    for risks, stop_below in batches:
+        calls.clear()
+        incumbent, first = mech.last_release, mech.round
+        released = mech.submit_risks(np.array(risks), stop_below=stop_below)
+        expected = []
+        for t, (risk, out) in enumerate(zip(risks, released.tolist()), start=first):
+            if risk + noise[t, 0] < incumbent - 0.125 + threshold:
+                expected.append(t)
+                threshold = noise[t, 2]
+            else:
+                assert out == incumbent
+            incumbent = out
+        assert calls == expected
+        assert incumbent == mech.last_release
+        successes += len(expected)
+    if name == "ladder" or variant:  # every success then releases below the incumbent
+        assert successes == mech.update_count
