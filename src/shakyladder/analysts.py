@@ -130,10 +130,11 @@ def _attack_cells(n: int, k_grid, noise_stddevs,
     A query's sign is monotone in the noise scale, so over the L levels in
     ascending scale its positive levels are a prefix (z <= 0) or a suffix
     (z > 0): its threshold group is ``up`` or ``2L+1-up`` for ``up``
-    positive levels, and level j is positive on groups j+1 .. L+1+j. Per
-    segment the rows are sorted by group, unpacked to uint8 and summed per
-    group into a uint8 pending row, flushed into the group's float32 counts
-    before it would hold more than ``PENDING_ROWS`` rows. With 0/1 bits b
+    positive levels, and level j is positive on groups j+1 .. L+1+j. A
+    segment, at most ``PENDING_ROWS`` rows of one block up to the next k, has
+    its rows sorted by group, unpacked to uint8 and summed per group into a
+    uint8 pending row, flushed into the group's float32 counts before it
+    would hold more than ``PENDING_ROWS`` rows. With 0/1 bits b
     and signs s, (+/-1 group signs) @ (counts + pending) is s @ b per level;
     at each k the vote is negative where s @ b > pos - k/2, computed
     ``VOTE_COLUMNS`` columns at a time. Every sum is an integer below 2^24,
@@ -177,16 +178,13 @@ def _attack_cells(n: int, k_grid, noise_stddevs,
                 up = np.count_nonzero(positive, axis=0)
                 groups = np.where(noise > 0.0, 2 * levels + 1 - up, up)
                 block_start, block_end = done, done + len(block)
-            stop = min(k, block_end)
+            stop = min(k, block_end, done + PENDING_ROWS)
             rows = slice(done - block_start, stop - block_start)
             sizes = np.bincount(groups[rows], minlength=len(held))
             present = np.flatnonzero(sizes)
             bits = _unpack(block[rows][np.argsort(groups[rows], kind="stable")], n)
             for group, part in zip(present.tolist(),
                                    np.split(bits, np.cumsum(sizes[present])[:-1])):
-                if len(part) > PENDING_ROWS:  # too many rows for a uint8 sum: add directly
-                    counts[group] += part.sum(axis=0, dtype=np.min_scalar_type(len(part)))
-                    continue
                 if held[group] + len(part) > PENDING_ROWS:
                     counts[group] += pending[group]
                     pending[group], held[group] = 0, 0
@@ -347,24 +345,24 @@ def shifted_majority_attack(mechanism: LeaderboardMechanism, sample: HoldoutSamp
     """
     estimator = AdaptiveEstimator(EvaluationSession(mechanism), alpha)  # checks alpha
     _check_attack(mechanism, sample, k, selection, estimator.steps_per_query)
-    labels, count = sample.hidden_labels, np.zeros(sample.size, dtype=np.int64)
+    labels, count = _pack(sample.hidden_labels), np.zeros(sample.size, dtype=np.int64)
     selected = balance = feedback = clamped = 0
     for block in _query_blocks(seed, k, sample.size):
-        rows = _unpack(block, sample.size)
-        outcomes = [estimator.answer(Query(values=(row != labels).astype(float),
-                                           population_mean=0.5)) for row in rows]
+        outcomes = [estimator.answer(Query(values=loss, population_mean=0.5))
+                    for loss in _unpack(block ^ labels, sample.size)]
         answered = np.array([outcome.triggered for outcome in outcomes])
         signs = _selection_signs(np.array([outcome.answer for outcome in outcomes]),
                                  sample.size, selection, answered)
-        count += _sign_count(rows[signs == 1], rows[signs == -1])
+        count += _sign_count(*(_unpack(block[signs == s], sample.size) for s in (1, -1)))
         balance += int(signs.sum())
         selected += int(np.count_nonzero(signs == 1))
         feedback += int(np.count_nonzero(answered))
         clamped += sum(outcome.clamped for outcome in outcomes)
-    final_loss = (2 * count > balance) != labels
-    final_outcome = estimator.answer(Query(values=final_loss.astype(float), population_mean=0.5))
+    final = _pack(2 * count > balance)[None]
+    final_outcome = estimator.answer(Query(values=_unpack(final ^ labels, sample.size)[0],
+                                           population_mean=0.5))
     report = AttackReport(
-        final_error=float(np.mean(final_loss)),
+        final_error=float(_mismatches(final, labels)[0] / sample.size),
         selected_count=selected,
         queries_issued=k + 1,
         feedback_received=feedback,

@@ -1,14 +1,15 @@
 """Experiment grids, deterministic repetition seeding, and CSV emission.
 
-Each repetition is a pure function of (seed, rep) via sub-stream derivation,
-so the grid runners share model draws across cells by construction: the
-noise-multiplier-zero cell of one experiment equals the no-noise cell of
-another on identical seeds, repetitions can run in any order, and reruns are
-byte-identical. The vector-attack grids evaluate every (k, noise) cell of a
-repetition in one blocked pass over its query stream, in memory O(block * n)
-plus a float32 count row and a uint8 pending row of n per threshold group
-(2 per noise level, plus 2) rather than O(max(k) * n); every cell equals a
-standalone ``majority_attack_direct`` call with the matching sub-stream seed.
+One table, ``_READS``, fixes the options each experiment reads and their
+defaults; a config holds each read option's effective value, the noise grid
+included. Each repetition is a pure function of (seed, rep) via sub-stream
+derivation, so the grid runners share model draws across cells by
+construction: the noise-multiplier-zero cell of one experiment equals the
+no-noise cell of another on identical seeds, repetitions can run in any
+order, and reruns are byte-identical. The vector-attack grids evaluate every
+(k, noise) cell of a repetition in one blocked pass over its query stream
+(``analysts._attack_cells``); every cell equals a standalone
+``majority_attack_direct`` call with the matching sub-stream seed.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ import numpy as np
 from . import analysts
 from .audit import EvaluationSession, envelope_check, leaderboard_error
 from .core import make_random_label_sample
-from .mechanisms import (LadderConfig, PopulationMinOracle, ShakyLadder, _regime_params,
-                         make_mechanism, shaky_params)
+from .mechanisms import (MECHANISM_NAMES, LadderConfig, PopulationMinOracle, ShakyLadder,
+                         _regime_params, make_mechanism, shaky_params)
 from .noise import Rng
 from .reduction import AdaptiveEstimator, Query
 
@@ -43,10 +44,6 @@ __all__ = [
     "experiment_csv",
 ]
 
-EXPERIMENTS = (
-    "vary-queries", "vary-noise", "envelope", "reduction-oracle", "attack-vs-mechanism",
-)
-
 DEFAULT_K_GRID = tuple(range(100, 1001, 100))
 VARY_QUERIES_NOISE_GRID = (0.0, 1.0, 3.0)
 VARY_NOISE_GRID = (0.0, 0.5, 1.0, 2.0, 3.0, 4.0, 5.0)
@@ -54,13 +51,23 @@ VARY_NOISE_GRID = (0.0, 0.5, 1.0, 2.0, 3.0, 4.0, 5.0)
 CSV_HEADER = "experiment,mechanism,n,k,noise_multiplier,rep_count,mean_error,std_error"
 PER_REP_COLUMNS = "rep,final_error,lberr,updates_B,max_noise_L"
 
-
-#: The fields only some experiments read, with their command-line flags.
+#: The fields only some runs read, with their command-line flags.
 _OPTION_FLAGS = {"k_grid": "--k", "noise_grid": "--noise", "mechanism": "--mechanism",
                  "beta": "--beta", "eta": "--eta", "alpha": "--alpha"}
-#: Defaults of those fields where they are read (the noise grid's depend on the run).
-_OPTION_DEFAULTS = {"k_grid": DEFAULT_K_GRID, "mechanism": "shaky", "beta": 0.1,
-                    "eta": 0.01, "alpha": 0.05}
+#: What each run reads: per experiment, the fields of ``_OPTION_FLAGS`` it
+#: reads and their defaults; under ``"by mechanism"``, the ones that
+#: attack-vs-mechanism adds for its mechanism.
+_READS = {
+    "vary-queries": {"k_grid": DEFAULT_K_GRID, "noise_grid": VARY_QUERIES_NOISE_GRID},
+    "vary-noise": {"k_grid": DEFAULT_K_GRID, "noise_grid": VARY_NOISE_GRID},
+    "envelope": {"k_grid": DEFAULT_K_GRID, "beta": 0.1},
+    "reduction-oracle": {"alpha": 0.05},
+    "attack-vs-mechanism": {"k_grid": DEFAULT_K_GRID, "mechanism": "shaky", "by mechanism": {
+        "shaky": {"beta": 0.1}, "ladder": {"eta": 0.01},
+        "noisy": {"noise_grid": VARY_QUERIES_NOISE_GRID}}},
+}
+
+EXPERIMENTS = tuple(_READS)
 
 
 @dataclass(frozen=True)
@@ -70,10 +77,12 @@ class ExperimentConfig:
     Noise values are multipliers of 1/sqrt(n), applied to risk-scale
     feedback; absolute standard deviations are computed at run time.
 
-    The fields in ``_OPTION_FLAGS`` are read only by some runs (see
-    :meth:`_read_options`). One the run reads takes its default when left
-    ``None``; one it does not read must stay ``None`` and is rejected when
-    given, so that a config never claims a setting that did not apply.
+    One table, ``_READS``, fixes which of the optional fields each run reads.
+    A read field left ``None`` takes its default there, the noise grid
+    included, so a config holds the effective value of every setting its run
+    uses; an unread field must stay ``None`` and is rejected when given, so
+    that a config never claims a setting that did not apply. Each field's
+    check runs wherever the field is set.
     """
 
     experiment: str
@@ -89,69 +98,61 @@ class ExperimentConfig:
     per_rep: bool = False
 
     def __post_init__(self):
-        # Sorted tuples of distinct values (+ 0.0 folds -0.0 into 0.0): one cell each.
-        if self.k_grid is not None:
-            object.__setattr__(self, "k_grid", tuple(sorted(set(self.k_grid))))
-        if self.noise_grid is not None:
-            object.__setattr__(self, "noise_grid", tuple(sorted({m + 0.0 for m in self.noise_grid})))
-        if self.experiment not in EXPERIMENTS:
+        if self.experiment not in _READS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
-        read = self._read_options()
+        reads = dict(_READS[self.experiment])
+        reads |= reads.pop("by mechanism", {}).get(self.mechanism or reads.get("mechanism"), {})
         unread = [flag for name, flag in _OPTION_FLAGS.items()
-                  if name not in read and getattr(self, name) is not None]
+                  if name not in reads and getattr(self, name) is not None]
         if unread:
             raise ValueError(f"{self.experiment} does not read {', '.join(unread)}")
-        for name in read:
-            if getattr(self, name) is None and name in _OPTION_DEFAULTS:
-                object.__setattr__(self, name, _OPTION_DEFAULTS[name])
+        for name, default in reads.items():
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, default)
+        ks = () if self.k_grid is None else tuple(self.k_grid)
+        for name, value in (("n", self.n), ("reps", self.reps), ("seed", self.seed),
+                            *(("k", k) for k in ks)):
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("n", "reps", "seed"):  # numpy integers as Python ints, like each k
+            object.__setattr__(self, name, int(getattr(self, name)))
+        if not isinstance(self.per_rep, bool):
+            raise ValueError(f"per_rep must be a bool, got {self.per_rep!r}")
         if self.n < 1:
             raise ValueError("n must be positive")
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
-        if self.k_grid is not None:  # every run but reduction-oracle attacks
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must lie in [0, 2^64), got {self.seed}")
+        if self.mechanism is not None and self.mechanism not in MECHANISM_NAMES:
+            raise ValueError(f"mechanism must be one of {MECHANISM_NAMES}, got {self.mechanism!r}")
+        # Sorted tuples of distinct values (+ 0.0 folds -0.0 into 0.0): one cell each.
+        if self.k_grid is not None:
+            object.__setattr__(self, "k_grid", tuple(sorted({int(k) for k in ks})))
             if not self.k_grid:
                 raise ValueError("k grid must be nonempty")
             if self.k_grid[0] < 0:
                 raise ValueError("k values must be >= 0")
-            if self.experiment.startswith("vary-") and self.k_grid[-1] >= analysts.FLOAT32_EXACT:
-                raise ValueError("k must stay below 2^24, where the vector attack's float32 "
-                                 "vote stops being exact")
-        if self.noise_grid is not None and not self.noise_grid:
-            raise ValueError("noise grid must be nonempty")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must lie in [0, 2^64), got {self.seed}")
-        if not all(math.isfinite(m) and m >= 0.0 for m in self.resolved_noise_grid()):
-            raise ValueError("noise multipliers must be finite and >= 0")
-        if self.experiment == "reduction-oracle" and not 0.0 < self.alpha <= 1.0 / 3.0:
-            raise ValueError(f"alpha must lie in (0, 1/3] to ask any query, got {self.alpha}")
-        attacked = self.experiment in ("envelope", "attack-vs-mechanism")
-        if attacked and max(self.k_grid) > self.n:
-            raise ValueError(f"the attack needs k <= n, got k={max(self.k_grid)} > n={self.n}")
-        if self.experiment == "attack-vs-mechanism" and self.mechanism == "ladder":
-            LadderConfig(eta=self.eta)  # raises on a non-positive or non-finite step
-        if self.experiment == "envelope" or (attacked and self.mechanism == "shaky"):
-            # The run's own shaky_params calls are the ones that warn.
-            for k in self.k_grid:
-                _regime_params(self.n, k + 1, self.beta)
-
-    def _read_options(self) -> tuple[str, ...]:
-        """The fields of ``_OPTION_FLAGS`` that this run reads."""
-        if self.experiment == "reduction-oracle":
-            return ("alpha",)
-        if self.experiment in ("vary-queries", "vary-noise"):
-            return ("k_grid", "noise_grid")
-        if self.experiment == "envelope":
-            return ("k_grid", "beta")
-        by_mechanism = {"shaky": ("beta",), "ladder": ("eta",), "noisy": ("noise_grid",)}
-        mechanism = self.mechanism or _OPTION_DEFAULTS["mechanism"]
-        return ("k_grid", "mechanism", *by_mechanism.get(mechanism, ()))
-
-    def resolved_noise_grid(self) -> tuple[float, ...]:
+            if self.experiment.startswith("vary-"):  # the vector attack's float32 vote
+                if self.k_grid[-1] >= analysts.FLOAT32_EXACT:
+                    raise ValueError("k must stay below 2^24, where the vector attack's "
+                                     "float32 vote stops being exact")
+            elif self.k_grid[-1] > self.n:  # an attack on a mechanism
+                raise ValueError(f"the attack needs k <= n, got k={self.k_grid[-1]} > n={self.n}")
         if self.noise_grid is not None:
-            return self.noise_grid
-        if self.experiment == "vary-noise":
-            return VARY_NOISE_GRID
-        return VARY_QUERIES_NOISE_GRID
+            object.__setattr__(self, "noise_grid",
+                               tuple(sorted({m + 0.0 for m in self.noise_grid})))
+            if not self.noise_grid:
+                raise ValueError("noise grid must be nonempty")
+            if not all(math.isfinite(m) and m >= 0.0 for m in self.noise_grid):
+                raise ValueError("noise multipliers must be finite and >= 0")
+        if self.alpha is not None and not 0.0 < self.alpha <= 1.0 / 3.0:
+            raise ValueError(f"alpha must lie in (0, 1/3] to ask any query, got {self.alpha}")
+        if self.eta is not None:
+            LadderConfig(eta=self.eta)  # raises on a non-positive or non-finite step
+        if self.beta is not None:
+            for k in self.k_grid:  # only the run's own shaky_params calls warn
+                _regime_params(self.n, k + 1, self.beta)
 
 
 @dataclass(frozen=True)
@@ -209,11 +210,10 @@ def _attack_grid(n: int, k_grid, multipliers, reps: int, seed: int):
 def run_vary(config: ExperimentConfig) -> list[CellResult]:
     """Attack error over the (k, noise multiplier) grid, for both vary
     experiments: they differ only in their default noise grid."""
-    multipliers = config.resolved_noise_grid()
-    cells = _attack_grid(config.n, config.k_grid, multipliers, config.reps, config.seed)
+    cells = _attack_grid(config.n, config.k_grid, config.noise_grid, config.reps, config.seed)
     rows = []
     for k in config.k_grid:
-        for mult in multipliers:
+        for mult in config.noise_grid:
             reps = tuple(RepResult(final_error=e) for e in cells[(k, mult)])
             rows.append(CellResult(config.experiment, "direct", config.n, k, mult, reps))
     return rows
@@ -268,14 +268,13 @@ def run_reduction_oracle(config: ExperimentConfig) -> list[CellResult]:
             final_error=worst, lberr=leaderboard_error(trace),
             updates=float(trace.update_count), max_noise=0.0,
         ))
-    row = CellResult(config.experiment, "population-min", config.n,
-                     queries_per_session, 0.0, tuple(reps))
-    return [row]
+    return [CellResult(config.experiment, "population-min", config.n,
+                       queries_per_session, 0.0, tuple(reps))]
 
 
 def run_attack_vs_mechanism(config: ExperimentConfig) -> list[CellResult]:
     """Majority attack against a configured mechanism across the k grid."""
-    multipliers = config.resolved_noise_grid() if config.mechanism == "noisy" else (0.0,)
+    multipliers = config.noise_grid or (0.0,)
     rows = []
     for k in config.k_grid:
         for mult in multipliers:

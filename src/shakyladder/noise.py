@@ -104,15 +104,10 @@ def laplace(rng: Rng, scale: float, size=None):
     """
     if not 0.0 < scale < math.inf:  # NaN fails too
         raise ValueError(f"scale must be positive and finite, got {scale}")
-    if size is None:
-        v = rng.random()
-        while v == 0.0:  # measure-zero endpoint would map to +inf
-            v = rng.random()
-        u = 0.5 - v
-        # same numpy ops as the vector path so scalar draws equal vector prefixes
-        return float(-scale * np.sign(u) * np.log1p(-2.0 * abs(u)))
+    if size is None:  # one draw of the vector path, so scalar draws equal vector prefixes
+        return float(laplace(rng, scale, 1)[0])
     v = rng.random(size)
-    mask = v == 0.0
+    mask = v == 0.0  # measure-zero endpoint would map to +inf
     while np.any(mask):
         v[mask] = rng.random(int(np.count_nonzero(mask)))
         mask = v == 0.0

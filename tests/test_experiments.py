@@ -11,6 +11,8 @@ from shakyladder import analysts
 from shakyladder.analysts import majority_attack_direct
 from shakyladder.experiments import (
     DEFAULT_K_GRID,
+    EXPERIMENTS,
+    _RUNNERS,
     _attack_grid,
     ExperimentConfig,
     VARY_NOISE_GRID,
@@ -25,6 +27,29 @@ from shakyladder.experiments import (
 )
 
 
+#: A valid value of each option some runs do not read.
+OPTION_VALUES = {"k_grid": (10,), "noise_grid": (1.0,), "mechanism": "ladder",
+                 "beta": 0.1, "eta": 0.01, "alpha": 0.05}
+K_DEFAULT = (100, 200, 300, 400, 500, 600, 700, 800, 900, 1000)
+#: Per run, the options it reads and their documented defaults.
+READ_CASES = [
+    ("vary-queries", None, {"k_grid": K_DEFAULT, "noise_grid": (0.0, 1.0, 3.0)}),
+    ("vary-noise", None, {"k_grid": K_DEFAULT,
+                          "noise_grid": (0.0, 0.5, 1.0, 2.0, 3.0, 4.0, 5.0)}),
+    ("envelope", None, {"k_grid": K_DEFAULT, "beta": 0.1}),
+    ("reduction-oracle", None, {"alpha": 0.05}),
+    ("attack-vs-mechanism", None, {"k_grid": K_DEFAULT, "mechanism": "shaky", "beta": 0.1}),
+    ("attack-vs-mechanism", "shaky", {"k_grid": K_DEFAULT, "mechanism": "shaky", "beta": 0.1}),
+    ("attack-vs-mechanism", "ladder", {"k_grid": K_DEFAULT, "mechanism": "ladder", "eta": 0.01}),
+    ("attack-vs-mechanism", "pf-ladder", {"k_grid": K_DEFAULT, "mechanism": "pf-ladder"}),
+    ("attack-vs-mechanism", "empirical", {"k_grid": K_DEFAULT, "mechanism": "empirical"}),
+    ("attack-vs-mechanism", "noisy", {"k_grid": K_DEFAULT, "mechanism": "noisy",
+                                      "noise_grid": (0.0, 1.0, 3.0)}),
+    ("attack-vs-mechanism", "population-min", {"k_grid": K_DEFAULT,
+                                               "mechanism": "population-min"}),
+]
+
+
 def small_config(**overrides):
     base = dict(experiment="vary-queries", n=400, k_grid=(20, 50), reps=5, seed=1)
     base.update(overrides)
@@ -35,9 +60,9 @@ class TestConfig:
     def test_defaults(self):
         config = ExperimentConfig(experiment="vary-queries", n=1000)
         assert config.k_grid == DEFAULT_K_GRID
-        assert config.resolved_noise_grid() == VARY_QUERIES_NOISE_GRID
+        assert config.noise_grid == VARY_QUERIES_NOISE_GRID
         noise_cfg = ExperimentConfig(experiment="vary-noise", n=1000)
-        assert noise_cfg.resolved_noise_grid() == VARY_NOISE_GRID
+        assert noise_cfg.noise_grid == VARY_NOISE_GRID
 
     def test_options_default_only_where_read(self):
         envelope = ExperimentConfig(experiment="envelope", n=10000, k_grid=(100,))
@@ -54,6 +79,45 @@ class TestConfig:
         # the session is sized from alpha: a k grid used to be accepted and ignored
         with pytest.raises(ValueError, match="reduction-oracle does not read --k"):
             ExperimentConfig(experiment="reduction-oracle", n=100, k_grid=(5,))
+
+    @pytest.mark.parametrize("experiment, mechanism, expected", READ_CASES)
+    def test_read_options_take_their_defaults(self, experiment, mechanism, expected):
+        config = ExperimentConfig(experiment=experiment, n=10000, mechanism=mechanism)
+        for name in OPTION_VALUES:
+            assert getattr(config, name) == expected.get(name), name
+
+    @pytest.mark.parametrize("experiment, mechanism, name", [
+        (experiment, mechanism, name) for experiment, mechanism, expected in READ_CASES
+        for name in OPTION_VALUES if name not in expected])
+    def test_unread_option_is_rejected(self, experiment, mechanism, name):
+        flag = {"k_grid": "--k", "noise_grid": "--noise"}.get(name, f"--{name}")
+        with pytest.raises(ValueError, match=f"^{experiment} does not read {flag}$"):
+            ExperimentConfig(**{"experiment": experiment, "n": 10000, "mechanism": mechanism,
+                                name: OPTION_VALUES[name]})
+
+    def test_every_experiment_has_a_runner(self):
+        assert set(_RUNNERS) == set(EXPERIMENTS)
+
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(experiment="attack-vs-mechanism", mechanism="bogus"), "mechanism must be one of .*, got 'bogus'"),
+        (dict(k_grid=(5.5,)), "k must be an integer, got 5.5"),
+        (dict(k_grid=(True, 5)), "k must be an integer, got True"),
+        (dict(n=100.5), "n must be an integer, got 100.5"),
+        (dict(reps=2.0), "reps must be an integer, got 2.0"),
+        (dict(seed=False), "seed must be an integer, got False"),
+        (dict(per_rep="no"), "per_rep must be a bool, got 'no'"),
+    ])
+    def test_bad_values_rejected_at_construction(self, overrides, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            small_config(**overrides)
+
+    def test_numpy_integers_accepted(self):
+        config = small_config(n=np.int64(400), k_grid=(np.int32(50), np.uint16(20)),
+                              reps=np.int8(5), seed=np.uint64(1))
+        assert (config.n, config.k_grid, config.reps, config.seed) == (400, (20, 50), 5, 1)
+        assert all(type(v) is int for v in (config.n, *config.k_grid, config.reps, config.seed))
+        assert experiment_csv(config) == experiment_csv(small_config())
+        assert small_config(k_grid=np.array([50, 20, 50])).k_grid == (20, 50)
 
     def test_validation(self):
         with pytest.raises(ValueError):
