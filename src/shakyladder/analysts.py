@@ -12,19 +12,24 @@ k. Risks and correlations are popcounts of the packed rows, exact for any n;
 only votes unpack rows, to uint8. The vector attack reads its (k, noise)
 grid in one pass (``_attack_cells``), counts bits per threshold group of the
 noise levels and votes in float32; the mechanism-driven attacks submit one
-batch of risks per block and vote with exact integer sign counts.
+batch of risks per block and vote with exact integer sign counts. The
+shifted attack hands the estimator each packed mismatch row as a 0/1
+``Query`` whose summary comes from its popcount; the row is unpacked to a
+float vector only where one is read: on a clamped step of the schedule, or
+for a mechanism that reads loss vectors.
 Votes use +/-1 (label y is 1 - 2y); a tie or an empty selection gives label 0.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .audit import EvaluationSession
-from .core import HoldoutSample, Trace, model_from_predictions
+from .core import HoldoutSample, Trace, _mismatches, _pack, _unpack, model_from_predictions
 from .mechanisms import BudgetExhaustedError, LeaderboardMechanism
 from .noise import Rng
 from .reduction import AdaptiveEstimator, Query
@@ -99,23 +104,6 @@ def _query_blocks(seed: int | tuple[int, ...], k: int, n: int):
     rows = max(1, BLOCK_ENTRIES // n)
     queries = Rng(seed, QUERY_STREAM)
     return (queries.bit_rows(min(rows, k - start), n) for start in range(0, k, rows))
-
-
-def _pack(bits: np.ndarray) -> np.ndarray:
-    """A 0/1 vector as one row of the ``Rng.bit_rows`` layout."""
-    words = np.zeros(-(-len(bits) // 64) * 8, dtype=np.uint8)
-    words[:-(-len(bits) // 8)] = np.packbits(bits, bitorder="little")
-    return words.view("<u8")
-
-
-def _unpack(block: np.ndarray, n: int) -> np.ndarray:
-    """Packed rows as uint8 0/1 rows of n entries."""
-    return np.unpackbits(block.view(np.uint8), axis=-1, count=n, bitorder="little")
-
-
-def _mismatches(block: np.ndarray, words: np.ndarray) -> np.ndarray:
-    """Per packed row, the entries where it differs from packed ``words``."""
-    return np.bitwise_count(block ^ words).sum(axis=-1, dtype=np.int64)
 
 
 def _attack_cells(n: int, k_grid, noise_stddevs,
@@ -341,15 +329,24 @@ def shifted_majority_attack(mechanism: LeaderboardMechanism, sample: HoldoutSamp
     feedback; the extracted answers then drive the usual selection-and-vote
     step, and the majority model is submitted as one final estimator query.
     Queries whose schedule exhausts without a trigger carry no information
-    and are excluded from the vote.
+    and are excluded from the vote. Every query is a packed mismatch row
+    (``Query.from_bits``), so the estimator schedules it from its popcount.
+    The reduction covers at most floor(1/(3 alpha)) queries per session; past
+    that budget the attack warns before drawing, runs on, and counts in its
+    report the queries whose schedule clamped or found no trigger.
     """
     estimator = AdaptiveEstimator(EvaluationSession(mechanism), alpha)  # checks alpha
     _check_attack(mechanism, sample, k, selection, estimator.steps_per_query)
+    if k + 1 > estimator.query_budget:
+        warnings.warn(f"the shifted attack sends k+1 = {k + 1} estimator queries, more than the "
+                      f"reduction's budget floor(1/(3 alpha)) = {estimator.query_budget}; "
+                      "clamped_queries and untriggered_queries count the answers it does not "
+                      "cover", RuntimeWarning, stacklevel=2)
     labels, count = _pack(sample.hidden_labels), np.zeros(sample.size, dtype=np.int64)
     selected = balance = feedback = clamped = 0
     for block in _query_blocks(seed, k, sample.size):
-        outcomes = [estimator.answer(Query(values=loss, population_mean=0.5))
-                    for loss in _unpack(block ^ labels, sample.size)]
+        outcomes = [estimator.answer(Query.from_bits(loss, sample.size, 0.5))
+                    for loss in block ^ labels]
         answered = np.array([outcome.triggered for outcome in outcomes])
         signs = _selection_signs(np.array([outcome.answer for outcome in outcomes]),
                                  sample.size, selection, answered)
@@ -358,11 +355,10 @@ def shifted_majority_attack(mechanism: LeaderboardMechanism, sample: HoldoutSamp
         selected += int(np.count_nonzero(signs == 1))
         feedback += int(np.count_nonzero(answered))
         clamped += sum(outcome.clamped for outcome in outcomes)
-    final = _pack(2 * count > balance)[None]
-    final_outcome = estimator.answer(Query(values=_unpack(final ^ labels, sample.size)[0],
-                                           population_mean=0.5))
+    final = Query.from_bits(_pack(2 * count > balance) ^ labels, sample.size, 0.5)
+    final_outcome = estimator.answer(final)
     report = AttackReport(
-        final_error=float(_mismatches(final, labels)[0] / sample.size),
+        final_error=final.summary[0],
         selected_count=selected,
         queries_issued=k + 1,
         feedback_received=feedback,

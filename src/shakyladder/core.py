@@ -144,6 +144,27 @@ class Trace:
         return float(np.fmax.reduce(self.noise, axis=None, initial=self.initial_noise))
 
 
+# Packed 0/1 rows, one bit per entry in the ``Rng.bit_rows`` layout: the
+# attacks' queries and predictions, the hidden labels, and 0/1 estimator queries.
+
+
+def _pack(bits: np.ndarray) -> np.ndarray:
+    """A 0/1 vector as one row of the ``Rng.bit_rows`` layout."""
+    words = np.zeros(-(-len(bits) // 64) * 8, dtype=np.uint8)
+    words[:-(-len(bits) // 8)] = np.packbits(bits, bitorder="little")
+    return words.view("<u8")
+
+
+def _unpack(block: np.ndarray, n: int) -> np.ndarray:
+    """Packed rows as uint8 0/1 rows of n entries."""
+    return np.unpackbits(block.view(np.uint8), axis=-1, count=n, bitorder="little")
+
+
+def _mismatches(block: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """Per packed row, the entries where it differs from packed ``words``."""
+    return np.bitwise_count(block ^ words).sum(axis=-1, dtype=np.int64)
+
+
 def make_random_label_sample(n: int, seed: int | tuple[int, ...]) -> HoldoutSample:
     """Holdout with labels i.i.d. uniform over {0, 1}, deterministic in seed."""
     if n < 1:

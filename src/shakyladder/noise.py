@@ -14,6 +14,7 @@ tight tolerances and golden files pin the exact draw sequence.
 from __future__ import annotations
 
 import math
+import operator
 from math import fsum, lgamma
 
 import numpy as np
@@ -84,6 +85,7 @@ class Rng:
         ``j // 64``; the bits at and above ``n % 64`` in a row's last word
         are zero. Calls continue one draw exactly for any row counts.
         """
+        n = operator.index(n)  # a numpy integer would make the mask below a numpy shift
         raw = self._gen.bit_generator.random_raw((rows, -(-n // 64))).astype("<u8", copy=False)
         raw[:, -1] &= np.uint64((_UINT64 - 1) >> (-n % 64))
         return raw

@@ -7,18 +7,24 @@ more than alpha/2 below the threshold c yields the extracted answer
 a = 2 (r - c + i*alpha/2). Against an exact running-minimum oracle the
 extracted answer equals the query's population mean exactly; against an
 accurate mechanism it is accurate to within alpha.
+
+A query carries its summary (mean, min, max), taken once when it is built,
+and the schedule reads nothing else; a 0/1 query built from a packed row
+takes its summary from the row's popcount and unpacks its values only for
+the steps that submit a constructed vector.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .audit import EvaluationSession
-from .core import SubmittedModel
+from .core import SubmittedModel, _unpack
 from .mechanisms import BudgetExhaustedError, LeaderboardMechanism
 
 __all__ = [
@@ -30,29 +36,78 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class Query:
     """A bounded function given by its holdout values and true mean.
 
     ``population_mean`` is the oracle-only expectation of the query under the
     data distribution; like a model's population risk it never reaches the
     mechanism (except through the sanctioned population-minimum oracle).
+    ``summary`` is the (mean, min, max) of the values, taken once when the
+    query is built; it is all the estimator reads of an unclamped step.
+    :meth:`from_bits` builds a 0/1 query from a packed row, its summary from
+    the row's popcount; its ``values`` are unpacked on first read and kept.
+    Both constructors keep a read-only copy of their input, so a query never
+    changes once built.
     """
 
-    values: np.ndarray
-    population_mean: float
+    __slots__ = ("size", "summary", "population_mean", "_values", "_words")
 
-    def __post_init__(self):
-        vec = np.asarray(self.values, dtype=float)
+    def __init__(self, values, population_mean: float):
+        vec = np.array(values, dtype=float)
         if vec.ndim != 1 or vec.size == 0:
             raise ValueError("query values must form a nonempty vector")
+        lo, hi = float(vec.min()), float(vec.max())
         # Written so that NaN, which fails every comparison, is rejected too.
-        if not (float(vec.min()) >= 0.0 and float(vec.max()) <= 1.0):
+        if not (lo >= 0.0 and hi <= 1.0):
             raise ValueError("query values must lie in [0, 1]")
-        if not 0.0 <= self.population_mean <= 1.0:
-            raise ValueError(f"population_mean must lie in [0, 1], got {self.population_mean}")
         vec.setflags(write=False)
-        object.__setattr__(self, "values", vec)
+        self._fill(vec.size, (float(np.mean(vec)), lo, hi), population_mean, vec, None)
+
+    @classmethod
+    def from_bits(cls, words, n: int, population_mean: float) -> Query:
+        """The 0/1 query whose entry j is bit j of ``words``.
+
+        ``words`` is one row in the ``Rng.bit_rows`` layout: ceil(n/64)
+        little-endian uint64 words, the bits past n clear. With c set bits
+        the summary is (c/n, min, max); c/n equals ``np.mean`` of the 0/1
+        values bit for bit, the integer partial sums being exact.
+        """
+        n = operator.index(n)
+        words = np.array(words)
+        if n < 1 or words.dtype != np.dtype("<u8") or words.shape != (-(-n // 64),):
+            raise ValueError(f"a packed query of n={n} entries is {-(-n // 64)} little-endian "
+                             f"uint64 words, got {words.dtype} of shape {words.shape}")
+        bits = int.from_bytes(words.tobytes(), "little")
+        if bits >> n:
+            raise ValueError(f"a packed query of n={n} entries has bits set past entry n")
+        count = bits.bit_count()
+        query = cls.__new__(cls)
+        words.setflags(write=False)
+        query._fill(n, (count / n, 0.0 if count < n else 1.0, 1.0 if count else 0.0),
+                    population_mean, None, words)
+        return query
+
+    def _fill(self, size, summary, population_mean, values, words) -> None:
+        if not 0.0 <= population_mean <= 1.0:
+            raise ValueError(f"population_mean must lie in [0, 1], got {population_mean}")
+        setattr_ = object.__setattr__  # past the immutable __setattr__ below
+        setattr_(self, "size", size)
+        setattr_(self, "summary", summary)
+        setattr_(self, "population_mean", population_mean)
+        setattr_(self, "_values", values)
+        setattr_(self, "_words", words)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a Query is immutable; cannot set {name!r}")
+
+    @property
+    def values(self) -> np.ndarray:
+        """The values as a read-only float64 vector."""
+        if self._values is None:
+            vec = _unpack(self._words, self.size).astype(float)
+            vec.setflags(write=False)
+            object.__setattr__(self, "_values", vec)
+        return self._values
 
 
 @dataclass(frozen=True)
@@ -94,6 +149,8 @@ class AdaptiveEstimator:
         self.queries_answered = 0
         self.total_submissions = 0
         self.steps_per_query = math.ceil(1.0 / alpha)
+        #: Queries per session that the reduction's guarantees cover, floor(1/(3*alpha)).
+        self.query_budget = math.floor(1.0 / (3.0 * alpha))
         # i*alpha and 0.5*i*alpha for every step, multiplied in the scalar order.
         steps = np.arange(self.steps_per_query)
         self._offsets = steps * alpha
@@ -114,18 +171,17 @@ class AdaptiveEstimator:
         """Every step's empirical risk, population risk and clamp flag.
 
         Closed form of :meth:`_constructed_model` at every step i from the
-        query's mean, min and max. The offset map is monotone in each value
-        under rounding, so the min and max rows equal each constructed
-        vector's min and max bit for bit and clamping is decided exactly;
-        each clamp condition is monotone in i, so the unclamped steps form
-        one contiguous run. The empirical risk agrees with the constructed
-        vector's mean up to rounding.
+        query's summary, its mean, min and max, without reading its values.
+        The offset map is monotone in each value under rounding, so the min
+        and max rows equal each constructed vector's min and max bit for bit
+        and clamping is decided exactly; each clamp condition is monotone in
+        i, so the unclamped steps form one contiguous run. The empirical risk
+        agrees with the constructed vector's mean up to rounding.
         """
-        values = query.values
-        stats = np.array([[np.mean(values)], [values.min()], [values.max()]])
-        risks, low, high = self.c + 0.5 * (stats - self._offsets)
+        risks, low, high = self.c + 0.5 * (np.array(query.summary)[:, None] - self._offsets)
         risk_raw = (self.c - self._half_offsets) + 0.5 * query.population_mean
-        population_risks = np.clip(risk_raw, 0.0, 1.0) + 0.0  # + 0.0: no -0.0, as min/max give
+        # np.clip's arithmetic without its wrapper; + 0.0: no -0.0, as min/max give
+        population_risks = np.minimum(np.maximum(risk_raw, 0.0), 1.0) + 0.0
         clamped = (low < 0.0) | (high > 1.0) | (population_risks != risk_raw)
         return risks, population_risks, clamped
 
@@ -133,15 +189,17 @@ class AdaptiveEstimator:
         """Run the offset schedule for one query and extract its answer.
 
         The schedule's risks, population risks and clamp flags come from
-        :meth:`_schedule` after one O(n) pass over the query. The unclamped
-        steps, one contiguous run, go to the mechanism as one
+        :meth:`_schedule`, which reads the query's summary, not its values.
+        The unclamped steps, one contiguous run, go to the mechanism as one
         ``session.submit_risks`` batch that stops at the first release below
         ``c - alpha/2``, the trigger. A clamped step, and every step for a
         mechanism that reads loss vectors (``needs_loss_vector``), submits
-        its constructed model through ``session.submit``.
+        its constructed model through ``session.submit``; only these read
+        ``query.values``, so a packed 0/1 query (:meth:`Query.from_bits`) is
+        unpacked only there, once.
         """
         mechanism = self.session.mechanism
-        mechanism.check_size(query.values.size)
+        mechanism.check_size(query.size)
         if mechanism.rounds_remaining() < self.steps_per_query:
             raise BudgetExhaustedError(
                 f"estimator needs {self.steps_per_query} submissions per query; "
@@ -150,15 +208,15 @@ class AdaptiveEstimator:
         c = self.c
         trigger_below = c - self.alpha / 2.0
         risks, population_risks, clamped = self._schedule(query)
-        free = np.flatnonzero(~clamped)
-        scan_from, scan_to = 0, 0
-        if free.size and not mechanism.needs_loss_vector:
-            scan_from, scan_to = int(free[0]), int(free[-1]) + 1
+        # The unclamped steps are one run, free_from to free_to; both are 0 when every step clamps.
+        free_from = int(clamped.argmin())
+        free_to = 0 if clamped[free_from] else len(clamped) - int(clamped[::-1].argmin())
+        scan_to = 0 if mechanism.needs_loss_vector else free_to
         first_round = mechanism.round
         i = 0
         try:
             while i < self.steps_per_query:
-                if scan_from <= i < scan_to:
+                if free_from <= i < scan_to:
                     released = self.session.submit_risks(
                         risks[i:scan_to], population_risks[i:scan_to], stop_below=trigger_below)
                 else:
@@ -184,14 +242,14 @@ class AdaptiveEstimator:
             return QueryOutcome(
                 answer=2.0 * ((r_value - c) + 0.5 * (i - 1) * self.alpha),
                 triggered=True, trigger_index=i - 1, r_value=r_value, c_after=r_value,
-                clamped=bool(clamped[:i].any()), no_trigger=False, submissions=i,
+                clamped=free_from > 0 or i > free_to, no_trigger=False, submissions=i,
             )
         # Schedule exhausted: possible only for large population means, where
         # answering 1.0 is off by at most 2*alpha. Threshold stays put.
         return QueryOutcome(
             answer=1.0, triggered=False, trigger_index=None,
             r_value=math.nan, c_after=c,
-            clamped=bool(clamped.any()), no_trigger=True,
+            clamped=free_from > 0 or self.steps_per_query > free_to, no_trigger=True,
             submissions=self.steps_per_query,
         )
 
@@ -203,16 +261,13 @@ def run_estimator_session(mechanism: LeaderboardMechanism, queries, alpha: float
     submissions handed to the mechanism is bounded by 1/alpha^2, which is
     verified after the run.
     """
-    if not 0.0 < alpha < 0.5:
-        raise ValueError(f"alpha must lie in (0, 1/2), got {alpha}")
+    estimator = AdaptiveEstimator(EvaluationSession(mechanism), alpha)  # checks alpha
     queries = list(queries)
-    query_budget = math.floor(1.0 / (3.0 * alpha))
-    if len(queries) > query_budget:
+    if len(queries) > estimator.query_budget:
         raise BudgetExhaustedError(
-            f"session accepts at most {query_budget} queries at alpha={alpha}, "
+            f"session accepts at most {estimator.query_budget} queries at alpha={alpha}, "
             f"got {len(queries)}"
         )
-    estimator = AdaptiveEstimator(EvaluationSession(mechanism), alpha)
     outcomes = [estimator.answer(query) for query in queries]
     if estimator.total_submissions > 1.0 / alpha**2:
         raise RuntimeError(

@@ -8,6 +8,9 @@ kept and flipped rows.
 
 :func:`per_step_answer` is the estimator's offset schedule one session round
 per step, each step's risks from the scalar closed form.
+:func:`vector_shifted_attack` is the shifted majority attack on float64
+vector queries, each answered by :func:`per_step_answer`, with an explicit
++/-1 vote over the whole unpacked query matrix.
 """
 
 import math
@@ -15,9 +18,10 @@ import math
 import numpy as np
 
 from shakyladder.analysts import HIDDEN_STREAM, NOISE_STREAM, QUERY_STREAM, AttackReport
+from shakyladder.audit import EvaluationSession
 from shakyladder.mechanisms import BudgetExhaustedError
 from shakyladder.noise import Rng
-from shakyladder.reduction import QueryOutcome
+from shakyladder.reduction import AdaptiveEstimator, Query, QueryOutcome
 
 
 def query_bits(seed, k: int, n: int) -> np.ndarray:
@@ -113,3 +117,40 @@ def per_step_answer(estimator, query) -> QueryOutcome:
         clamped=clamped_so_far, no_trigger=True,
         submissions=estimator.steps_per_query,
     )
+
+
+def vector_shifted_attack(mechanism, sample, k: int, alpha: float, seed, selection="direct"):
+    """``shifted_majority_attack`` from vector ``Query`` objects and :func:`per_step_answer`.
+
+    Query i is the 0/1 loss of prediction row i against the labels, as a
+    float64 vector. Signs: ``direct`` votes with every triggered query, +1
+    below 1/2 and -1 otherwise; ``theorem`` keeps the triggered queries below
+    1/2 - 1/sqrt(n). The final prediction is 1 where the +/-1 vote of the
+    predictions (1 - 2y) is negative.
+    """
+    n, labels = sample.size, sample.hidden_labels
+    estimator = AdaptiveEstimator(EvaluationSession(mechanism), alpha)
+    predictions = query_bits(seed, k, n)
+    outcomes = [per_step_answer(estimator, Query(values=(row != labels).astype(np.float64),
+                                                 population_mean=0.5))
+                for row in predictions]
+    answered = np.array([out.triggered for out in outcomes], dtype=bool)
+    answers = np.array([out.answer for out in outcomes])
+    if selection == "theorem":
+        signs = np.where(answered & (answers < 0.5 - 1.0 / math.sqrt(n)), 1, 0)
+    else:
+        signs = np.where(answered, np.where(answers < 0.5, 1, -1), 0)
+    vote = signs @ (1 - 2 * predictions.astype(np.int64))
+    final_loss = ((vote < 0) != labels).astype(np.float64)
+    final = per_step_answer(estimator, Query(values=final_loss, population_mean=0.5))
+    report = AttackReport(
+        final_error=float(np.mean(final_loss)),
+        selected_count=int(np.count_nonzero(signs == 1)),
+        queries_issued=k + 1,
+        feedback_received=int(np.count_nonzero(answered)),
+        final_released=final.answer if final.triggered else math.nan,
+        clamped_queries=sum(out.clamped for out in outcomes) + final.clamped,
+        untriggered_queries=int(np.count_nonzero(~answered)) + (not final.triggered),
+    )
+    trace = estimator.session.trace() if mechanism.records_trace else None
+    return report, trace

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -37,7 +38,7 @@ from shakyladder.mechanisms import (
 )
 from shakyladder.noise import Rng
 from shakyladder.reduction import AdaptiveEstimator
-from reference import query_bits, vstack_majority_attack
+from reference import query_bits, vector_shifted_attack, vstack_majority_attack
 from synthetic import random_prediction_models, submit_all
 
 
@@ -59,6 +60,10 @@ class TestDirectAttack:
             majority_attack_direct(10, 0)
         with pytest.raises(ValueError):
             majority_attack_direct(0, 1)
+
+    def test_numpy_integer_n(self):
+        # n from a numpy array used to raise OverflowError in Rng.bit_rows
+        assert majority_attack_direct(np.int64(400), 20) == majority_attack_direct(400, 20)
 
     def test_single_matching_query_recovers_hidden(self):
         # with one query equal to the hidden vector the answer is +1, the
@@ -551,6 +556,46 @@ class TestShiftedAttack:
             assert report.untriggered_queries == 0
             counts.append(report.clamped_queries)
         assert counts == expected
+
+    @pytest.mark.parametrize("name", MECHANISM_NAMES)
+    @pytest.mark.parametrize("k,alpha,selection", [(5, 0.05, "direct"), (40, 0.05, "direct"),
+                                                   (40, 0.05, "theorem")])
+    def test_equals_vector_queries_per_step(self, name, k, alpha, selection):
+        # packed queries through the batch schedule against float64 vector
+        # queries one round per step; k = 40 runs far past the query budget
+        # of 6, so that the schedule clamps
+        n, steps = 401, math.ceil(1 / alpha)
+        runs = []
+        for attack in (shifted_majority_attack, vector_shifted_attack):
+            sample = make_random_label_sample(n, (31, k))
+            mechanism = make_mechanism(name, n=n, k=(k + 1) * steps, eta=alpha / 2, seed=(31, 1))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                report, trace = attack(mechanism, sample, k, alpha, (31, 2), selection)
+            runs.append((repr(report), _trace_columns(trace), mechanism.round,
+                         mechanism.update_count))
+        assert runs[0] == runs[1]
+        if k > 6 and name in ("ladder", "empirical", "population-min"):
+            assert "clamped_queries=0," not in runs[0][0]
+
+    def test_query_budget_warns_before_drawing(self, no_draws):
+        # floor(1/(3 alpha)) = 133 at alpha = 1/400: 201 queries are past it
+        sample = make_random_label_sample(2500, 0)
+        with pytest.warns(RuntimeWarning, match=r"k\+1 = 201 .* = 133;"):
+            with pytest.raises(AssertionError, match="drew before"):
+                shifted_majority_attack(Ladder(LadderConfig(eta=1 / 800)), sample, 200, 1 / 400, 0)
+
+    @pytest.mark.parametrize("k,warns", [(100, False), (132, False), (133, True), (200, True)])
+    def test_query_budget_warning_once_and_only_past_it(self, k, warns):
+        sample = make_random_label_sample(2500, (0, 0))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report, _ = shifted_majority_attack(Ladder(LadderConfig(eta=1 / 800), record=False),
+                                                sample, k, 1 / 400, (0, 0))
+        assert [str(w.message).split(";")[0] for w in caught] == [
+            f"the shifted attack sends k+1 = {k + 1} estimator queries, more than the "
+            "reduction's budget floor(1/(3 alpha)) = 133"] * warns
+        assert report.queries_issued == k + 1
 
     def test_untriggered_queries_counted(self):
         # a ladder with eta = 1/2 never releases below the threshold, so no

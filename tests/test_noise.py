@@ -88,6 +88,14 @@ class TestRng:
         parts = [rng.bit_rows(rows, n) for rows in blocks]
         assert np.array_equal(np.vstack(parts), Rng(seed).bit_rows(sum(blocks), n))
 
+    @pytest.mark.parametrize("n", [130, 64, 1])
+    def test_bit_rows_takes_numpy_integers(self, n):
+        # the last word's mask once became a numpy shift of 2^64 - 1, which
+        # raised OverflowError for an np.int64 n
+        assert np.array_equal(Rng(3).bit_rows(3, np.int64(n)), Rng(3).bit_rows(3, n))
+        assert np.array_equal(Rng(3).bit_rows(np.int64(3), np.uint16(n)), Rng(3).bit_rows(3, n))
+
+
 class TestLaplace:
     def test_rejects_nonpositive_scale(self):
         with pytest.raises(ValueError):

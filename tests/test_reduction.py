@@ -25,6 +25,7 @@ from shakyladder.reduction import (
     run_estimator_session,
     write_session_csv,
 )
+from shakyladder import reduction
 from reference import per_step_answer
 from synthetic import PerturbedMinOracle, StaleDipOracle
 
@@ -36,6 +37,9 @@ def fresh_estimator(alpha, mechanism=None):
 
 def const_query(mean, n=50):
     return Query(values=np.full(n, mean), population_mean=mean)
+
+
+_DYADIC = st.sampled_from([-0.0, 0.0, 0.125, 0.25, 0.5, 0.625, 0.75, 1.0])
 
 
 class TestQueryValidation:
@@ -56,6 +60,17 @@ class TestQueryValidation:
         q = const_query(0.5)
         with pytest.raises(ValueError):
             q.values[0] = 0.0
+
+    def test_values_copied_from_the_callers_array(self):
+        # a view used to be kept as is: writing through its base moved the
+        # values out of [0, 1] after validation and away from the summary,
+        # and the caller's own array became read-only
+        base = np.zeros(6)
+        query = Query(values=base[::2], population_mean=0.5)
+        base[0] = 7.0
+        assert query.values.tolist() == [0.0, 0.0, 0.0]
+        assert query.summary == (0.0, 0.0, 0.0)
+        assert base.flags.writeable
 
     def test_size_mismatch_rejected_before_any_round(self):
         # the batch path used to skip the length check: this ran 28 rounds
@@ -234,6 +249,90 @@ class TestScalarSchedule:
         assert len(vectors) == (out.submissions if reads_vectors else 0)
 
 
+def packed_row(n, fill, seed):
+    """One row in the ``Rng.bit_rows`` layout: random, all zero or all one."""
+    words = Rng(seed).bit_rows(1, n)[0]
+    if fill != "random":
+        words[:] = 0 if fill == "zeros" else 2**64 - 1
+        words[-1] &= np.uint64(2**64 - 1 >> (-n % 64))
+    return words
+
+
+class TestPackedQuery:
+    """``Query.from_bits`` against ``Query`` on the same values unpacked."""
+
+    @given(
+        n=st.one_of(st.sampled_from([1, 63, 64, 65, 128]), st.integers(1, 300)),
+        fill=st.sampled_from(["random", "zeros", "ones"]),
+        seed=st.integers(0, 2**32),
+        c=st.floats(-0.5, 1.0),
+        alpha=st.floats(0.01, 0.49),
+        population_mean=st.one_of(_DYADIC, st.floats(0.0, 1.0)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_vector_query(self, n, fill, seed, c, alpha, population_mean):
+        words = packed_row(n, fill, seed)
+        bits = np.unpackbits(words.view(np.uint8), count=n, bitorder="little")
+        packed = Query.from_bits(words, n, population_mean)
+        vector = Query(values=bits.astype(np.float64), population_mean=population_mean)
+        assert packed.size == vector.size == n
+        # bit for bit, so that a -0.0 where the vector query has 0.0 shows too
+        assert np.array(packed.summary).tobytes() == np.array(vector.summary).tobytes()
+        est = fresh_estimator(alpha)
+        est.c = c
+        for fast, slow in zip(est._schedule(packed), est._schedule(vector)):
+            assert fast.tobytes() == slow.tobytes()
+        assert packed.values.dtype == np.float64
+        assert packed.values.tobytes() == vector.values.tobytes()
+        assert not packed.values.flags.writeable
+
+    @pytest.mark.parametrize("name,c,queries,unpacks", [
+        ("ladder", 0.5, 3, 0),     # every step up to each trigger is unclamped
+        ("pf-ladder", 0.5, 2, 2),  # reads every step's vector: once per query
+        ("ladder", 0.05, 1, 1),    # clamps from step 1 on: once for all its clamped steps
+    ])
+    def test_values_unpacked_only_where_read(self, name, c, queries, unpacks, monkeypatch):
+        calls = []
+        unpack = reduction._unpack
+        monkeypatch.setattr(reduction, "_unpack", lambda *args: calls.append(args) or unpack(*args))
+        est = fresh_estimator(0.1, make_mechanism(name, n=200, eta=0.05))
+        est.c = c
+        outcomes = [est.answer(Query.from_bits(packed_row(200, "random", q), 200, 0.5))
+                    for q in range(queries)]
+        assert [out.clamped for out in outcomes] == [c < 0.5] * queries
+        assert est.session.mechanism.round == sum(out.submissions for out in outcomes)
+        assert len(calls) == unpacks
+
+    @pytest.mark.parametrize("n,words,message", [
+        (70, np.array([1, 1 << 6], dtype=np.uint64), "past entry n"),  # entry 70 set
+        (64, np.array([1, 0], dtype=np.uint64), "is 1 little-endian"),
+        (65, np.array([1], dtype=np.uint64), "is 2 little-endian"),
+        (0, np.array([], dtype=np.uint64), "n=0"),
+        (100, np.zeros(2, dtype=np.int64), "got int64"),
+        (100, np.zeros(16, dtype=np.uint8), "got uint8"),
+        (100, np.zeros((1, 2), dtype=np.uint64), r"shape \(1, 2\)"),
+    ])
+    def test_rejects_malformed_rows(self, n, words, message):
+        with pytest.raises(ValueError, match=message):
+            Query.from_bits(words, n, 0.5)
+
+    @pytest.mark.parametrize("mean", [-0.1, 1.5, math.nan])
+    def test_rejects_bad_population_mean(self, mean):
+        with pytest.raises(ValueError, match="population_mean"):
+            Query.from_bits(packed_row(100, "random", 1), 100, mean)
+
+    def test_immutable_and_independent_of_the_row(self):
+        words = packed_row(100, "ones", 0)
+        query = Query.from_bits(words, 100, 0.5)
+        words[:] = 0  # the query keeps its own copy
+        assert query.summary == (1.0, 1.0, 1.0)
+        assert query.values.tolist() == [1.0] * 100
+        with pytest.raises(AttributeError):
+            query.summary = (0.0, 0.0, 0.0)
+        with pytest.raises(AttributeError):
+            query.values = np.zeros(100)
+
+
 def twin_mechanism(name, alpha, seed, variant, record=True):
     """A mechanism on 8-point queries whose threshold sits on the schedule's
     alpha/2 grid; ``variant`` switches the Ladder to multiples-of-eta
@@ -246,9 +345,6 @@ def twin_mechanism(name, alpha, seed, variant, record=True):
         rounding = "multiples-of-eta" if variant else "none"
         return Ladder(LadderConfig(eta=alpha / 2, rounding=rounding), record=record)
     return make_mechanism(name, n=8, seed=seed, record=record)
-
-
-_DYADIC = st.sampled_from([-0.0, 0.0, 0.125, 0.25, 0.5, 0.625, 0.75, 1.0])
 
 
 class TestScanMatchesPerStep:
