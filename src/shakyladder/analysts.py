@@ -13,8 +13,8 @@ only votes unpack rows, to uint8. The vector attack reads its (k, noise)
 grid in one pass (``_attack_cells``), counts bits per threshold group of the
 noise levels and votes in float32; the mechanism-driven attacks submit one
 batch of risks per block and vote with exact integer sign counts. The
-shifted attack hands the estimator each packed mismatch row as a 0/1
-``Query`` whose summary comes from its popcount; the row is unpacked to a
+shifted attack makes each block of packed mismatch rows 0/1 queries, their
+summaries from one popcount (``Query.from_rows``); a row is unpacked to a
 float vector only where one is read: on a clamped step of the schedule, or
 for a mechanism that reads loss vectors.
 Votes use +/-1 (label y is 1 - 2y); a tie or an empty selection gives label 0.
@@ -330,7 +330,7 @@ def shifted_majority_attack(mechanism: LeaderboardMechanism, sample: HoldoutSamp
     step, and the majority model is submitted as one final estimator query.
     Queries whose schedule exhausts without a trigger carry no information
     and are excluded from the vote. Every query is a packed mismatch row
-    (``Query.from_bits``), so the estimator schedules it from its popcount.
+    (``Query.from_rows``), so the estimator schedules it from its popcount.
     The reduction covers at most floor(1/(3 alpha)) queries per session; past
     that budget the attack warns before drawing, runs on, and counts in its
     report the queries whose schedule clamped or found no trigger.
@@ -345,8 +345,8 @@ def shifted_majority_attack(mechanism: LeaderboardMechanism, sample: HoldoutSamp
     labels, count = _pack(sample.hidden_labels), np.zeros(sample.size, dtype=np.int64)
     selected = balance = feedback = clamped = 0
     for block in _query_blocks(seed, k, sample.size):
-        outcomes = [estimator.answer(Query.from_bits(loss, sample.size, 0.5))
-                    for loss in block ^ labels]
+        outcomes = [estimator.answer(query)
+                    for query in Query.from_rows(block ^ labels, sample.size, 0.5)]
         answered = np.array([outcome.triggered for outcome in outcomes])
         signs = _selection_signs(np.array([outcome.answer for outcome in outcomes]),
                                  sample.size, selection, answered)

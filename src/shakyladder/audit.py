@@ -84,13 +84,14 @@ class EvaluationSession:
         if risks.ndim != 1 or risks.shape != population_risks.shape:
             raise ValueError("risks and population_risks must be vectors of one length")
         # min and max propagate NaN, which fails every comparison and is rejected too.
-        if risks.size and not (risks.min() >= -LOSS_TOLERANCE
-                               and risks.max() <= 1.0 + LOSS_TOLERANCE):
+        low, high = np.minimum.reduce, np.maximum.reduce  # the ufuncs behind .min() and .max()
+        if risks.size and not (low(risks) >= -LOSS_TOLERANCE
+                               and high(risks) <= 1.0 + LOSS_TOLERANCE):
             raise ValueError(f"empirical risks must lie in [0, 1], got values in "
-                             f"[{risks.min()}, {risks.max()}]")
-        if risks.size and not (population_risks.min() >= 0.0 and population_risks.max() <= 1.0):
+                             f"[{low(risks)}, {high(risks)}]")
+        if risks.size and not (low(population_risks) >= 0.0 and high(population_risks) <= 1.0):
             raise ValueError(f"population risks must lie in [0, 1], got values in "
-                             f"[{population_risks.min()}, {population_risks.max()}]")
+                             f"[{low(population_risks)}, {high(population_risks)}]")
         mechanism = self.mechanism
         oracle_side = (population_risks,) if mechanism.needs_population_risk else ()
         start = mechanism.round

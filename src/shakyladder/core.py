@@ -56,7 +56,7 @@ class SubmittedModel:
     population_risk: float
 
     def __post_init__(self):
-        vec = _as_readonly(self.loss_vector)
+        vec = _as_readonly(np.array(self.loss_vector))  # a copy: later writes do not reach it
         if vec.ndim != 1 or vec.size == 0:
             raise ValueError("loss_vector must be a nonempty 1-d array")
         lo = float(vec.min())

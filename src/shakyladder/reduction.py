@@ -8,10 +8,10 @@ a = 2 (r - c + i*alpha/2). Against an exact running-minimum oracle the
 extracted answer equals the query's population mean exactly; against an
 accurate mechanism it is accurate to within alpha.
 
-A query carries its summary (mean, min, max), taken once when it is built,
-and the schedule reads nothing else; a 0/1 query built from a packed row
-takes its summary from the row's popcount and unpacks its values only for
-the steps that submit a constructed vector.
+A query carries its summary (mean, min, max), taken once when it is built;
+the schedule bounds its unclamped run from it in closed form and builds
+risk rows for that run only. 0/1 queries built from packed rows take their
+summaries from one popcount and unpack only for constructed-vector steps.
 """
 
 from __future__ import annotations
@@ -44,10 +44,10 @@ class Query:
     mechanism (except through the sanctioned population-minimum oracle).
     ``summary`` is the (mean, min, max) of the values, taken once when the
     query is built; it is all the estimator reads of an unclamped step.
-    :meth:`from_bits` builds a 0/1 query from a packed row, its summary from
-    the row's popcount; its ``values`` are unpacked on first read and kept.
-    Both constructors keep a read-only copy of their input, so a query never
-    changes once built.
+    :meth:`from_rows` builds 0/1 queries from packed rows, and
+    :meth:`from_bits` one, each summary from its row's popcount; their
+    ``values`` are unpacked on first read and kept. Every constructor keeps
+    a read-only copy of its input, so a query never changes once built.
     """
 
     __slots__ = ("size", "summary", "population_mean", "_values", "_words")
@@ -65,29 +65,31 @@ class Query:
 
     @classmethod
     def from_bits(cls, words, n: int, population_mean: float) -> Query:
-        """The 0/1 query whose entry j is bit j of ``words``.
+        """The 0/1 query whose entry j is bit j of ``words``, one row of :meth:`from_rows`."""
+        return cls.from_rows(np.asarray(words)[None], n, population_mean)[0]
 
-        ``words`` is one row in the ``Rng.bit_rows`` layout: ceil(n/64)
-        little-endian uint64 words, the bits past n clear. With c set bits
-        the summary is (c/n, min, max); c/n equals ``np.mean`` of the 0/1
-        values bit for bit, the integer partial sums being exact.
+    @classmethod
+    def from_rows(cls, block, n: int, population_mean: float) -> list[Query]:
+        """One 0/1 query per row of ``block``, entry j of a query being bit j of its row.
+
+        Rows are in the ``Rng.bit_rows`` layout: ceil(n/64) little-endian
+        uint64 words, the bits past n clear. With c set bits the summary is
+        (c/n, min, max); c/n equals ``np.mean`` of the 0/1 values bit for bit.
+        One popcount covers the block; the queries share one read-only copy.
         """
         n = operator.index(n)
-        words = np.array(words)
-        if n < 1 or words.dtype != np.dtype("<u8") or words.shape != (-(-n // 64),):
+        block = np.array(block)
+        if n < 1 or block.dtype != np.dtype("<u8") or block.shape[1:] != (-(-n // 64),):
             raise ValueError(f"a packed query of n={n} entries is {-(-n // 64)} little-endian "
-                             f"uint64 words, got {words.dtype} of shape {words.shape}")
-        bits = int.from_bytes(words.tobytes(), "little")
-        if bits >> n:
+                             f"uint64 words, got {block.dtype} of shape {block.shape[1:]}")
+        if n % 64 and (block[:, -1] >> np.uint64(n % 64)).any():
             raise ValueError(f"a packed query of n={n} entries has bits set past entry n")
-        count = bits.bit_count()
-        query = cls.__new__(cls)
-        words.setflags(write=False)
-        query._fill(n, (count / n, 0.0 if count < n else 1.0, 1.0 if count else 0.0),
-                    population_mean, None, words)
-        return query
+        block.setflags(write=False)
+        return [cls.__new__(cls)._fill(n, (count / n, 0.0 if count < n else 1.0,
+                                           1.0 if count else 0.0), population_mean, None, words)
+                for words, count in zip(block, np.bitwise_count(block).sum(axis=1).tolist())]
 
-    def _fill(self, size, summary, population_mean, values, words) -> None:
+    def _fill(self, size, summary, population_mean, values, words) -> Query:
         if not 0.0 <= population_mean <= 1.0:
             raise ValueError(f"population_mean must lie in [0, 1], got {population_mean}")
         setattr_ = object.__setattr__  # past the immutable __setattr__ below
@@ -96,6 +98,7 @@ class Query:
         setattr_(self, "population_mean", population_mean)
         setattr_(self, "_values", values)
         setattr_(self, "_words", words)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError(f"a Query is immutable; cannot set {name!r}")
@@ -151,51 +154,55 @@ class AdaptiveEstimator:
         self.steps_per_query = math.ceil(1.0 / alpha)
         #: Queries per session that the reduction's guarantees cover, floor(1/(3*alpha)).
         self.query_budget = math.floor(1.0 / (3.0 * alpha))
-        # i*alpha and 0.5*i*alpha for every step, multiplied in the scalar order.
-        steps = np.arange(self.steps_per_query)
-        self._offsets = steps * alpha
-        self._half_offsets = 0.5 * steps * alpha
 
     def _constructed_model(self, query: Query, i: int) -> tuple[SubmittedModel, bool]:
         raw = self.c + 0.5 * (query.values - i * self.alpha)
-        lo = float(raw.min())
-        hi = float(raw.max())
-        clamped = lo < 0.0 or hi > 1.0
+        clamped = float(raw.min()) < 0.0 or float(raw.max()) > 1.0
         values = np.clip(raw, 0.0, 1.0) if clamped else raw
         risk_raw = (self.c - 0.5 * i * self.alpha) + 0.5 * query.population_mean
         risk = min(1.0, max(0.0, risk_raw))
         clamped = clamped or (risk != risk_raw)
         return SubmittedModel(loss_vector=values, population_risk=risk), clamped
 
-    def _schedule(self, query: Query) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every step's empirical risk, population risk and clamp flag.
+    def _unclamped_run(self, query: Query) -> tuple[int, int, np.ndarray, np.ndarray]:
+        """The unclamped steps, start to stop, with their risks and population risks.
 
-        Closed form of :meth:`_constructed_model` at every step i from the
-        query's summary, its mean, min and max, without reading its values.
-        The offset map is monotone in each value under rounding, so the min
-        and max rows equal each constructed vector's min and max bit for bit
-        and clamping is decided exactly; each clamp condition is monotone in
-        i, so the unclamped steps form one contiguous run. The empirical risk
-        agrees with the constructed vector's mean up to rounding.
+        :meth:`_constructed_model` in closed form from the query's summary.
+        Step i clamps where c + (min - i*alpha)/2 < 0, c + (max - i*alpha)/2 > 1
+        or (c - i*alpha/2) + population_mean/2 leaves [0, 1], the first two
+        exactly as the constructed vector's min and max do. Each condition is
+        monotone in i, so the unclamped steps are one run (0, 0 when every step
+        clamps); each bound is guessed in real arithmetic, then stepped to where
+        its float expression turns. Risks match the vectors' means up to rounding.
         """
-        risks, low, high = self.c + 0.5 * (np.array(query.summary)[:, None] - self._offsets)
-        risk_raw = (self.c - self._half_offsets) + 0.5 * query.population_mean
-        # np.clip's arithmetic without its wrapper; + 0.0: no -0.0, as min/max give
-        population_risks = np.minimum(np.maximum(risk_raw, 0.0), 1.0) + 0.0
-        clamped = (low < 0.0) | (high > 1.0) | (population_risks != risk_raw)
-        return risks, population_risks, clamped
+        c, alpha, steps = self.c, self.alpha, self.steps_per_query
+        mean, low, high = query.summary
+        half_mean = 0.5 * query.population_mean + 0.0  # + 0.0: no -0.0 risk, as clipping gives
+        start = max(_first(lambda i: not c + 0.5 * (high - i * alpha) > 1.0,
+                           (2.0 * c + high - 2.0) / alpha, steps),
+                    _first(lambda i: (c - 0.5 * i * alpha) + half_mean <= 1.0,
+                           2.0 * (c + half_mean - 1.0) / alpha, steps))
+        stop = min(_first(lambda i: c + 0.5 * (low - i * alpha) < 0.0,
+                          (2.0 * c + low) / alpha, steps),
+                   _first(lambda i: (c - 0.5 * i * alpha) + half_mean < 0.0,
+                          2.0 * (c + half_mean) / alpha, steps))
+        start, stop = (start, stop) if start < stop else (0, 0)
+        # 0.5*i*alpha, half of i*alpha: halving is exact for normal floats, so 0.5 * (mean
+        # - i*alpha) is 0.5 * mean less it bit for bit (a subnormal mean is absorbed either way)
+        half_offsets = np.arange(start, stop) * (0.5 * alpha)
+        return start, stop, c + (0.5 * mean - half_offsets), (c - half_offsets) + half_mean
 
     def answer(self, query: Query) -> QueryOutcome:
         """Run the offset schedule for one query and extract its answer.
 
-        The schedule's risks, population risks and clamp flags come from
-        :meth:`_schedule`, which reads the query's summary, not its values.
-        The unclamped steps, one contiguous run, go to the mechanism as one
+        :meth:`_unclamped_run` finds the unclamped steps, one contiguous
+        run, from the query's summary in a few scalar evaluations, and builds
+        risk rows for that run only. The run goes to the mechanism as one
         ``session.submit_risks`` batch that stops at the first release below
         ``c - alpha/2``, the trigger. A clamped step, and every step for a
         mechanism that reads loss vectors (``needs_loss_vector``), submits
         its constructed model through ``session.submit``; only these read
-        ``query.values``, so a packed 0/1 query (:meth:`Query.from_bits`) is
+        ``query.values``, so a packed 0/1 query (:meth:`Query.from_rows`) is
         unpacked only there, once.
         """
         mechanism = self.session.mechanism
@@ -207,18 +214,15 @@ class AdaptiveEstimator:
             )
         c = self.c
         trigger_below = c - self.alpha / 2.0
-        risks, population_risks, clamped = self._schedule(query)
-        # The unclamped steps are one run, free_from to free_to; both are 0 when every step clamps.
-        free_from = int(clamped.argmin())
-        free_to = 0 if clamped[free_from] else len(clamped) - int(clamped[::-1].argmin())
+        free_from, free_to, risks, population_risks = self._unclamped_run(query)
         scan_to = 0 if mechanism.needs_loss_vector else free_to
         first_round = mechanism.round
         i = 0
         try:
             while i < self.steps_per_query:
-                if free_from <= i < scan_to:
+                if i == free_from < scan_to:  # the unclamped run, steps free_from to free_to
                     released = self.session.submit_risks(
-                        risks[i:scan_to], population_risks[i:scan_to], stop_below=trigger_below)
+                        risks, population_risks, stop_below=trigger_below)
                 else:
                     model, _ = self._constructed_model(query, i)
                     released = (self.session.submit(model),)
@@ -236,22 +240,27 @@ class AdaptiveEstimator:
             raise
         self.total_submissions += i
         self.queries_answered += 1
-        if released[-1] < trigger_below:
-            r_value = float(released[-1])
-            self.c = r_value
-            return QueryOutcome(
-                answer=2.0 * ((r_value - c) + 0.5 * (i - 1) * self.alpha),
-                triggered=True, trigger_index=i - 1, r_value=r_value, c_after=r_value,
-                clamped=free_from > 0 or i > free_to, no_trigger=False, submissions=i,
-            )
-        # Schedule exhausted: possible only for large population means, where
-        # answering 1.0 is off by at most 2*alpha. Threshold stays put.
+        # Without a trigger the schedule ran out, possible only for large population
+        # means; answering 1.0 is then off by at most 2*alpha, and c stays put.
+        triggered = bool(released[-1] < trigger_below)
+        self.c = r_value = float(released[-1]) if triggered else c
         return QueryOutcome(
-            answer=1.0, triggered=False, trigger_index=None,
-            r_value=math.nan, c_after=c,
-            clamped=free_from > 0 or self.steps_per_query > free_to, no_trigger=True,
-            submissions=self.steps_per_query,
+            answer=2.0 * ((r_value - c) + 0.5 * (i - 1) * self.alpha) if triggered else 1.0,
+            triggered=triggered, trigger_index=i - 1 if triggered else None,
+            r_value=r_value if triggered else math.nan, c_after=r_value,
+            clamped=free_from > 0 or i > free_to, no_trigger=not triggered, submissions=i,
         )
+
+
+def _first(holds, guess: float, stop: int) -> int:
+    """The least i in [0, stop) where ``holds``, false and then true in i, is
+    true, else stop; searched from ``guess``, where it turns in real arithmetic."""
+    i = stop if not guess < stop else int(guess) + 1 if guess >= 0.0 else 0
+    while i > 0 and holds(i - 1):
+        i -= 1
+    while i < stop and not holds(i):
+        i += 1
+    return i
 
 
 def run_estimator_session(mechanism: LeaderboardMechanism, queries, alpha: float) -> list[QueryOutcome]:

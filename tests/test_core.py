@@ -124,6 +124,29 @@ class TestSubmittedModelValidation:
         with pytest.raises(ValueError):
             model.loss_vector[0] = 0.0
 
+    def test_view_does_not_follow_later_writes(self):
+        # a view used to be kept as is: writing through its base changed the
+        # model's losses after validation
+        base = np.zeros(6)
+        model = SubmittedModel(base[::2], 0.5)
+        base[0] = 7.0
+        assert model.loss_vector.tolist() == [0.0, 0.0, 0.0]
+        assert empirical_risk(model) == 0.0
+
+    def test_callers_array_stays_writable(self):
+        losses = np.array([0.5, 0.25])
+        model = SubmittedModel(losses, 0.5)
+        losses[0] = 1.0
+        assert losses.flags.writeable
+        assert model.loss_vector.tolist() == [0.5, 0.25]
+
+    @pytest.mark.parametrize("dtype", [np.bool_, np.uint8, np.float32, np.float64])
+    def test_keeps_the_input_dtype(self, dtype):
+        losses = np.array([1, 0, 0, 1, 1], dtype=dtype)
+        model = SubmittedModel(losses, 0.5)
+        assert model.loss_vector.dtype == losses.dtype
+        assert empirical_risk(model) == float(np.mean(losses))
+
 
 class TestTraceValidation:
     def test_first_round_compares_to_one(self):

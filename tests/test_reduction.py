@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from shakyladder.reduction import (
     write_session_csv,
 )
 from shakyladder import reduction
-from reference import per_step_answer
+from reference import _scheduled_risks, per_step_answer
 from synthetic import PerturbedMinOracle, StaleDipOracle
 
 
@@ -222,12 +223,11 @@ class TestScalarSchedule:
         i = int(position * est.steps_per_query)
         query = Query(values=np.array(values), population_mean=population_mean)
         model, clamped = est._constructed_model(query, i)
-        risks, population_risks, clamped_flags = est._schedule(query)
-        risk, population_risk, closed_clamped = risks[i], population_risks[i], clamped_flags[i]
-        assert closed_clamped == clamped
-        assert population_risk == model.population_risk
+        start, stop, risks, population_risks = est._unclamped_run(query)
+        assert (not start <= i < stop) == clamped
         if not clamped:
-            assert abs(risk - float(np.mean(model.loss_vector))) <= 1e-15
+            assert population_risks[i - start] == model.population_risk
+            assert abs(risks[i - start] - float(np.mean(model.loss_vector))) <= 1e-15
 
     @pytest.mark.parametrize("name,reads_vectors", [("pf-ladder", True), ("ladder", False)])
     def test_loss_vectors_built_only_where_read(self, name, reads_vectors):
@@ -247,6 +247,81 @@ class TestScalarSchedule:
             Query(values=Rng(4).random(40), population_mean=0.5))
         assert not out.clamped and mech.round == out.submissions
         assert len(vectors) == (out.submissions if reads_vectors else 0)
+
+
+#: Per clamp condition of ``_unclamped_run``, the c that puts step i's
+#: expression on its limit in real arithmetic; the min one is exact in floats.
+_BOUNDARIES = {
+    "min": lambda low, high, half_mean, i_alpha: -(0.5 * (low - i_alpha)),
+    "max": lambda low, high, half_mean, i_alpha: 1.0 - 0.5 * (high - i_alpha),
+    "risk below": lambda low, high, half_mean, i_alpha: 0.5 * i_alpha - half_mean,
+    "risk above": lambda low, high, half_mean, i_alpha: 1.0 + 0.5 * i_alpha - half_mean,
+}
+
+
+class TestUnclampedRun:
+    """``_unclamped_run`` against ``reference._scheduled_risks``, one step at a time."""
+
+    @given(
+        values=st.lists(st.one_of(_DYADIC, st.floats(0.0, 1.0)), min_size=1, max_size=16),
+        population_mean=st.one_of(_DYADIC, st.floats(0.0, 1.0)),
+        alpha=st.one_of(st.sampled_from([0.0625, 0.1, 0.125, 0.25, 1 / 3, 1 / 400]),
+                        st.floats(0.01, 0.49)),
+        boundary=st.sampled_from([None, *_BOUNDARIES]),
+        c=st.one_of(_DYADIC, st.floats(-0.5, 1.5)),
+        position=st.floats(0.0, 1.0, exclude_max=True),
+        ulps=st.integers(-4, 4),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_equals_the_per_step_schedule(self, values, population_mean, alpha, boundary, c,
+                                          position, ulps):
+        est = fresh_estimator(alpha)
+        query = Query(values=np.array(values), population_mean=population_mean)
+        _, low, high = query.summary
+        if boundary is not None:  # c on the boundary of one step, then a few ulps off it
+            c = _BOUNDARIES[boundary](low, high, 0.5 * population_mean,
+                                      int(position * est.steps_per_query) * alpha)
+        for _ in range(abs(ulps)):
+            c = float(np.nextafter(c, math.copysign(math.inf, ulps)))
+        est.c = c
+        start, stop, risks, population_risks = est._unclamped_run(query)
+        steps = [_scheduled_risks(est, query.summary, population_mean, i)
+                 for i in range(est.steps_per_query)]
+        free = [i for i, (_, _, clamped) in enumerate(steps) if not clamped]
+        assert (start, stop) == ((free[0], free[-1] + 1) if free else (0, 0))
+        assert free == list(range(start, stop))
+        # bit for bit, so that a -0.0 where the reference has 0.0 shows too
+        assert np.array([steps[i][0] for i in free], dtype=float).tobytes() == risks.tobytes()
+        assert (np.array([steps[i][1] for i in free], dtype=float).tobytes()
+                == population_risks.tobytes())
+
+    @pytest.mark.parametrize("values,population_mean,c,run", [
+        ([0.0, 1.0], 0.5, 0.25, (0, 5)),   # c + (0 - 4 alpha)/2 is exactly 0 at step 4
+        ([0.0, 1.0], 0.5, 0.625, (2, 8)),  # c + (1 - 2 alpha)/2 is exactly 1 at step 2
+        ([0.5], 0.0, 0.25, (0, 5)),        # the risk (c - 4 alpha/2) + 0 is exactly 0 at step 4
+        ([0.5], 1.0, 0.625, (2, 8)),       # the risk (c - 2 alpha/2) + 1/2 is exactly 1 at step 2
+        ([0.0, 1.0], 0.5, -0.25, (0, 0)),  # every step clamps
+    ])
+    def test_steps_on_a_boundary_stay_in_the_run(self, values, population_mean, c, run):
+        # alpha = 1/8: every quantity is dyadic, so each limit is met exactly
+        est = fresh_estimator(0.125)
+        est.c = c
+        start, stop, risks, population_risks = est._unclamped_run(
+            Query(values=np.array(values), population_mean=population_mean))
+        assert (start, stop) == run
+        assert len(risks) == len(population_risks) == stop - start
+
+    def test_construction_allocates_no_per_step_rows(self):
+        # the estimator used to keep i*alpha and 0.5*i*alpha for all 10^6
+        # steps, two rows of 8 MB each
+        session = EvaluationSession(PopulationMinOracle())
+        tracemalloc.start()
+        try:
+            AdaptiveEstimator(session, 1e-6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
 
 def packed_row(n, fill, seed):
@@ -280,8 +355,10 @@ class TestPackedQuery:
         assert np.array(packed.summary).tobytes() == np.array(vector.summary).tobytes()
         est = fresh_estimator(alpha)
         est.c = c
-        for fast, slow in zip(est._schedule(packed), est._schedule(vector)):
-            assert fast.tobytes() == slow.tobytes()
+        fast, slow = est._unclamped_run(packed), est._unclamped_run(vector)
+        assert fast[:2] == slow[:2]
+        for fast_row, slow_row in zip(fast[2:], slow[2:]):
+            assert fast_row.tobytes() == slow_row.tobytes()
         assert packed.values.dtype == np.float64
         assert packed.values.tobytes() == vector.values.tobytes()
         assert not packed.values.flags.writeable
@@ -315,6 +392,51 @@ class TestPackedQuery:
     def test_rejects_malformed_rows(self, n, words, message):
         with pytest.raises(ValueError, match=message):
             Query.from_bits(words, n, 0.5)
+
+    @given(
+        n=st.one_of(st.sampled_from([1, 63, 64, 65, 128]), st.integers(1, 300)),
+        fills=st.lists(st.sampled_from(["random", "zeros", "ones"]), max_size=6),
+        seed=st.integers(0, 2**32),
+        population_mean=st.one_of(_DYADIC, st.floats(0.0, 1.0)),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_rows_equal_from_bits(self, n, fills, seed, population_mean):
+        block = np.array([packed_row(n, fill, seed + row) for row, fill in enumerate(fills)],
+                         dtype=np.uint64).reshape(len(fills), -(-n // 64))
+        queries = Query.from_rows(block, n, population_mean)
+        assert len(queries) == len(fills)
+        for words, query in zip(block, queries):
+            single = Query.from_bits(words, n, population_mean)
+            bits = np.unpackbits(words.view(np.uint8), count=n, bitorder="little")
+            vector = Query(values=bits.astype(np.float64), population_mean=population_mean)
+            assert query.size == n and query.population_mean == population_mean
+            for other in (single, vector):
+                assert np.array(query.summary).tobytes() == np.array(other.summary).tobytes()
+                assert query.values.tobytes() == other.values.tobytes()
+            assert not query.values.flags.writeable
+
+    @pytest.mark.parametrize("n,block", [
+        (70, np.array([[0, 0], [1, 1 << 6]], dtype=np.uint64)),  # entry 70 of row 1 set
+        (64, np.zeros((3, 2), dtype=np.uint64)),
+        (65, np.zeros((3, 1), dtype=np.uint64)),
+        (0, np.zeros((3, 0), dtype=np.uint64)),
+        (100, np.zeros((3, 2), dtype=np.int64)),
+    ])
+    def test_rows_rejected_as_from_bits_rejects_them(self, n, block):
+        with pytest.raises(ValueError) as single:
+            Query.from_bits(block[-1], n, 0.5)
+        with pytest.raises(ValueError) as rows:
+            Query.from_rows(block, n, 0.5)
+        assert str(rows.value) == str(single.value)
+
+    def test_rows_independent_of_the_callers_block(self):
+        block = np.stack([packed_row(100, "ones", 0), packed_row(100, "zeros", 0)])
+        queries = Query.from_rows(block, 100, 0.5)
+        block[:] = block[::-1].copy()  # the queries share one copy of their own
+        assert block.flags.writeable
+        assert [query.summary for query in queries] == [(1.0, 1.0, 1.0), (0.0, 0.0, 0.0)]
+        assert [query.values.tolist() for query in queries] == [[1.0] * 100, [0.0] * 100]
+        assert Query.from_rows(block[:0], 100, 0.5) == []
 
     @pytest.mark.parametrize("mean", [-0.1, 1.5, math.nan])
     def test_rejects_bad_population_mean(self, mean):
