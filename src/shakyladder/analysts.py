@@ -10,9 +10,9 @@ Every attack reads its queries one bit per entry from ``_query_blocks`` and
 folds each block into its vote when read, so memory is O(block * n) for any
 k. Risks and correlations are popcounts of the packed rows, exact for any n;
 only votes unpack rows, to uint8. The vector attack reads its (k, noise)
-grid in one pass (``_attack_cells``), counts bits per threshold group of the
-noise levels and votes in float32; the mechanism-driven attacks submit one
-batch of risks per block and vote with exact integer sign counts. The
+grid in one pass (``_attack_cells``) and counts bits per threshold group of
+the noise levels; the mechanism-driven attacks submit one batch of risks per
+block. Every attack votes with exact integer sign counts, for any k. The
 shifted attack makes each block of packed mismatch rows 0/1 queries, their
 summaries from one popcount (``Query.from_rows``); a row is unpacked to a
 float vector only where one is read: on a clamped step of the schedule, or
@@ -29,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audit import EvaluationSession
-from .core import HoldoutSample, Trace, _mismatches, _pack, _unpack, model_from_predictions
+from .core import (HoldoutSample, Trace, _integer, _mismatches, _pack, _unpack,
+                   model_from_predictions)
 from .mechanisms import BudgetExhaustedError, LeaderboardMechanism
 from .noise import Rng
 from .reduction import AdaptiveEstimator, Query
@@ -42,13 +43,10 @@ __all__ = [
     "run_random_analyst",
 ]
 
-#: The vector grid's votes sum +/-1 per query in float32, exact while k stays below 2^24.
-FLOAT32_EXACT = 2**24
-
 #: Entries per query block, about: 1 MB as unpacked uint8 bits, small enough to stay in cache.
 BLOCK_ENTRIES = 2**20
 
-#: Rows a uint8 pending count sums before its flush into the float32 counts.
+#: Rows a uint8 pending count sums before its flush into the integer counts.
 PENDING_ROWS = 255
 
 #: Columns per slice of the vote at each k, so that its operands stay in cache.
@@ -121,37 +119,33 @@ def _attack_cells(n: int, k_grid, noise_stddevs,
     positive levels, and level j is positive on groups j+1 .. L+1+j. A
     segment, at most ``PENDING_ROWS`` rows of one block up to the next k, has
     its rows sorted by group, unpacked to uint8 and summed per group into a
-    uint8 pending row, flushed into the group's float32 counts before it
-    would hold more than ``PENDING_ROWS`` rows. With 0/1 bits b
-    and signs s, (+/-1 group signs) @ (counts + pending) is s @ b per level;
-    at each k the vote is negative where s @ b > pos - k/2, computed
-    ``VOTE_COLUMNS`` columns at a time. Every sum is an integer below 2^24,
-    exact in float32.
+    uint8 pending row, flushed into the group's integer counts before it
+    would hold more than ``PENDING_ROWS`` rows. At each k, ``VOTE_COLUMNS``
+    columns at a time, a running sum over the groups of counts + pending
+    gives level j's bits W on its positive groups, a difference of two
+    prefix rows, and T on all groups, the last prefix row; its signed count
+    is W - (T - W) and its balance is 2 pos - k for pos positive queries.
+    Label 1 is where 2 * count >= balance: the +/-1 vote is not negative
+    there. The counts are int32, or int64 from k = 2^30, which hold +/-2k:
+    every step is exact for any k.
     """
-    k_sorted = sorted(set(int(k) for k in k_grid))
-    k_max = k_sorted[-1]
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if k_sorted[0] < 0:
-        raise ValueError(f"k values must be >= 0, got {k_sorted[0]}")
-    if k_max >= FLOAT32_EXACT:
-        raise ValueError(f"k={k_max} must stay below 2^24, where the attack's float32 "
-                         "vote stops being exact")
+    k_sorted = sorted({_integer("k", k, 0) for k in k_grid})
+    k_max, n = k_sorted[-1], _integer("n", n, 1)
     stddevs = np.asarray(noise_stddevs, dtype=np.float64)
     if not np.isfinite(stddevs).all():
         raise ValueError(f"noise stddevs must be finite, got {noise_stddevs}")
     blocks = _query_blocks(seed, k_max, n)
     order, levels = np.argsort(stddevs, kind="stable"), len(stddevs)  # ascending scale
     scales = 2.0 * stddevs[order, None]
-    group_ids, level = np.arange(2 * levels + 2), np.arange(levels)[:, None]
-    signs = np.where((level < group_ids) & (group_ids <= levels + 1 + level),
-                     np.float32(1.0), np.float32(-1.0))
     hidden = Rng(seed, HIDDEN_STREAM).bits(n)
     hidden_words, hidden_zero = _pack(hidden), hidden == 0
     z = Rng(seed, NOISE_STREAM).standard_normal(k_max)
-    counts = np.zeros((len(group_ids), n), dtype=np.float32)
-    pending = np.zeros((len(group_ids), n), dtype=np.uint8)
-    held = [0] * len(group_ids)  # per group, the rows summed into pending since its flush
+    # holds every value in [-2k, 2k]; int16 counts, though narrower, ran slower end to end
+    count_type = np.int32 if 2 * k_max < 2**31 else np.int64
+    counts = np.zeros((2 * levels + 2, n), dtype=count_type)
+    pending = np.zeros((2 * levels + 2, n), dtype=np.uint8)
+    held = [0] * len(counts)  # per group, the rows summed into pending since its flush
+    sums = np.empty((len(counts), min(n, VOTE_COLUMNS)), dtype=count_type)  # reused per slice
     positives = np.zeros(levels, dtype=np.int64)
     errors = np.empty((len(k_sorted), levels))
     selected = np.empty((len(k_sorted), levels), dtype=np.int64)
@@ -180,12 +174,20 @@ def _attack_cells(n: int, k_grid, noise_stddevs,
                 held[group] += len(part)
             positives += np.count_nonzero(positive[:, rows], axis=1)
             done = stop
-        half = ((2 * positives - k) / 2).astype(np.float32)[:, None]
+        balance = (2 * positives - k).astype(count_type)[:, None]
         wrong = np.zeros(levels, dtype=np.int64)
         for start in range(0, n, VOTE_COLUMNS):
-            cols = slice(start, start + VOTE_COLUMNS)
-            vote = signs @ counts[:, cols] + signs @ pending[:, cols]
-            flipped = (vote < half) != hidden_zero[cols]
+            cols = slice(start, min(n, start + VOTE_COLUMNS))
+            prefix = np.add(counts[:, cols], pending[:, cols], out=sums[:, :cols.stop - start])
+            for below, row in zip(prefix, prefix[1:]):
+                row += below
+            # in place: level j's bits W on groups j+1 .. L+1+j, its count W - (T - W), twice
+            doubled = prefix[levels + 1:2 * levels + 1]
+            doubled -= prefix[:levels]
+            doubled *= 2
+            doubled -= prefix[-1]
+            doubled *= 2
+            flipped = (doubled < balance) != hidden_zero[cols]
             wrong += [np.count_nonzero(row) for row in flipped]
         errors[cell, order] = wrong / n
         selected[cell, order] = positives
@@ -202,15 +204,13 @@ def majority_attack_direct(n: int, k: int, noise_stddev: float | None = None,
     standard deviation of Gaussian noise applied to the risk-scale feedback;
     the correlation scale spans [-1, 1] instead of [0, 1], so internally the
     answers receive noise of twice that standard deviation. This is the
-    one-cell case of the grid the vary experiments run, the only attack that
-    votes in float32, so k must stay below 2^24 here alone; the correlations
-    are exact integer counts for any n.
+    one-cell case of the grid the vary experiments run; its correlations and
+    its vote are exact integer counts for any n and k.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    k = _integer("k", k, 1)
     if noise_stddev is not None and not (math.isfinite(noise_stddev) and noise_stddev >= 0):
         raise ValueError(f"noise_stddev must be finite and >= 0, got {noise_stddev}")
-    # _attack_cells checks n and the 2^24 bound on k before it draws anything.
+    # _attack_cells checks n before it draws anything.
     _, errors, selected = _attack_cells(n, (k,), (noise_stddev or 0.0,), seed)
     return AttackReport(
         final_error=float(errors[0, 0]),
@@ -240,6 +240,7 @@ def _submit_rows(session: EvaluationSession, block: np.ndarray, labels: np.ndarr
 def run_random_analyst(mechanism: LeaderboardMechanism, sample: HoldoutSample,
                        k: int, seed: int | tuple[int, ...]) -> tuple[list[float], Trace | None]:
     """Baseline analyst: k random models, no adaptivity."""
+    k = _integer("k", k, 0)
     mechanism.check_size(sample.size)
     session = EvaluationSession(mechanism)
     labels = _pack(sample.hidden_labels)
@@ -272,11 +273,11 @@ def _selection_signs(answers: np.ndarray, n: int, selection: str, answered) -> n
     return np.where(answered, np.where(answers < 0.5, 1, -1), 0).astype(np.int8)
 
 
-def _check_attack(mechanism: LeaderboardMechanism, sample: HoldoutSample, k: int,
-                  selection: str, steps: int = 1) -> None:
+def _check_attack(mechanism: LeaderboardMechanism, sample: HoldoutSample, k,
+                  selection: str, steps: int = 1) -> int:
+    """Checks an attack's arguments before anything is drawn; returns k as a Python int."""
     mechanism.check_size(sample.size)
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
+    k = _integer("k", k, 0)
     if k > sample.size:
         raise ValueError(f"attack needs k <= n, got k={k} > n={sample.size}")
     if selection not in ("theorem", "direct"):
@@ -284,6 +285,7 @@ def _check_attack(mechanism: LeaderboardMechanism, sample: HoldoutSample, k: int
     if mechanism.rounds_remaining() < (k + 1) * steps:
         raise BudgetExhaustedError(f"attack needs {(k + 1) * steps} submissions ({k + 1} queries "
                                    f"x {steps}); mechanism has {mechanism.rounds_remaining()} left")
+    return k
 
 
 def majority_attack_vs_mechanism(mechanism: LeaderboardMechanism, sample: HoldoutSample,
@@ -295,7 +297,7 @@ def majority_attack_vs_mechanism(mechanism: LeaderboardMechanism, sample: Holdou
     submits the pointwise majority model as round k+1. ``feedback_received``
     counts the k query rounds whose release differed from the previous one.
     """
-    _check_attack(mechanism, sample, k, selection)
+    k = _check_attack(mechanism, sample, k, selection)
     session = EvaluationSession(mechanism)
     labels = _pack(sample.hidden_labels)
     count = np.zeros(sample.size, dtype=np.int64)
@@ -336,7 +338,7 @@ def shifted_majority_attack(mechanism: LeaderboardMechanism, sample: HoldoutSamp
     report the queries whose schedule clamped or found no trigger.
     """
     estimator = AdaptiveEstimator(EvaluationSession(mechanism), alpha)  # checks alpha
-    _check_attack(mechanism, sample, k, selection, estimator.steps_per_query)
+    k = _check_attack(mechanism, sample, k, selection, estimator.steps_per_query)
     if k + 1 > estimator.query_budget:
         warnings.warn(f"the shifted attack sends k+1 = {k + 1} estimator queries, more than the "
                       f"reduction's budget floor(1/(3 alpha)) = {estimator.query_budget}; "

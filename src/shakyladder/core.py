@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,15 @@ LOSS_TOLERANCE = 1e-12
 
 #: Sub-stream tag used when generating hidden holdout labels from a seed.
 LABEL_STREAM = 11
+
+
+def _integer(name: str, value, least: int | None = None) -> int:
+    """``value`` as a Python int; a bool, a non-integer or one below ``least`` is a ValueError."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if least is not None and operator.index(value) < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return operator.index(value)
 
 
 def _as_readonly(array: np.ndarray) -> np.ndarray:
@@ -167,8 +177,7 @@ def _mismatches(block: np.ndarray, words: np.ndarray) -> np.ndarray:
 
 def make_random_label_sample(n: int, seed: int | tuple[int, ...]) -> HoldoutSample:
     """Holdout with labels i.i.d. uniform over {0, 1}, deterministic in seed."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = _integer("n", n, 1)
     labels = Rng(seed, LABEL_STREAM).bits(n)
     return HoldoutSample(size=n, hidden_labels=labels, seed=seed if isinstance(seed, int) else tuple(seed))
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import analysts
 from .audit import EvaluationSession, envelope_check, leaderboard_error
-from .core import make_random_label_sample
+from .core import _integer, make_random_label_sample
 from .mechanisms import (MECHANISM_NAMES, LadderConfig, PopulationMinOracle, ShakyLadder,
                          _regime_params, make_mechanism, shaky_params)
 from .noise import Rng
@@ -109,35 +109,22 @@ class ExperimentConfig:
         for name, default in reads.items():
             if getattr(self, name) is None:
                 object.__setattr__(self, name, default)
-        ks = () if self.k_grid is None else tuple(self.k_grid)
-        for name, value in (("n", self.n), ("reps", self.reps), ("seed", self.seed),
-                            *(("k", k) for k in ks)):
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        for name in ("n", "reps", "seed"):  # numpy integers as Python ints, like each k
-            object.__setattr__(self, name, int(getattr(self, name)))
+        for name, least in (("n", 1), ("reps", 1), ("seed", None)):  # as Python ints, like each k
+            object.__setattr__(self, name, _integer(name, getattr(self, name), least))
         if not isinstance(self.per_rep, bool):
             raise ValueError(f"per_rep must be a bool, got {self.per_rep!r}")
-        if self.n < 1:
-            raise ValueError("n must be positive")
-        if self.reps < 1:
-            raise ValueError("reps must be >= 1")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must lie in [0, 2^64), got {self.seed}")
         if self.mechanism is not None and self.mechanism not in MECHANISM_NAMES:
             raise ValueError(f"mechanism must be one of {MECHANISM_NAMES}, got {self.mechanism!r}")
         # Sorted tuples of distinct values (+ 0.0 folds -0.0 into 0.0): one cell each.
         if self.k_grid is not None:
-            object.__setattr__(self, "k_grid", tuple(sorted({int(k) for k in ks})))
+            object.__setattr__(self, "k_grid",
+                               tuple(sorted({_integer("k", k, 0) for k in self.k_grid})))
             if not self.k_grid:
                 raise ValueError("k grid must be nonempty")
-            if self.k_grid[0] < 0:
-                raise ValueError("k values must be >= 0")
-            if self.experiment.startswith("vary-"):  # the vector attack's float32 vote
-                if self.k_grid[-1] >= analysts.FLOAT32_EXACT:
-                    raise ValueError("k must stay below 2^24, where the vector attack's "
-                                     "float32 vote stops being exact")
-            elif self.k_grid[-1] > self.n:  # an attack on a mechanism
+            # an attack on a mechanism needs k <= n; the vector attack bounds no k
+            if not self.experiment.startswith("vary-") and self.k_grid[-1] > self.n:
                 raise ValueError(f"the attack needs k <= n, got k={self.k_grid[-1]} > n={self.n}")
         if self.noise_grid is not None:
             object.__setattr__(self, "noise_grid",

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from shakyladder import analysts
 from shakyladder.analysts import (
-    FLOAT32_EXACT,
     AttackReport,
     HIDDEN_STREAM,
     _attack_cells,
@@ -134,14 +133,9 @@ class TestDirectAttack:
         with pytest.raises(ValueError, match="noise_stddev"):
             majority_attack_direct(40000, 1000, stddev)
 
-    @pytest.mark.parametrize("n,k", [
-        (1, FLOAT32_EXACT), (64, FLOAT32_EXACT + 1), (FLOAT32_EXACT + 5, 2**30),
-    ])
-    def test_float32_bound_checked_before_drawing(self, n, k, no_draws):
-        with pytest.raises(ValueError, match="2\\^24"):
-            majority_attack_direct(n, k, 0.5)
-
-    @pytest.mark.parametrize("n,k", [(0, 1), (10, 0), (-3, 5)])
+    # k = 5.5 used to run 5 queries and report 5.5 issued, and True one reported as True
+    @pytest.mark.parametrize("n,k", [(0, 1), (10, 0), (-3, 5), (100, 5.5), (100, True),
+                                     (100, "5"), (100.5, 5)])
     def test_bad_sizes_rejected_before_drawing(self, n, k, no_draws):
         with pytest.raises(ValueError):
             majority_attack_direct(n, k, 0.5)
@@ -252,13 +246,6 @@ class TestVote:
             count += _sign_count(rows[block_signs == 1], rows[block_signs == -1])
         assert (2 * count > int(signs.sum())).astype(int).tolist() == [int(w < 0)
                                                                        for w in weights]
-
-    @pytest.mark.parametrize("shape", [(2**24, 1), (2**24 + 5, 2**24)])
-    def test_float32_bound_checked(self, shape, no_draws):
-        # only the vector grid votes in float32; it checks k before it draws a query
-        k, n = shape
-        with pytest.raises(ValueError, match="2\\^24"):
-            _attack_cells(n, (k,), (0.0,), 0)
 
 
 class TestRiskProduct:
@@ -372,7 +359,7 @@ def test_attack_memory_does_not_grow_with_k():
     assert direct < 2 * 2**20, direct
 
     # the vector attack's grid holds one block as uint8 bits (1 MB), and per
-    # threshold group a float32 count row and a uint8 pending row (16 x 200
+    # threshold group an int32 count row and a uint8 pending row (16 x 200
     # KB for seven levels), whatever k
     n = 40000
     stddevs = [m / math.sqrt(n) for m in VARY_NOISE_GRID]
@@ -499,6 +486,29 @@ class TestShiftedAttack:
             shifted_majority_attack(Ladder(LadderConfig(eta=0.01)), sample, -1, 0.1, seed=24)
         with pytest.raises(ValueError, match="k must be >= 0"):
             majority_attack_vs_mechanism(ExactEmpiricalOracle(), sample, -1, 24)
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            run_random_analyst(ExactEmpiricalOracle(), sample, -5, 24)
+
+    @pytest.mark.parametrize("k", [5.5, True])
+    def test_non_integer_k_rejected_before_drawing(self, k, no_draws):
+        # k = 5.5 used to fail in range() with a TypeError
+        sample = make_random_label_sample(100, 24)
+        with pytest.raises(ValueError, match="k must be an integer"):
+            shifted_majority_attack(Ladder(LadderConfig(eta=0.01)), sample, k, 0.1, seed=24)
+        with pytest.raises(ValueError, match="k must be an integer"):
+            majority_attack_vs_mechanism(ExactEmpiricalOracle(), sample, k, 24)
+        with pytest.raises(ValueError, match="k must be an integer"):
+            run_random_analyst(ExactEmpiricalOracle(), sample, k, 24)
+
+    def test_numpy_k_reported_as_python_int(self):
+        sample = make_random_label_sample(100, 24)
+        reports = [majority_attack_direct(100, np.int64(10), seed=24),
+                   majority_attack_vs_mechanism(ExactEmpiricalOracle(), sample, np.int64(10),
+                                                24)[0],
+                   shifted_majority_attack(Ladder(LadderConfig(eta=0.01)), sample,
+                                           np.int64(10), 0.02, seed=24)[0]]
+        assert [type(report.queries_issued) for report in reports] == [int] * 3
+        assert [report.queries_issued for report in reports] == [10, 11, 11]
 
     def test_every_query_triggers_against_exact_oracle(self):
         # random queries have population mean 1/2 < 1 - 2*alpha, and each

@@ -300,14 +300,14 @@ class TestOtherRunners:
                 ExperimentConfig(experiment="vary-queries", n=64, seed=seed)
         ExperimentConfig(experiment="vary-queries", n=2**24 - 1, k_grid=(2**24 - 1,))
 
-    def test_float32_bound_is_on_k_only(self, no_draws):
-        # correlations and risks are exact popcounts for any n; only the
-        # float32 vote bounds k
+    def test_vector_attack_bounds_neither_n_nor_k(self, no_draws):
+        # correlations are exact popcounts and votes exact integer counts for
+        # any n and k; the grid's vote was float32, exact only below k = 2^24
         for n in (2**24, 2**30):
             ExperimentConfig(experiment="vary-noise", n=n, k_grid=(10,))
-        for n, k in ((64, 2**24), (2**24, 2**24 + 1)):
-            with pytest.raises(ValueError, match="2\\^24"):
-                ExperimentConfig(experiment="vary-noise", n=n, k_grid=(10, k))
+        ExperimentConfig(experiment="vary-noise", n=64, k_grid=(2**24,))
+        with pytest.raises(AssertionError, match="drew before validating"):
+            majority_attack_direct(64, 2**24)
 
     def test_regime_check_does_not_warn(self, recwarn):
         # The run's shaky_params calls are the only source of regime warnings.
