@@ -11,12 +11,13 @@ folds each block into its vote when read, so memory is O(block * n) for any
 k. Risks and correlations are popcounts of the packed rows, exact for any n;
 only votes unpack rows, to uint8. The vector attack reads its (k, noise)
 grid in one pass (``_attack_cells``) and counts bits per threshold group of
-the noise levels; the mechanism-driven attacks submit one batch of risks per
-block. Every attack votes with exact integer sign counts, for any k. The
-shifted attack makes each block of packed mismatch rows 0/1 queries, their
-summaries from one popcount (``Query.from_rows``); a row is unpacked to a
-float vector only where one is read: on a clamped step of the schedule, or
-for a mechanism that reads loss vectors.
+the noise levels, unpacking one group's rows at a time; the mechanism-driven
+attacks submit one batch of risks per block. Every attack votes with exact
+integer sign counts, for any k. The shifted attack makes each block of
+packed mismatch rows 0/1 queries, their summaries from one popcount
+(``Query.from_rows``); a row is unpacked to a float vector only where one is
+read: on a clamped step of the schedule, or for a mechanism that reads loss
+vectors.
 Votes use +/-1 (label y is 1 - 2y); a tie or an empty selection gives label 0.
 """
 
@@ -43,7 +44,7 @@ __all__ = [
     "run_random_analyst",
 ]
 
-#: Entries per query block, about: 1 MB as unpacked uint8 bits, small enough to stay in cache.
+#: Entries per query block, about, and the most the grid unpacks at once: 1 MB as uint8 bits.
 BLOCK_ENTRIES = 2**20
 
 #: Rows a uint8 pending count sums before its flush into the integer counts.
@@ -92,14 +93,14 @@ class AttackReport:
                                  f"got {getattr(self, name)}")
 
 
-def _query_blocks(seed: int | tuple[int, ...], k: int, n: int):
+def _query_blocks(seed: int | tuple[int, ...], k: int, n: int, entries: int | None = None):
     """The one reader of the query stream: k random 0/1 rows of n entries.
 
-    Packed ``Rng.bit_rows`` blocks of whole rows, about ``BLOCK_ENTRIES``
-    entries each; a row takes whole raw words, so consecutive blocks continue
-    one draw for any n.
+    Packed ``Rng.bit_rows`` blocks of whole rows, about ``entries`` (by
+    default ``BLOCK_ENTRIES``) entries each; a row takes whole raw words, so
+    consecutive blocks continue one draw for any n.
     """
-    rows = max(1, BLOCK_ENTRIES // n)
+    rows = max(1, (entries or BLOCK_ENTRIES) // n)
     queries = Rng(seed, QUERY_STREAM)
     return (queries.bit_rows(min(rows, k - start), n) for start in range(0, k, rows))
 
@@ -117,31 +118,35 @@ def _attack_cells(n: int, k_grid, noise_stddevs,
     ascending scale its positive levels are a prefix (z <= 0) or a suffix
     (z > 0): its threshold group is ``up`` or ``2L+1-up`` for ``up``
     positive levels, and level j is positive on groups j+1 .. L+1+j. A
-    segment, at most ``PENDING_ROWS`` rows of one block up to the next k, has
-    its rows sorted by group, unpacked to uint8 and summed per group into a
-    uint8 pending row, flushed into the group's integer counts before it
-    would hold more than ``PENDING_ROWS`` rows. At each k, ``VOTE_COLUMNS``
+    segment, the rows of one block up to the next k, has its packed rows
+    sorted by group; each group's part is unpacked to uint8 at most
+    ``BLOCK_ENTRIES`` entries at a time and summed into the group's uint8
+    pending row, flushed into its integer counts before it would hold more
+    than ``PENDING_ROWS`` rows. At each k, ``VOTE_COLUMNS``
     columns at a time, a running sum over the groups of counts + pending
     gives level j's bits W on its positive groups, a difference of two
     prefix rows, and T on all groups, the last prefix row; its signed count
     is W - (T - W) and its balance is 2 pos - k for pos positive queries.
     Label 1 is where 2 * count >= balance: the +/-1 vote is not negative
-    there. The counts are int32, or int64 from k = 2^30, which hold +/-2k:
-    every step is exact for any k.
+    there. The counts and every step of the vote take the narrowest signed
+    type that holds +/-2k (int16 for 64 <= k < 2^14): exact for any k.
     """
     k_sorted = sorted({_integer("k", k, 0) for k in k_grid})
     k_max, n = k_sorted[-1], _integer("n", n, 1)
     stddevs = np.asarray(noise_stddevs, dtype=np.float64)
     if not np.isfinite(stddevs).all():
         raise ValueError(f"noise stddevs must be finite, got {noise_stddevs}")
-    blocks = _query_blocks(seed, k_max, n)
+    # held packed only, so twice the entries; no more rows than at n = 64, where
+    # a row is one word: below that, the per-row arrays outweigh the bits
+    entries = 2 * BLOCK_ENTRIES
+    blocks = _query_blocks(seed, k_max, n, min(entries, entries // 64 * n))
+    chunk = min(PENDING_ROWS, max(1, BLOCK_ENTRIES // n))  # rows unpacked at a time
     order, levels = np.argsort(stddevs, kind="stable"), len(stddevs)  # ascending scale
     scales = 2.0 * stddevs[order, None]
     hidden = Rng(seed, HIDDEN_STREAM).bits(n)
     hidden_words, hidden_zero = _pack(hidden), hidden == 0
     z = Rng(seed, NOISE_STREAM).standard_normal(k_max)
-    # holds every value in [-2k, 2k]; int16 counts, though narrower, ran slower end to end
-    count_type = np.int32 if 2 * k_max < 2**31 else np.int64
+    count_type = np.min_scalar_type(-2 * k_max - 1)  # holds every value in [-2k, 2k]
     counts = np.zeros((2 * levels + 2, n), dtype=count_type)
     pending = np.zeros((2 * levels + 2, n), dtype=np.uint8)
     held = [0] * len(counts)  # per group, the rows summed into pending since its flush
@@ -160,18 +165,19 @@ def _attack_cells(n: int, k_grid, noise_stddevs,
                 up = np.count_nonzero(positive, axis=0)
                 groups = np.where(noise > 0.0, 2 * levels + 1 - up, up)
                 block_start, block_end = done, done + len(block)
-            stop = min(k, block_end, done + PENDING_ROWS)
+            stop = min(k, block_end)
             rows = slice(done - block_start, stop - block_start)
-            sizes = np.bincount(groups[rows], minlength=len(held))
-            present = np.flatnonzero(sizes)
-            bits = _unpack(block[rows][np.argsort(groups[rows], kind="stable")], n)
-            for group, part in zip(present.tolist(),
-                                   np.split(bits, np.cumsum(sizes[present])[:-1])):
-                if held[group] + len(part) > PENDING_ROWS:
-                    counts[group] += pending[group]
-                    pending[group], held[group] = 0, 0
-                pending[group] += part[0] if len(part) == 1 else part.sum(axis=0, dtype=np.uint8)
-                held[group] += len(part)
+            part_ends = np.cumsum(np.bincount(groups[rows], minlength=len(held))).tolist()
+            packed = block[rows][np.argsort(groups[rows], kind="stable")]
+            for group, (begin, end) in enumerate(zip([0, *part_ends], part_ends)):
+                for first in range(begin, end, chunk):
+                    part = _unpack(packed[first:min(end, first + chunk)], n)
+                    if held[group] + len(part) > PENDING_ROWS:
+                        counts[group] += pending[group]
+                        pending[group], held[group] = 0, 0
+                    pending[group] += (part[0] if len(part) == 1
+                                       else part.sum(axis=0, dtype=np.uint8))
+                    held[group] += len(part)
             positives += np.count_nonzero(positive[:, rows], axis=1)
             done = stop
         balance = (2 * positives - k).astype(count_type)[:, None]

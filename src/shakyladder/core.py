@@ -47,8 +47,9 @@ def _integer(name: str, value, least: int | None = None) -> int:
     return operator.index(value)
 
 
-def _as_readonly(array: np.ndarray) -> np.ndarray:
-    out = np.asarray(array)
+def _readonly_copy(array, dtype=None) -> np.ndarray:
+    """A read-only copy: the caller's array stays writable and its later writes do not reach it."""
+    out = np.array(array, dtype=dtype)
     out.setflags(write=False)
     return out
 
@@ -66,7 +67,7 @@ class SubmittedModel:
     population_risk: float
 
     def __post_init__(self):
-        vec = _as_readonly(np.array(self.loss_vector))  # a copy: later writes do not reach it
+        vec = _readonly_copy(self.loss_vector)
         if vec.ndim != 1 or vec.size == 0:
             raise ValueError("loss_vector must be a nonempty 1-d array")
         lo = float(vec.min())
@@ -97,7 +98,7 @@ class HoldoutSample:
     def __post_init__(self):
         if self.size < 1:
             raise ValueError(f"sample size must be >= 1, got {self.size}")
-        labels = _as_readonly(self.hidden_labels)
+        labels = _readonly_copy(self.hidden_labels)
         if labels.shape != (self.size,):
             raise ValueError("hidden_labels length must equal size")
         if not ((labels == 0) | (labels == 1)).all():
@@ -128,8 +129,7 @@ class Trace:
 
     def __post_init__(self):
         for name in ("empirical_risks", "released", "population_risks", "noise"):
-            column = np.asarray(getattr(self, name), dtype=float)
-            object.__setattr__(self, name, _as_readonly(column))
+            object.__setattr__(self, name, _readonly_copy(getattr(self, name), float))
         rounds = self.released.shape
         if not (len(rounds) == 1 and self.empirical_risks.shape == rounds
                 and self.population_risks.shape == rounds and self.noise.shape == (*rounds, 3)):

@@ -21,8 +21,8 @@ from shakyladder.analysts import (
     shifted_majority_attack,
 )
 from shakyladder.audit import EvaluationSession
-from shakyladder.core import (HoldoutSample, empirical_risk, make_random_label_sample,
-                              model_from_predictions)
+from shakyladder.core import (HoldoutSample, _unpack, empirical_risk,
+                              make_random_label_sample, model_from_predictions)
 from shakyladder.experiments import VARY_NOISE_GRID
 from shakyladder.mechanisms import (
     MECHANISM_NAMES,
@@ -147,6 +147,43 @@ class TestDirectAttack:
     def test_pattern_counts_do_not_overflow(self, n, k):
         # each pattern's rows are summed in an integer type sized to its row count
         assert majority_attack_direct(n, k, None, seed=3) == vstack_majority_attack(n, k, None, 3)
+
+    @pytest.mark.parametrize("ones,seed", [(False, 2), (True, 1), (True, 2)])
+    @pytest.mark.parametrize("k", [63, 64, 16383, 16384])
+    def test_count_type_switches(self, k, ones, seed, monkeypatch):
+        # the counts are int8 up to k = 63, int16 up to 16383 and int32 from
+        # 16384 on. All-ones query rows vote alike on the noiseless level, so
+        # its doubled count reaches 2k when the hidden bits of seed 1 are
+        # mostly ones, and -2k for seed 2: both ends of the type's range.
+        n = 5
+        if ones:
+            row = _pack(np.ones(n, dtype=np.uint8))
+            monkeypatch.setattr(Rng, "bit_rows", lambda self, rows, n: np.tile(row, (rows, 1)))
+        stddevs = [0.0, 1.0 / math.sqrt(n)]
+        _, errors, selected = _attack_cells(n, (k,), stddevs, seed)
+        for level, stddev in enumerate(stddevs):
+            ref = vstack_majority_attack(n, k, stddev, seed)
+            assert (errors[0, level], selected[0, level]) == (ref.final_error,
+                                                              ref.selected_count), level
+
+    def test_group_parts_unpack_in_chunks(self, monkeypatch):
+        # with BLOCK_ENTRIES at 3 rows of n entries, a grid block holds 6
+        # rows, so one level's four threshold groups often get a part of
+        # more than 3 rows; no unpack may take more than 3 rows at a time
+        n, k_grid, seed = 100, (7, 600), 3
+        monkeypatch.setattr(analysts, "BLOCK_ENTRIES", 3 * n)
+        unpacked = []
+
+        def spy(block, n):
+            unpacked.append(len(block))
+            return _unpack(block, n)
+
+        monkeypatch.setattr(analysts, "_unpack", spy)
+        ks, errors, selected = _attack_cells(n, k_grid, [1.0 / math.sqrt(n)], seed)
+        assert max(unpacked) == 3 and sum(unpacked) == k_grid[-1]
+        for cell, k in enumerate(ks):
+            ref = vstack_majority_attack(n, k, 1.0 / math.sqrt(n), seed)
+            assert (errors[cell, 0], selected[cell, 0]) == (ref.final_error, ref.selected_count)
 
     def test_more_levels_than_a_word_has_bits(self):
         # 70 distinct levels: a sign pattern keyed as an int64 bitmask would
@@ -358,9 +395,11 @@ def test_attack_memory_does_not_grow_with_k():
     direct = peak(10**4, 5000, "direct")
     assert direct < 2 * 2**20, direct
 
-    # the vector attack's grid holds one block as uint8 bits (1 MB), and per
-    # threshold group an int32 count row and a uint8 pending row (16 x 200
-    # KB for seven levels), whatever k
+    # the vector attack's grid holds one packed block (256 KB at n = 40000)
+    # and a copy of its rows sorted by threshold group, unpacks at most
+    # BLOCK_ENTRIES entries at a time (1 MB as uint8 bits), and keeps per
+    # group an int16 count row and a uint8 pending row (16 x 120 KB for seven
+    # levels), whatever k: a peak of about 4.3 MiB
     n = 40000
     stddevs = [m / math.sqrt(n) for m in VARY_NOISE_GRID]
 
@@ -374,7 +413,7 @@ def test_attack_memory_does_not_grow_with_k():
 
     small, large = grid_peak(200), grid_peak(1000)
     assert large < 1.2 * small + 256 * 1024, (small, large)
-    assert max(small, large) < 8 * 2**20, (small, large)
+    assert max(small, large) < 5 * 2**20, (small, large)
 
 
 class TestAttackVsMechanism:

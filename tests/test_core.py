@@ -46,6 +46,19 @@ class TestRandomLabelSample:
         with pytest.raises(ValueError):
             sample.hidden_labels[0] = 1
 
+    def test_view_does_not_follow_later_writes(self):
+        # the labels used to be kept as is: writing through the base of a view
+        # changed them after validation, even to a value that is not binary,
+        # and the caller's own array became read-only
+        base = np.zeros(8, dtype=np.uint8)
+        sample = HoldoutSample(4, base[::2], 0)
+        base[0] = 7
+        assert sample.hidden_labels.tolist() == [0, 0, 0, 0]
+        labels = np.array([0, 1], dtype=np.uint8)
+        sample = HoldoutSample(2, labels, 0)
+        labels[0] = 1
+        assert sample.hidden_labels.tolist() == [0, 1]
+
 
 class TestModelFromPredictions:
     def test_perfect_predictions(self):
@@ -168,6 +181,21 @@ class TestTraceValidation:
         with pytest.raises(ValueError):
             Trace(empirical_risks=[0.5], released=[0.4], population_risks=[0.5],
                   noise=np.full((1, 2), math.nan))
+
+    def test_view_does_not_follow_later_writes(self):
+        # the columns used to be kept as is: a trace built from views of one
+        # row array followed later writes to it, and an array passed whole
+        # became read-only for its caller
+        rows = np.array([[0.5, 0.4, 0.1, math.nan, math.nan]])
+        released = np.array([0.4])
+        trace = Trace(empirical_risks=rows[:, 0], released=released,
+                      population_risks=rows[:, 0], noise=rows[:, 2:])
+        rows[0] = 0.9
+        released[0] = 1.0
+        assert trace.empirical_risks.tolist() == trace.population_risks.tolist() == [0.5]
+        assert trace.released.tolist() == [0.4]
+        assert trace.max_noise_magnitude == 0.1
+        assert trace.update_count == 1
 
     def test_columns_read_only(self):
         trace = build_trace([0.5], [0.4], draws=[(0.1, 0.2, 0.3)])
