@@ -9,15 +9,13 @@ that mechanisms which rarely give feedback (ladders) answer every query.
 Every attack reads its queries one bit per entry from ``_query_blocks`` and
 folds each block into its vote when read, so memory is O(block * n) for any
 k. Risks and correlations are popcounts of the packed rows, exact for any n;
-only votes unpack rows, to uint8. The vector attack reads its (k, noise)
-grid in one pass (``_attack_cells``) and counts bits per threshold group of
-the noise levels, unpacking one group's rows at a time; the mechanism-driven
-attacks submit one batch of risks per block. Every attack votes with exact
-integer sign counts, for any k. The shifted attack makes each block of
-packed mismatch rows 0/1 queries, their summaries from one popcount
-(``Query.from_rows``); a row is unpacked to a float vector only where one is
-read: on a clamped step of the schedule, or for a mechanism that reads loss
-vectors.
+only votes and mechanisms that read loss vectors unpack rows, to uint8 and
+at most ``BLOCK_ENTRIES`` entries at a time. The vector attack counts its
+(k, noise) grid in one pass per threshold group (``_attack_cells``); the
+mechanism-driven attacks submit one batch of risks per block and fold only
+its voting rows into an int64 count (``_add_votes``). Every vote is an exact
+integer sign count, for any k. The shifted attack's queries are packed
+mismatch rows (``Query.from_rows``), unpacked only where a step reads them.
 Votes use +/-1 (label y is 1 - 2y); a tie or an empty selection gives label 0.
 """
 
@@ -44,7 +42,7 @@ __all__ = [
     "run_random_analyst",
 ]
 
-#: Entries per query block, about, and the most the grid unpacks at once: 1 MB as uint8 bits.
+#: Half the entries of a query block, and the most any reader unpacks at once: 1 MB as uint8 bits.
 BLOCK_ENTRIES = 2**20
 
 #: Rows a uint8 pending count sums before its flush into the integer counts.
@@ -93,16 +91,22 @@ class AttackReport:
                                  f"got {getattr(self, name)}")
 
 
-def _query_blocks(seed: int | tuple[int, ...], k: int, n: int, entries: int | None = None):
+def _query_blocks(seed: int | tuple[int, ...], k: int, n: int):
     """The one reader of the query stream: k random 0/1 rows of n entries.
 
-    Packed ``Rng.bit_rows`` blocks of whole rows, about ``entries`` (by
-    default ``BLOCK_ENTRIES``) entries each; a row takes whole raw words, so
-    consecutive blocks continue one draw for any n.
+    Packed ``Rng.bit_rows`` blocks of ``2 * BLOCK_ENTRIES`` entries, but no more rows
+    than at n = 64, below which the per-row arrays outweigh the bits. A row takes
+    whole raw words, so consecutive blocks continue one draw for any n.
     """
-    rows = max(1, (entries or BLOCK_ENTRIES) // n)
+    rows = max(1, 2 * BLOCK_ENTRIES // max(n, 64))
     queries = Rng(seed, QUERY_STREAM)
     return (queries.bit_rows(min(rows, k - start), n) for start in range(0, k, rows))
+
+
+def _chunks(rows: np.ndarray, n: int):
+    """Packed rows in order, in parts of at most ``BLOCK_ENTRIES`` entries each."""
+    step = max(1, BLOCK_ENTRIES // n)
+    return (rows[first:first + step] for first in range(0, len(rows), step))
 
 
 def _attack_cells(n: int, k_grid, noise_stddevs,
@@ -136,10 +140,7 @@ def _attack_cells(n: int, k_grid, noise_stddevs,
     stddevs = np.asarray(noise_stddevs, dtype=np.float64)
     if not np.isfinite(stddevs).all():
         raise ValueError(f"noise stddevs must be finite, got {noise_stddevs}")
-    # held packed only, so twice the entries; no more rows than at n = 64, where
-    # a row is one word: below that, the per-row arrays outweigh the bits
-    entries = 2 * BLOCK_ENTRIES
-    blocks = _query_blocks(seed, k_max, n, min(entries, entries // 64 * n))
+    blocks = _query_blocks(seed, k_max, n)
     chunk = min(PENDING_ROWS, max(1, BLOCK_ENTRIES // n))  # rows unpacked at a time
     order, levels = np.argsort(stddevs, kind="stable"), len(stddevs)  # ascending scale
     scales = 2.0 * stddevs[order, None]
@@ -237,7 +238,7 @@ def _submit_rows(session: EvaluationSession, block: np.ndarray, labels: np.ndarr
     risks = _mismatches(block, labels) / sample.size
     if session.mechanism.needs_loss_vector:
         released = [session.submit(model_from_predictions(row, sample))
-                    for row in _unpack(block, sample.size)]
+                    for part in _chunks(block, sample.size) for row in _unpack(part, sample.size)]
     else:
         released = session.submit_risks(risks, np.full(len(risks), 0.5))
     return risks, np.asarray(released, dtype=float)
@@ -256,15 +257,18 @@ def run_random_analyst(mechanism: LeaderboardMechanism, sample: HoldoutSample,
     return released, trace
 
 
-def _sign_count(plus: np.ndarray, minus: np.ndarray) -> np.ndarray:
-    """One block's exact vote count: its 0/1 rows of sign +1 summed, less those of sign -1.
+def _add_votes(count: np.ndarray, block: np.ndarray, signs: np.ndarray) -> int:
+    """Adds one block's exact vote count to the int64 ``count`` in place; returns its sign sum.
 
-    Each sum runs in the narrowest type that holds its row count. Summed over
-    the blocks, with ``balance`` the sum of the signs, label 1 is where
-    2 * count > balance: there the +/-1 vote balance - 2 * count is negative.
+    Rows of sign +1 are added and rows of sign -1 subtracted, each unpacked part summed
+    in the narrowest type that holds its row count. With ``balance`` the sign sums added
+    over all blocks, label 1 is where 2 * count > balance: there the vote is negative.
     """
-    return np.subtract(*(rows.sum(axis=0, dtype=np.min_scalar_type(len(rows)))
-                         for rows in (plus, minus)), dtype=np.int64)
+    for sign, fold in ((1, np.add), (-1, np.subtract)):
+        for part in _chunks(block[signs == sign], len(count)):  # one part unpacked at a time
+            fold(count, _unpack(part, len(count)).sum(axis=0, dtype=np.min_scalar_type(len(part))),
+                 out=count)
+    return int(signs.sum())
 
 
 def _selection_signs(answers: np.ndarray, n: int, selection: str, answered) -> np.ndarray:
@@ -305,15 +309,13 @@ def majority_attack_vs_mechanism(mechanism: LeaderboardMechanism, sample: Holdou
     """
     k = _check_attack(mechanism, sample, k, selection)
     session = EvaluationSession(mechanism)
-    labels = _pack(sample.hidden_labels)
-    count = np.zeros(sample.size, dtype=np.int64)
+    labels, count = _pack(sample.hidden_labels), np.zeros(sample.size, dtype=np.int64)
     answers = [np.ones(1)]  # R_0 = 1, so that the first round's change counts
     selected = balance = 0
     for block in _query_blocks(seed, k, sample.size):
         answers.append(_submit_rows(session, block, labels, sample)[1])
         signs = _selection_signs(answers[-1], sample.size, selection, True)
-        count += _sign_count(*(_unpack(block[signs == s], sample.size) for s in (1, -1)))
-        balance += int(signs.sum())
+        balance += _add_votes(count, block, signs)
         selected += int(np.count_nonzero(signs == 1))
     risks, released = _submit_rows(session, _pack(2 * count > balance)[None], labels, sample)
     report = AttackReport(
@@ -358,8 +360,7 @@ def shifted_majority_attack(mechanism: LeaderboardMechanism, sample: HoldoutSamp
         answered = np.array([outcome.triggered for outcome in outcomes])
         signs = _selection_signs(np.array([outcome.answer for outcome in outcomes]),
                                  sample.size, selection, answered)
-        count += _sign_count(*(_unpack(block[signs == s], sample.size) for s in (1, -1)))
-        balance += int(signs.sum())
+        balance += _add_votes(count, block, signs)
         selected += int(np.count_nonzero(signs == 1))
         feedback += int(np.count_nonzero(answered))
         clamped += sum(outcome.clamped for outcome in outcomes)

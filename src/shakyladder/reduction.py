@@ -171,21 +171,20 @@ class AdaptiveEstimator:
         Step i clamps where c + (min - i*alpha)/2 < 0, c + (max - i*alpha)/2 > 1
         or (c - i*alpha/2) + population_mean/2 leaves [0, 1], the first two
         exactly as the constructed vector's min and max do. Each condition is
-        monotone in i, so the unclamped steps are one run (0, 0 when every step
-        clamps); each bound is guessed in real arithmetic, then stepped to where
-        its float expression turns. Risks match the vectors' means up to rounding.
+        monotone in i, so the run starts where both upper ones hold and stops
+        where either lower one does (0, 0 when every step clamps), each bound
+        guessed in real arithmetic, then stepped to where its float expression
+        turns. Risks match the vectors' means up to rounding.
         """
         c, alpha, steps = self.c, self.alpha, self.steps_per_query
         mean, low, high = query.summary
         half_mean = 0.5 * query.population_mean + 0.0  # + 0.0: no -0.0 risk, as clipping gives
-        start = max(_first(lambda i: not c + 0.5 * (high - i * alpha) > 1.0,
-                           (2.0 * c + high - 2.0) / alpha, steps),
-                    _first(lambda i: (c - 0.5 * i * alpha) + half_mean <= 1.0,
-                           2.0 * (c + half_mean - 1.0) / alpha, steps))
-        stop = min(_first(lambda i: c + 0.5 * (low - i * alpha) < 0.0,
-                          (2.0 * c + low) / alpha, steps),
-                   _first(lambda i: (c - 0.5 * i * alpha) + half_mean < 0.0,
-                          2.0 * (c + half_mean) / alpha, steps))
+        start = _first(lambda i: (not c + 0.5 * (high - i * alpha) > 1.0
+                                  and (c - 0.5 * i * alpha) + half_mean <= 1.0),
+                       max(2.0 * c + high - 2.0, 2.0 * (c + half_mean - 1.0)) / alpha, steps)
+        stop = _first(lambda i: (c + 0.5 * (low - i * alpha) < 0.0
+                                 or (c - 0.5 * i * alpha) + half_mean < 0.0),
+                      min(2.0 * c + low, 2.0 * (c + half_mean)) / alpha, steps)
         start, stop = (start, stop) if start < stop else (0, 0)
         # 0.5*i*alpha, half of i*alpha: halving is exact for normal floats, so 0.5 * (mean
         # - i*alpha) is 0.5 * mean less it bit for bit (a subnormal mean is absorbed either way)

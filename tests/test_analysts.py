@@ -7,13 +7,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from shakyladder import analysts
+from shakyladder import analysts, reduction
 from shakyladder.analysts import (
     AttackReport,
     HIDDEN_STREAM,
     _attack_cells,
+    _add_votes,
     _pack,
-    _sign_count,
     _submit_rows,
     majority_attack_direct,
     majority_attack_vs_mechanism,
@@ -265,24 +265,47 @@ class TestDirectAttack:
 
 class TestVote:
     @given(k=st.integers(0, 12), n=st.integers(1, 12), seed=st.integers(0, 2**32),
-           cuts=st.lists(st.integers(0, 12), max_size=4))
+           cuts=st.lists(st.integers(0, 12), max_size=4),
+           signs_of=st.sampled_from(["random", "plus", "minus", "zero"]),
+           block_rows=st.none() | st.integers(1, 4))
+    @example(k=9, n=7, seed=3, cuts=[4], signs_of="plus", block_rows=None)  # no -1 rows
+    @example(k=9, n=7, seed=3, cuts=[4], signs_of="minus", block_rows=None)  # no +1 rows
+    @example(k=9, n=7, seed=4, cuts=[], signs_of="zero", block_rows=None)  # count unchanged
+    @example(k=12, n=5, seed=5, cuts=[], signs_of="random", block_rows=2)  # parts of 2 rows
     @settings(max_examples=100, deadline=None)
-    def test_matches_loop_vote(self, k, n, seed, cuts):
-        # the per-block sign counts, summed over any split of the rows into
-        # blocks, give the label of the one-loop vote; ties and an empty
-        # selection give label 0
+    def test_matches_loop_vote(self, k, n, seed, cuts, signs_of, block_rows):
+        # the in-place folds, over any split of the rows into blocks, give
+        # the label of the one-loop vote; ties and an empty selection give
+        # label 0. Each side of a block is unpacked in parts of at most
+        # BLOCK_ENTRIES entries, block_rows rows when it is patched, and a
+        # side without rows not at all
         rng = Rng(seed)
         preds = rng.integers(0, 2, (k, n), dtype=np.int8).astype(np.uint8)
-        signs = rng.integers(-1, 2, k, dtype=np.int8)
+        signs = {"random": rng.integers(-1, 2, k, dtype=np.int8), "plus": np.ones(k, np.int8),
+                 "minus": -np.ones(k, np.int8), "zero": np.zeros(k, np.int8)}[signs_of]
         weights = [sum(int(s) * (1 - 2 * int(p)) for s, p in zip(signs, preds[:, j]))
                    for j in range(n)]
+        packed = np.array([_pack(row) for row in preds], dtype="<u8").reshape(k, -(-n // 64))
         bounds = [0, *sorted(min(cut, k) for cut in cuts), k]
-        count = np.zeros(n, dtype=np.int64)
-        for start, stop in zip(bounds, bounds[1:]):
-            rows, block_signs = preds[start:stop], signs[start:stop]
-            count += _sign_count(rows[block_signs == 1], rows[block_signs == -1])
+        step = block_rows or max(k, 1)  # unpatched, one part holds every row
+        count = np.arange(n, dtype=np.int64)  # a fold adds to what count holds
+        unpacked, parts = [], []
+        with pytest.MonkeyPatch.context() as patch:
+            if block_rows is not None:
+                patch.setattr(analysts, "BLOCK_ENTRIES", block_rows * n)
+            patch.setattr(analysts, "_unpack",
+                          lambda rows, n: unpacked.append(len(rows)) or _unpack(rows, n))
+            for start, stop in zip(bounds, bounds[1:]):
+                _add_votes(count, packed[start:stop], signs[start:stop])
+                for sign in (1, -1):
+                    rows = int(np.count_nonzero(signs[start:stop] == sign))
+                    parts += [step] * (rows // step) + [rows % step] * (rows % step > 0)
+        count -= np.arange(n)
         assert (2 * count > int(signs.sum())).astype(int).tolist() == [int(w < 0)
                                                                        for w in weights]
+        assert unpacked == parts
+        if signs_of == "zero":
+            assert count.tolist() == [0] * n
 
 
 class TestRiskProduct:
@@ -322,29 +345,35 @@ class TestBlockIndependence:
 
     No n here is a multiple of 64 and some row counts are odd, so a block
     that did not end on a whole row's words would break the one continued
-    ``Rng.bit_rows`` draw.
+    ``Rng.bit_rows`` draw. A block holds ``2 * BLOCK_ENTRIES`` entries, so
+    the patched value is half a block, rounded up: 2 * ceil(rows * n / 2)
+    // n is rows for any n > 1, odd or even; an unpack then takes about
+    half a block's rows at a time.
     """
 
     @staticmethod
     def _blocked(rows_per_block, n, run):
         with pytest.MonkeyPatch.context() as patch:
             if rows_per_block is not None:
-                patch.setattr(analysts, "BLOCK_ENTRIES", rows_per_block * n)
+                patch.setattr(analysts, "BLOCK_ENTRIES", -(-rows_per_block * n // 2))
             return run()
 
     @pytest.mark.parametrize("kind", MECHANISM_NAMES)
     def test_attack_vs_mechanism(self, kind):
+        # theorem selection, the envelope experiment's, leaves whole blocks
+        # without a voting row
         n, k = 1001, 70
 
         def run():
             sample = make_random_label_sample(n, (5, 1))
             mechanism = make_mechanism(kind, n=n, k=k + 1, seed=(5, 2))
-            report, trace = majority_attack_vs_mechanism(mechanism, sample, k, (5, 3), "direct")
+            report, trace = majority_attack_vs_mechanism(mechanism, sample, k, (5, 3), selection)
             return report, _trace_columns(trace)
 
-        default = self._blocked(None, n, run)
-        for rows in (1, 7, 24):
-            assert self._blocked(rows, n, run) == default
+        for selection in ("direct", "theorem"):
+            default = self._blocked(None, n, run)
+            for rows in (1, 7, 24):
+                assert self._blocked(rows, n, run) == default, selection
 
     @pytest.mark.parametrize("kind", ["ladder", "pf-ladder", "population-min"])
     def test_shifted_attack(self, kind):
@@ -374,6 +403,35 @@ class TestBlockIndependence:
             assert self._blocked(rows, n, run) == default
 
 
+@pytest.mark.parametrize("attack", ["vs-mechanism", "shifted"])
+@pytest.mark.parametrize("kind", ["pf-ladder", "noisy"])
+def test_attacks_unpack_in_chunks(attack, kind, monkeypatch):
+    # with BLOCK_ENTRIES at 3 rows of n entries a block holds 6 rows: no
+    # unpack, of a vote's side or of pf-ladder's loss vectors, may take more
+    # than 3 rows at a time, and the reports stay those of the default blocks
+    n, k = 301, 30
+
+    def run():
+        sample = make_random_label_sample(n, (4, 1))
+        mechanism = make_mechanism(kind, n=n, seed=(4, 2))
+        if attack == "shifted":
+            return shifted_majority_attack(mechanism, sample, k, 0.05, (4, 3))[0]
+        return majority_attack_vs_mechanism(mechanism, sample, k, (4, 3), "direct")[0]
+
+    default = repr(run())  # repr: a NaN final_released equals itself
+    unpacked = []
+
+    def spy(rows, n):
+        unpacked.append(len(np.atleast_2d(rows)))  # an estimator query unpacks one 1-d row
+        return _unpack(rows, n)
+
+    monkeypatch.setattr(analysts, "_unpack", spy)
+    monkeypatch.setattr(reduction, "_unpack", spy)
+    monkeypatch.setattr(analysts, "BLOCK_ENTRIES", 3 * n)
+    assert repr(run()) == default
+    assert max(unpacked) == 3, unpacked
+
+
 def test_attack_memory_does_not_grow_with_k():
     # the attack holds one query block, not the k x n matrix: at n = 5000 a
     # 5000-query matrix alone would take 25 MB as bytes, 100 MB as float32
@@ -389,9 +447,11 @@ def test_attack_memory_does_not_grow_with_k():
 
     small, large = peak(5000, 500), peak(5000, 5000)
     assert large < 1.2 * small + 256 * 1024, (small, large)
-    # with direct selection every row votes: per block its +1 and its -1 rows
-    # unpacked to uint8 (about 1 MB together at n = 10^4) and their integer
-    # sums; a float32 copy of the block alone would take 4 MB
+    # with direct selection every row votes: per block (209 rows at n = 10^4,
+    # 256 KB packed) a side's rows are copied packed and unpacked to uint8 one
+    # part of at most BLOCK_ENTRIES entries (1 MB) at a time, each part summed
+    # and folded into the count before the next; a float32 copy of the block
+    # alone would take 8 MB
     direct = peak(10**4, 5000, "direct")
     assert direct < 2 * 2**20, direct
 

@@ -184,7 +184,7 @@ class TestVaryQueries:
         # far enough apart for its flushes, and vote slices with a short last
         multipliers = (*extra, 0.0)
         with pytest.MonkeyPatch.context() as patch:
-            if rows_per_block is not None:  # blocks of that many rows of n entries
+            if rows_per_block is not None:  # half a block: that many rows of n entries
                 patch.setattr(analysts, "BLOCK_ENTRIES", rows_per_block * n)
             if vote_columns is not None:
                 patch.setattr(analysts, "VOTE_COLUMNS", vote_columns)
