@@ -52,32 +52,15 @@ class EvaluationSession:
             self._population_risks.append(model.population_risk)
         return released
 
-    def submit_risk(self, risk: float, population_risk: float) -> float:
-        """Submit a model known only by its empirical and population risks.
-
-        Both are checked like a :class:`SubmittedModel`'s losses and risk.
-        Mechanisms that read the loss vector itself (``needs_loss_vector``)
-        take models through :meth:`submit` only.
-        """
-        # Written so that NaN, which fails every comparison, is rejected too.
-        if not -LOSS_TOLERANCE <= risk <= 1.0 + LOSS_TOLERANCE:
-            raise ValueError(f"empirical risk must lie in [0, 1], got {risk}")
-        if not 0.0 <= population_risk <= 1.0:
-            raise ValueError(f"population_risk must lie in [0, 1], got {population_risk}")
-        if self.mechanism.needs_population_risk:
-            released = self.mechanism.submit_risk(risk, population_risk)
-        else:
-            released = self.mechanism.submit_risk(risk)
-        if self.mechanism.records_trace:
-            self._population_risks.append(population_risk)
-        return released
-
     def submit_risks(self, risks, population_risks, stop_below: float | None = None) -> np.ndarray:
-        """Submit models known by their risks, in order, as one batch.
+        """Submit models known only by their risks, one or many, in order.
 
-        Both arrays are checked like :meth:`submit_risk`'s values before any
-        round runs; the mechanism's ``submit_risks`` then stops after the
-        first release below ``stop_below``. Returns the releases.
+        The empirical and population risks are checked like a
+        :class:`SubmittedModel`'s losses and risk before any round runs; the
+        mechanism's ``submit_risks`` then stops after the first release below
+        ``stop_below``. Returns the releases. Mechanisms that read the loss
+        vector itself (``needs_loss_vector``) take models through
+        :meth:`submit` only.
         """
         risks = np.asarray(risks, dtype=float)
         population_risks = np.asarray(population_risks, dtype=float)

@@ -21,9 +21,9 @@ import numpy as np
 
 from . import analysts
 from .audit import EvaluationSession, envelope_check, leaderboard_error
-from .core import _integer, make_random_label_sample
-from .mechanisms import (MECHANISM_NAMES, LadderConfig, PopulationMinOracle, ShakyLadder,
-                         _regime_params, make_mechanism, shaky_params)
+from .core import _fmt, _integer, make_random_label_sample
+from .mechanisms import (MECHANISM_NAMES, LadderConfig, PopulationMinOracle, _regime_params,
+                         make_mechanism)
 from .noise import Rng
 from .reduction import AdaptiveEstimator, Query
 
@@ -206,25 +206,32 @@ def run_vary(config: ExperimentConfig) -> list[CellResult]:
     return rows
 
 
+def _attack_rep(config: ExperimentConfig, kind: str, k: int, mult: float, rep: int):
+    """One repetition of the theorem-selection majority attack of k queries.
+
+    The sample, the mechanism (``make_mechanism``'s ``kind``, at noise
+    multiplier mult) and the attack are all seeded by (seed, k, rep).
+    Returns the attack's report and trace, and the mechanism.
+    """
+    run_seed = (config.seed, k, rep)
+    sample = make_random_label_sample(config.n, run_seed)
+    mechanism = make_mechanism(kind, n=config.n, k=k + 1, beta=config.beta, eta=config.eta,
+                               noise_stddev=mult / math.sqrt(config.n), seed=run_seed)
+    report, trace = analysts.majority_attack_vs_mechanism(
+        mechanism, sample, k, run_seed, selection="theorem")
+    return report, trace, mechanism
+
+
 def run_envelope(config: ExperimentConfig) -> list[CellResult]:
     """Leaderboard error of the randomized ladder under the majority attack,
     audited against its error envelope; mean_error is the mean lberr."""
     rows = []
     for k in config.k_grid:
-        params = shaky_params(config.n, k + 1, config.beta)
         reps = []
         for rep in range(config.reps):
-            run_seed = (config.seed, k, rep)
-            sample = make_random_label_sample(config.n, run_seed)
-            mechanism = ShakyLadder(params, seed=run_seed)
-            _, trace = analysts.majority_attack_vs_mechanism(
-                mechanism, sample, k, run_seed, selection="theorem"
-            )
-            ev = envelope_check(trace, params)
-            reps.append(RepResult(
-                final_error=ev.lberr, lberr=ev.lberr,
-                updates=float(ev.update_count), max_noise=ev.max_noise,
-            ))
+            _, trace, mechanism = _attack_rep(config, "shaky", k, 0.0, rep)
+            ev = envelope_check(trace, mechanism.params)
+            reps.append(RepResult(ev.lberr, ev.lberr, float(ev.update_count), ev.max_noise))
         rows.append(CellResult(config.experiment, "shaky", config.n, k, 0.0, tuple(reps)))
     return rows
 
@@ -237,14 +244,13 @@ def run_reduction_oracle(config: ExperimentConfig) -> list[CellResult]:
     unclamped queries (zero when the session is exact throughout).
     """
     alpha = config.alpha
-    queries_per_session = math.floor(1.0 / (3.0 * alpha))
     reps = []
     for rep in range(config.reps):
         rng = Rng((config.seed, rep), 5)
         session = EvaluationSession(PopulationMinOracle())
         estimator = AdaptiveEstimator(session, alpha)
         worst = 0.0
-        for _ in range(queries_per_session):
+        for _ in range(estimator.query_budget):
             mean = float(rng.random() * (1.0 - 2.0 * alpha - 0.1) + 0.05)
             values = np.clip(mean + 0.2 * (rng.random(config.n) - 0.5), 0.0, 1.0)
             outcome = estimator.answer(Query(values=values, population_mean=mean))
@@ -256,7 +262,7 @@ def run_reduction_oracle(config: ExperimentConfig) -> list[CellResult]:
             updates=float(trace.update_count), max_noise=0.0,
         ))
     return [CellResult(config.experiment, "population-min", config.n,
-                       queries_per_session, 0.0, tuple(reps))]
+                       estimator.query_budget, 0.0, tuple(reps))]
 
 
 def run_attack_vs_mechanism(config: ExperimentConfig) -> list[CellResult]:
@@ -267,22 +273,11 @@ def run_attack_vs_mechanism(config: ExperimentConfig) -> list[CellResult]:
         for mult in multipliers:
             reps = []
             for rep in range(config.reps):
-                run_seed = (config.seed, k, rep)
-                sample = make_random_label_sample(config.n, run_seed)
-                mechanism = make_mechanism(
-                    config.mechanism, n=config.n, k=k + 1, beta=config.beta,
-                    eta=config.eta, noise_stddev=mult / math.sqrt(config.n), seed=run_seed,
-                )
-                report, trace = analysts.majority_attack_vs_mechanism(
-                    mechanism, sample, k, run_seed, selection="theorem"
-                )
-                reps.append(RepResult(
-                    report.final_error, leaderboard_error(trace),
-                    float(trace.update_count), trace.max_noise_magnitude,
-                ))
-            rows.append(CellResult(
-                config.experiment, config.mechanism, config.n, k, mult, tuple(reps)
-            ))
+                report, trace, _ = _attack_rep(config, config.mechanism, k, mult, rep)
+                reps.append(RepResult(report.final_error, leaderboard_error(trace),
+                                      float(trace.update_count), trace.max_noise_magnitude))
+            rows.append(CellResult(config.experiment, config.mechanism, config.n, k, mult,
+                                   tuple(reps)))
     return rows
 
 
@@ -297,10 +292,6 @@ _RUNNERS = {
 
 def run_experiment(config: ExperimentConfig) -> list[CellResult]:
     return _RUNNERS[config.experiment](config)
-
-
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
 
 
 def render_csv(rows: list[CellResult], per_rep: bool = False) -> str:

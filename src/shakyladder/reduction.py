@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audit import EvaluationSession
-from .core import SubmittedModel, _unpack
+from .core import SubmittedModel, _fmt, _unpack
 from .mechanisms import BudgetExhaustedError, LeaderboardMechanism
 
 __all__ = [
@@ -293,12 +293,6 @@ def write_session_csv(outcomes, path) -> None:
              "clamped", "no_trigger"]
         )
         for idx, out in enumerate(outcomes):
-            writer.writerow([
-                idx,
-                "" if out.trigger_index is None else out.trigger_index,
-                format(out.r_value, ".17g"),
-                format(out.answer, ".17g"),
-                format(out.c_after, ".17g"),
-                int(out.clamped),
-                int(out.no_trigger),
-            ])
+            writer.writerow([idx, "" if out.trigger_index is None else out.trigger_index,
+                             _fmt(out.r_value), _fmt(out.answer), _fmt(out.c_after),
+                             int(out.clamped), int(out.no_trigger)])

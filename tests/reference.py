@@ -89,7 +89,7 @@ def per_step_answer(estimator, query) -> QueryOutcome:
                 model, _ = estimator._constructed_model(query, i)
                 released = estimator.session.submit(model)
             else:
-                released = estimator.session.submit_risk(risk, population_risk)
+                released = float(estimator.session.submit_risks((risk,), (population_risk,))[0])
         except BudgetExhaustedError as err:
             err.partial = {
                 "query_index": estimator.queries_answered,

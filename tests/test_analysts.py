@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -39,6 +40,9 @@ from shakyladder.noise import Rng
 from shakyladder.reduction import AdaptiveEstimator
 from reference import query_bits, vector_shifted_attack, vstack_majority_attack
 from synthetic import random_prediction_models, submit_all
+
+# A shifted attack past the reduction's query budget must say so where it is meant.
+pytestmark = pytest.mark.filterwarnings("error:.*reduction's budget:RuntimeWarning")
 
 
 def loop_form_majority(hidden, queries, answers):
@@ -385,9 +389,10 @@ class TestBlockIndependence:
             report, trace = shifted_majority_attack(mechanism, sample, k, 0.05, (6, 3))
             return report, mechanism.round, _trace_columns(trace)
 
-        default = self._blocked(None, n, run)
-        for rows in (3, 16):
-            assert self._blocked(rows, n, run) == default
+        with pytest.warns(RuntimeWarning, match="budget"):  # 21 queries against 6
+            default = self._blocked(None, n, run)
+            for rows in (3, 16):
+                assert self._blocked(rows, n, run) == default
 
     def test_random_analyst(self):
         n, k = 601, 50
@@ -415,7 +420,8 @@ def test_attacks_unpack_in_chunks(attack, kind, monkeypatch):
         sample = make_random_label_sample(n, (4, 1))
         mechanism = make_mechanism(kind, n=n, seed=(4, 2))
         if attack == "shifted":
-            return shifted_majority_attack(mechanism, sample, k, 0.05, (4, 3))[0]
+            with pytest.warns(RuntimeWarning, match="budget"):  # 31 queries against 6
+                return shifted_majority_attack(mechanism, sample, k, 0.05, (4, 3))[0]
         return majority_attack_vs_mechanism(mechanism, sample, k, (4, 3), "direct")[0]
 
     default = repr(run())  # repr: a NaN final_released equals itself
@@ -612,10 +618,11 @@ class TestShiftedAttack:
     def test_every_query_triggers_against_exact_oracle(self):
         # random queries have population mean 1/2 < 1 - 2*alpha, and each
         # triggered query lowers the threshold by alpha/2 here, so k = 8
-        # keeps the whole attack above the threshold's floor of alpha/2
+        # keeps the whole attack above the threshold's floor of alpha/2; its
+        # 9 queries stay inside the budget floor(1/(3 alpha)) = 11
         sample = make_random_label_sample(300, 21)
         mech = PopulationMinOracle()
-        report, _ = shifted_majority_attack(mech, sample, 8, alpha=0.1, seed=21)
+        report, _ = shifted_majority_attack(mech, sample, 8, alpha=0.03, seed=21)
         assert report.feedback_received == 8
         assert report.queries_issued == 9
 
@@ -627,8 +634,8 @@ class TestShiftedAttack:
 
     def test_forces_more_feedback_than_plain_attack_on_ladder(self):
         # paired comparison on identical seeds; the offset schedule converts
-        # silent rounds into answered queries
-        n, k, alpha = 400, 30, 0.02
+        # silent rounds into answered queries (31 of them, inside the budget of 33)
+        n, k, alpha = 400, 30, 0.01
         for rep in range(100):
             sample = make_random_label_sample(n, (61, rep))
             plain_mech = Ladder(LadderConfig(eta=alpha / 2))
@@ -643,8 +650,8 @@ class TestShiftedAttack:
                                             (200, [70, 67, 68])])
     def test_clamped_queries_counted(self, k, expected, monkeypatch):
         # the query budget floor(1/(3 alpha)) is 133 here: k = 100 and 120
-        # stay inside it, while at k = 200 the schedule clamps from about
-        # query 130 on; the count includes the final query
+        # stay inside it, while k = 200 goes past it, warns, and clamps from
+        # about query 130 on; the count includes the final query
         n, alpha = 2500, 1 / 400
         outcomes = []
         answer = AdaptiveEstimator.answer
@@ -659,7 +666,8 @@ class TestShiftedAttack:
             outcomes.clear()
             sample = make_random_label_sample(n, (rep, 0))
             mech = Ladder(LadderConfig(eta=alpha / 2), record=False)
-            report, _ = shifted_majority_attack(mech, sample, k, alpha, (rep, 0))
+            with pytest.warns(RuntimeWarning, match="budget") if k + 1 > 133 else nullcontext():
+                report, _ = shifted_majority_attack(mech, sample, k, alpha, (rep, 0))
             assert len(outcomes) == report.queries_issued == k + 1
             assert report.clamped_queries == sum(out.clamped for out in outcomes)
             assert report.untriggered_queries == 0
@@ -710,7 +718,8 @@ class TestShiftedAttack:
         # a ladder with eta = 1/2 never releases below the threshold, so no
         # query triggers, the final one included
         sample = make_random_label_sample(200, 3)
-        report, _ = shifted_majority_attack(Ladder(LadderConfig(eta=0.5)), sample, 5, 0.1, 3)
+        with pytest.warns(RuntimeWarning, match="budget"):  # 6 queries against 3
+            report, _ = shifted_majority_attack(Ladder(LadderConfig(eta=0.5)), sample, 5, 0.1, 3)
         assert (report.feedback_received, report.untriggered_queries) == (0, 6)
         assert report.clamped_queries == 0
         assert math.isnan(report.final_released)
@@ -723,8 +732,9 @@ class TestShiftedAttack:
 
     def test_neutralized_by_randomized_ladder(self):
         # at parameters where the randomized ladder is alive, the shifted
-        # attack extracts nothing: mean final error stays at one half
-        n, k, alpha = 10000, 30, 0.02
+        # attack extracts nothing: mean final error stays at one half; its 31
+        # queries stay inside the budget floor(1/(3 alpha)) = 33
+        n, k, alpha = 10000, 30, 0.01
         steps = math.ceil(1 / alpha)
         params = shaky_params(n, (k + 1) * steps, 0.1)
         errs = []

@@ -221,7 +221,7 @@ class TestEvaluationSession:
     def test_submit_risk_rejects_bad_values(self, risk, population_risk):
         session = EvaluationSession(ExactEmpiricalOracle())
         with pytest.raises(ValueError):
-            session.submit_risk(risk, population_risk)
+            session.submit_risks((risk,), (population_risk,))
         assert session.mechanism.round == 0
 
     def test_trace_carries_population_risks(self):

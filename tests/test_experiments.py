@@ -241,16 +241,22 @@ class TestRepPurity:
 class TestOtherRunners:
     def test_envelope_runner(self):
         config = ExperimentConfig(
-            experiment="envelope", n=2000, k_grid=(20,), reps=4, seed=2,
+            experiment="envelope", n=2000, k_grid=(20, 60), reps=4, seed=2,
         )
         rows = run_envelope(config)
-        assert len(rows) == 1
-        cell = rows[0]
-        assert cell.mechanism == "shaky"
-        for rep in cell.reps:
-            assert rep.final_error == rep.lberr
-            assert rep.updates >= 0
-            assert rep.max_noise > 0
+        assert len(rows) == 2
+        for cell in rows:
+            assert cell.mechanism == "shaky"
+            for rep in cell.reps:
+                assert rep.final_error == rep.lberr
+                assert rep.updates >= 0
+                assert rep.max_noise > 0
+        # the envelope audits the very runs attack-vs-mechanism makes on shaky
+        attacked = run_attack_vs_mechanism(ExperimentConfig(
+            experiment="attack-vs-mechanism", n=2000, k_grid=(20, 60), reps=4, seed=2,
+            mechanism="shaky"))
+        assert ([[(r.lberr, r.updates, r.max_noise) for r in cell.reps] for cell in rows]
+                == [[(r.lberr, r.updates, r.max_noise) for r in cell.reps] for cell in attacked])
 
     def test_reduction_oracle_runner_is_exact(self):
         config = ExperimentConfig(

@@ -380,7 +380,7 @@ def test_record_false_runs_in_constant_memory():
                     ladder.submit_risk(risk)
             elif route == "session":
                 for risk in risk_list:
-                    session.submit_risk(risk, 0.5)
+                    session.submit_risks((risk,), (0.5,))
             else:
                 session.submit_risks(risks, risks)
             return tracemalloc.get_traced_memory()[0]
