@@ -8,15 +8,13 @@ that mechanisms which rarely give feedback (ladders) answer every query.
 
 Every attack reads its queries one bit per entry from ``_query_blocks`` and
 folds each block into its vote when read, so memory is O(block * n) for any
-k. Risks and correlations are popcounts of the packed rows, exact for any n;
-only votes and mechanisms that read loss vectors unpack rows, to uint8 and
-at most ``BLOCK_ENTRIES`` entries at a time. The vector attack counts its
-(k, noise) grid in one pass per threshold group (``_attack_cells``); the
-mechanism-driven attacks submit one batch of risks per block and fold only
-its voting rows into an int64 count (``_add_votes``). Every vote is an exact
-integer sign count, for any k. The shifted attack's queries are packed
-mismatch rows (``Query.from_rows``), unpacked only where a step reads them.
-Votes use +/-1 (label y is 1 - 2y); a tie or an empty selection gives label 0.
+k. Risks and correlations are popcounts of the packed rows, exact for any n.
+A block of models reaches the mechanism as one ``session.submit_risks``
+batch (``_submit_rows``) or as estimator queries (``Query.from_rows``); a
+row is unpacked only where it is read, by a vote (``_attack_cells``,
+``_add_votes``), a clamped step or a mechanism that reads loss vectors.
+Every vote is an exact integer count of +/-1 votes (label y is 1 - 2y), for
+any k; a tie or an empty selection gives label 0.
 """
 
 from __future__ import annotations
@@ -28,8 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audit import EvaluationSession
-from .core import (HoldoutSample, Trace, _integer, _mismatches, _pack, _unpack,
-                   model_from_predictions)
+from .core import HoldoutSample, Trace, _integer, _LazyRows, _mismatches, _pack, _unpack
 from .mechanisms import BudgetExhaustedError, LeaderboardMechanism
 from .noise import Rng
 from .reduction import AdaptiveEstimator, Query
@@ -101,12 +98,6 @@ def _query_blocks(seed: int | tuple[int, ...], k: int, n: int):
     rows = max(1, 2 * BLOCK_ENTRIES // max(n, 64))
     queries = Rng(seed, QUERY_STREAM)
     return (queries.bit_rows(min(rows, k - start), n) for start in range(0, k, rows))
-
-
-def _chunks(rows: np.ndarray, n: int):
-    """Packed rows in order, in parts of at most ``BLOCK_ENTRIES`` entries each."""
-    step = max(1, BLOCK_ENTRIES // n)
-    return (rows[first:first + step] for first in range(0, len(rows), step))
 
 
 def _attack_cells(n: int, k_grid, noise_stddevs,
@@ -232,16 +223,12 @@ def _submit_rows(session: EvaluationSession, block: np.ndarray, labels: np.ndarr
     """Submit packed 0/1 prediction rows as models in one batch; returns risks and releases.
 
     A row's risk is its mismatch popcount against the packed ``labels`` over
-    n, equal to ``np.mean`` of its 0/1 loss vector bit for bit. A mechanism
-    that reads loss vectors gets each row's model, unpacked, instead.
+    n, equal to ``np.mean`` of its 0/1 loss vector bit for bit; the vector,
+    unpacked, is built only for a mechanism that reads it, one row at a time.
     """
     risks = _mismatches(block, labels) / sample.size
-    if session.mechanism.needs_loss_vector:
-        released = [session.submit(model_from_predictions(row, sample))
-                    for part in _chunks(block, sample.size) for row in _unpack(part, sample.size)]
-    else:
-        released = session.submit_risks(risks, np.full(len(risks), 0.5))
-    return risks, np.asarray(released, dtype=float)
+    losses = _LazyRows(lambda j: _unpack(block[j] ^ labels, sample.size), (), 0, len(block))
+    return risks, session.submit_risks(risks, np.full(len(risks), 0.5), losses=losses)
 
 
 def run_random_analyst(mechanism: LeaderboardMechanism, sample: HoldoutSample,
@@ -260,12 +247,15 @@ def run_random_analyst(mechanism: LeaderboardMechanism, sample: HoldoutSample,
 def _add_votes(count: np.ndarray, block: np.ndarray, signs: np.ndarray) -> int:
     """Adds one block's exact vote count to the int64 ``count`` in place; returns its sign sum.
 
-    Rows of sign +1 are added and rows of sign -1 subtracted, each unpacked part summed
-    in the narrowest type that holds its row count. With ``balance`` the sign sums added
-    over all blocks, label 1 is where 2 * count > balance: there the vote is negative.
+    Rows of sign +1 are added and rows of sign -1 subtracted, in parts of at most
+    ``BLOCK_ENTRIES`` entries, each part unpacked and summed on its own in the narrowest
+    type that holds its row count. With ``balance`` the sign sums added over all blocks,
+    label 1 is where 2 * count > balance: there the vote is negative.
     """
+    step = max(1, BLOCK_ENTRIES // len(count))
     for sign, fold in ((1, np.add), (-1, np.subtract)):
-        for part in _chunks(block[signs == sign], len(count)):  # one part unpacked at a time
+        rows = block[signs == sign]
+        for part in (rows[first:first + step] for first in range(0, len(rows), step)):
             fold(count, _unpack(part, len(count)).sum(axis=0, dtype=np.min_scalar_type(len(part))),
                  out=count)
     return int(signs.sum())
@@ -310,7 +300,7 @@ def majority_attack_vs_mechanism(mechanism: LeaderboardMechanism, sample: Holdou
     k = _check_attack(mechanism, sample, k, selection)
     session = EvaluationSession(mechanism)
     labels, count = _pack(sample.hidden_labels), np.zeros(sample.size, dtype=np.int64)
-    answers = [np.ones(1)]  # R_0 = 1, so that the first round's change counts
+    answers = [np.array([mechanism.last_release])]  # R_0, so that round 1's change counts
     selected = balance = 0
     for block in _query_blocks(seed, k, sample.size):
         answers.append(_submit_rows(session, block, labels, sample)[1])

@@ -1,11 +1,10 @@
 """Evaluation oracle: session harness, leaderboard error, and envelope checks.
 
 This module is the only place population risks meet mechanism releases. An
-:class:`EvaluationSession` drives a mechanism with scored models, handing the
-mechanism nothing but loss vectors or their empirical risks (the
-population-minimum oracle being the single sanctioned exception), and
-assembles traces with true risks filled in so the error metrics below can be
-computed.
+:class:`EvaluationSession` drives a mechanism through one path,
+``submit_risks``: each round's empirical risk, plus its loss vector or its
+population risk for the mechanisms that read them. It assembles traces with
+true risks filled in so the error metrics below can be computed.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LOSS_TOLERANCE, SubmittedModel, Trace
+from .core import LOSS_TOLERANCE, SubmittedModel, Trace, empirical_risk
 from .mechanisms import LeaderboardMechanism, MechanismParams
 
 __all__ = [
@@ -27,14 +26,16 @@ __all__ = [
     "error_rate_ratio",
 ]
 
+_MIN, _MAX = np.minimum.reduce, np.maximum.reduce  # the ufuncs behind .min() and .max()
+
 
 class EvaluationSession:
     """Runs models through a mechanism while keeping the information barrier.
 
-    The mechanism sees loss vectors or empirical risks only; when it records
-    a trace, this session records the oracle-side population risks so
-    :meth:`trace` can produce a fully scored :class:`~shakyladder.core.Trace`.
-    A mechanism built with ``record=False`` keeps the session O(1) in memory.
+    When the mechanism records a trace, this session records the oracle-side
+    population risks so :meth:`trace` can produce a fully scored
+    :class:`~shakyladder.core.Trace`. A mechanism built with ``record=False``
+    keeps the session O(1) in memory.
     """
 
     def __init__(self, mechanism: LeaderboardMechanism):
@@ -44,42 +45,44 @@ class EvaluationSession:
         self._population_risks: list[float] = []
 
     def submit(self, model: SubmittedModel) -> float:
-        if self.mechanism.needs_population_risk:
-            released = self.mechanism.submit(model.loss_vector, model.population_risk)
-        else:
-            released = self.mechanism.submit(model.loss_vector)
-        if self.mechanism.records_trace:
-            self._population_risks.append(model.population_risk)
-        return released
+        """One round for a whole model: its size checked, then its risks and vector."""
+        self.mechanism.check_size(model.size)
+        return float(self.submit_risks((empirical_risk(model),), (model.population_risk,),
+                                       losses=(model.loss_vector,))[0])
 
-    def submit_risks(self, risks, population_risks, stop_below: float | None = None) -> np.ndarray:
-        """Submit models known only by their risks, one or many, in order.
+    def submit_risks(self, risks, population_risks, stop_below: float | None = None,
+                     losses=None) -> np.ndarray:
+        """Submit models by their risks, one or many, in order; returns the releases.
 
         The empirical and population risks are checked like a
         :class:`SubmittedModel`'s losses and risk before any round runs; the
         mechanism's ``submit_risks`` then stops after the first release below
-        ``stop_below``. Returns the releases. Mechanisms that read the loss
-        vector itself (``needs_loss_vector``) take models through
-        :meth:`submit` only.
+        ``stop_below``. ``losses``, a column with a length, holds each
+        model's loss vector; only a mechanism that reads them
+        (``needs_loss_vector``) iterates it, and rejects, before any round, a
+        missing column or one shorter than ``risks``.
         """
         risks = np.asarray(risks, dtype=float)
         population_risks = np.asarray(population_risks, dtype=float)
         if risks.ndim != 1 or risks.shape != population_risks.shape:
             raise ValueError("risks and population_risks must be vectors of one length")
         # min and max propagate NaN, which fails every comparison and is rejected too.
-        low, high = np.minimum.reduce, np.maximum.reduce  # the ufuncs behind .min() and .max()
-        if risks.size and not (low(risks) >= -LOSS_TOLERANCE
-                               and high(risks) <= 1.0 + LOSS_TOLERANCE):
+        if risks.size and not (_MIN(risks) >= -LOSS_TOLERANCE
+                               and _MAX(risks) <= 1.0 + LOSS_TOLERANCE):
             raise ValueError(f"empirical risks must lie in [0, 1], got values in "
-                             f"[{low(risks)}, {high(risks)}]")
-        if risks.size and not (low(population_risks) >= 0.0 and high(population_risks) <= 1.0):
+                             f"[{_MIN(risks)}, {_MAX(risks)}]")
+        if risks.size and not (_MIN(population_risks) >= 0.0 and _MAX(population_risks) <= 1.0):
             raise ValueError(f"population risks must lie in [0, 1], got values in "
-                             f"[{low(population_risks)}, {high(population_risks)}]")
+                             f"[{_MIN(population_risks)}, {_MAX(population_risks)}]")
         mechanism = self.mechanism
-        oracle_side = (population_risks,) if mechanism.needs_population_risk else ()
+        columns = (population_risks.tolist(),) if mechanism.needs_population_risk else ()
+        if mechanism.needs_loss_vector:
+            if losses is None or len(losses) < len(risks):
+                raise ValueError(f"{mechanism.name} reads loss vectors: losses needs one per risk")
+            columns += (losses,)
         start = mechanism.round
         try:
-            return mechanism.submit_risks(risks, *oracle_side, stop_below=stop_below)
+            return mechanism.submit_risks(risks, *columns, stop_below=stop_below)
         finally:  # also when the budget ends mid-array: keep the rounds that ran
             if mechanism.records_trace:
                 self._population_risks.extend(population_risks[:mechanism.round - start].tolist())

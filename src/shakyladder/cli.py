@@ -111,10 +111,11 @@ def cli_main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
     try:
-        peek, _ = parser.parse_known_args(argv)
-        if peek.config is not None:
-            argv = _config_flags(peek.config) + argv
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
+        if args.config is not None:
+            args = parser.parse_args(_config_flags(args.config) + argv)
+        elif extra:  # what parse_args reports, without a second parse
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
         if args.experiment is None:
             parser.error("--experiment is required")
         if args.n is None:

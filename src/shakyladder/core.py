@@ -1,11 +1,11 @@
 """Shared value types and the model/oracle information barrier.
 
 Models are represented extensionally: a model is its per-point loss vector on
-the fixed holdout plus an analytically known population risk. Mechanism code
-paths receive bare loss vectors only; the population risk travels alongside
-for the evaluation oracle (see :mod:`shakyladder.audit`) and never enters a
-mechanism's decision logic. All types here are immutable after construction
-and safe to share across threads.
+the fixed holdout plus an analytically known population risk. Mechanisms
+receive a model's empirical risk, and its loss vector if they read one; the
+population risk travels alongside for the evaluation oracle (see
+:mod:`shakyladder.audit`) and never enters a mechanism's decision logic. All
+types here are immutable after construction and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import numpy as np
 from .noise import Rng
 
 __all__ = [
+    "INITIAL_RELEASE",
     "LOSS_TOLERANCE",
     "SubmittedModel",
     "HoldoutSample",
@@ -30,6 +31,9 @@ __all__ = [
     "clamp_release",
     "write_trace_csv",
 ]
+
+#: R_0, the release every mechanism starts from: round 1 updates when it releases less.
+INITIAL_RELEASE = 1.0
 
 #: Loss values may stray from [0, 1] by at most this much before rejection.
 LOSS_TOLERANCE = 1e-12
@@ -118,7 +122,7 @@ class Trace:
     ``initial_noise`` is the magnitude of the threshold noise drawn before
     round 1 (0.0 for noiseless mechanisms). Update flags, the update count
     and the maximal noise magnitude are derived from these columns, with
-    round 1 compared against R_0 = 1.
+    round 1 compared against ``INITIAL_RELEASE``.
     """
 
     empirical_risks: np.ndarray
@@ -142,7 +146,7 @@ class Trace:
     @property
     def updated(self) -> np.ndarray:
         """Rounds whose release strictly undercut the previous one."""
-        return self.released < np.concatenate(([1.0], self.released[:-1]))
+        return self.released < np.concatenate(([INITIAL_RELEASE], self.released[:-1]))
 
     @property
     def update_count(self) -> int:
@@ -173,6 +177,21 @@ def _unpack(block: np.ndarray, n: int) -> np.ndarray:
 def _mismatches(block: np.ndarray, words: np.ndarray) -> np.ndarray:
     """Per packed row, the entries where it differs from packed ``words``."""
     return np.bitwise_count(block ^ words).sum(axis=-1, dtype=np.int64)
+
+
+class _LazyRows:
+    """The rows ``row(*args, i)`` for i from start to stop, each built as iteration reaches it."""
+
+    __slots__ = ("row", "args", "start", "stop")
+
+    def __init__(self, row, args: tuple, start: int, stop: int):
+        self.row, self.args, self.start, self.stop = row, args, start, stop
+
+    def __len__(self) -> int:
+        return self.stop - self.start
+
+    def __iter__(self):
+        return (self.row(*self.args, i) for i in range(self.start, self.stop))
 
 
 def make_random_label_sample(n: int, seed: int | tuple[int, ...]) -> HoldoutSample:

@@ -1,14 +1,14 @@
 """Leaderboard mechanisms: the randomized ladder, deterministic baselines,
 and scoring oracles.
 
-Every mechanism consumes loss vectors and returns one released estimate per
-round, starting from the initial estimate R_0 = 1. All but the
-parameter-free ladder read a loss vector only through its mean, so their
-decision logic lives in ``submit_risk`` and ``submit`` reduces a vector to
-its empirical risk first. Released values are never clamped to [0, 1]
-(see :func:`~shakyladder.core.clamp_release`). The population-minimum
-oracle is the one mechanism allowed to read true risks and exists only
-behind the audit-side evaluation interface.
+Every mechanism returns one released estimate per round, starting from
+R_0 = ``INITIAL_RELEASE``. A round is a submission's empirical risk: the
+decision logic lives in ``submit_risk`` and ``submit`` reduces a loss vector
+to its mean first. The parameter-free ladder also reads each round's loss
+vector (``needs_loss_vector``), for its step size only, and the
+population-minimum oracle, which exists only behind the audit-side
+evaluation interface, its true risk (``needs_population_risk``). Released
+values are never clamped to [0, 1] (see :func:`~shakyladder.core.clamp_release`).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Trace
+from .core import INITIAL_RELEASE, Trace
 from .noise import Rng, gaussian, laplace
 
 __all__ = [
@@ -132,23 +132,23 @@ def shaky_params(n: int, k: int, beta: float) -> MechanismParams:
 
 
 class LeaderboardMechanism:
-    """Common surface: feed loss vectors in, get released estimates out.
+    """Common surface: feed submissions in, get released estimates out.
 
     ``round``, ``update_count``, ``max_noise_magnitude`` and ``last_release``
     are kept on every run; with ``records_trace`` each round also appends
     empirical, released and three NaN-padded noise magnitudes to one flat
     buffer for :meth:`trace`, and without it a run stays O(1) in memory.
 
-    A mechanism that reads only the empirical risk takes one round through
-    :meth:`submit_risk` and a batch of rounds through :meth:`submit_risks`,
-    which here loops over :meth:`submit_risk` and is the reference that any
-    faster override must equal: releases, counters, trace and budget end.
+    A subclass takes one round through ``submit_risk(risk)`` and a batch of
+    rounds through :meth:`submit_risks`, which here loops over
+    ``submit_risk`` and is the reference that any faster override must
+    equal: releases, counters, trace and budget end.
     """
 
     name = "base"
+    #: Whether ``submit_risk`` also takes each round's population risk.
     needs_population_risk = False
-    #: Whether the decision reads the loss vector itself rather than its mean;
-    #: such a mechanism has no :meth:`submit_risk`.
+    #: Whether ``submit_risk`` also takes each round's loss vector.
     needs_loss_vector = False
     #: Parameter set that fixes n for :meth:`check_size`; only the randomized
     #: ladder has one.
@@ -161,7 +161,7 @@ class LeaderboardMechanism:
         self.update_count = 0
         self.initial_noise = 0.0
         self.max_noise_magnitude = 0.0
-        self.last_release = 1.0
+        self.last_release = INITIAL_RELEASE
         self._rows = array("d")
 
     def _record(self, risk: float, released: float, draws: tuple[float, ...] = ()) -> float:
@@ -204,33 +204,28 @@ class LeaderboardMechanism:
             raise ValueError(f"loss vector length {n}, expected {self.params.n}")
 
     def submit(self, loss_vector, *args, **kwargs) -> float:
-        """Score one loss vector: its mean goes to :meth:`submit_risk`.
-
-        The vector's length passes :meth:`check_size` first. Further
-        arguments (the population risk, for the mechanisms that read it) go
-        to :meth:`submit_risk` unchanged.
+        """Score one loss vector: its length passes :meth:`check_size`, and its mean goes to
+        ``submit_risk`` with further arguments (the population risk, for the mechanisms that
+        read it) unchanged, then the vector itself if the mechanism reads loss vectors.
         """
         vec = np.asarray(loss_vector)
         self.check_size(vec.size)
+        if self.needs_loss_vector:
+            args += (vec,)
         return self.submit_risk(float(np.mean(vec)), *args, **kwargs)
 
-    def submit_risk(self, risk: float) -> float:
-        """Run one round on a submission known by its empirical risk."""
-        raise NotImplementedError(f"{self.name} scores loss vectors, not risks")
-
-    def submit_risks(self, risks, *oracle_columns, stop_below: float | None = None) -> np.ndarray:
+    def submit_risks(self, risks, *columns, stop_below: float | None = None) -> np.ndarray:
         """Run one round per risk, in order, and return the releases.
 
-        Stops after the first release below ``stop_below``. Further arrays
-        (the population risks, for the mechanisms that read them) go to
-        :meth:`submit_risk` one entry per round. When the budget runs out
-        mid-array, the rounds before it stay committed and
-        :class:`BudgetExhaustedError` is raised.
+        Stops after the first release below ``stop_below``. Further columns
+        (the population risks or the loss vectors, for the mechanisms that
+        read them) go to ``submit_risk`` one entry per round, each read only
+        when its round runs. When the budget runs out mid-array, the rounds
+        before it stay committed and :class:`BudgetExhaustedError` is raised.
         """
         stop = -math.inf if stop_below is None else stop_below
         released = []
-        for row in zip(*(np.asarray(column, dtype=float).tolist()
-                         for column in (risks, *oracle_columns))):
+        for row in zip(np.asarray(risks, dtype=float).tolist(), *columns):
             released.append(self.submit_risk(*row))
             if released[-1] < stop:
                 break
@@ -405,13 +400,14 @@ class Ladder(IncumbentLadder):
 class ParameterFreeLadder(LeaderboardMechanism):
     """Heuristic ladder with a data-driven step size.
 
-    The incumbent is the loss vector of the last accepted model. A new model
-    updates when its empirical risk undercuts the incumbent's (unrounded)
-    empirical risk by more than s_t, the sample standard deviation of the
-    per-point loss difference divided by sqrt(n). Released values are the
-    empirical risk rounded to the decimal place of s_t's leading significant
-    digit. A degenerate step (s_t = 0, e.g. resubmitting the incumbent) never
-    updates; the first submission always does and is released exactly.
+    The incumbent is the last accepted model. A new model updates when its
+    empirical risk, the one handed to ``submit_risk(risk, loss_vector)``,
+    undercuts the incumbent's (unrounded) one by more than s_t, the sample
+    standard deviation of the per-point loss difference divided by sqrt(n):
+    the one use of the loss vectors. Released values are the empirical risk
+    rounded to the decimal place of s_t's leading significant digit. A
+    degenerate step (s_t = 0, e.g. resubmitting the incumbent) never updates;
+    the first submission always does and is released exactly.
     """
 
     name = "pf-ladder"
@@ -420,31 +416,20 @@ class ParameterFreeLadder(LeaderboardMechanism):
     def __init__(self, max_rounds: int | None = None, record: bool = True):
         super().__init__(max_rounds=max_rounds, record=record)
         self.incumbent_loss: np.ndarray | None = None
-        self.incumbent_risk = 1.0
+        self.incumbent_risk = INITIAL_RELEASE
 
-    @staticmethod
-    def _step_size(diff: np.ndarray) -> float:
-        if diff.size < 2:
-            return 0.0
-        return float(np.std(diff, ddof=1)) / math.sqrt(diff.size)
-
-    def submit(self, loss_vector) -> float:
+    def submit_risk(self, risk: float, loss_vector) -> float:
         self._check_budget()
         vec = np.asarray(loss_vector, dtype=float)
-        risk = float(np.mean(vec))
-        if self.incumbent_loss is None:
-            released = risk
-            self.incumbent_loss = vec.copy()
-            self.incumbent_risk = risk
-        else:
-            step = self._step_size(vec - self.incumbent_loss)
-            if step > 0.0 and risk < self.incumbent_risk - step:
-                granularity = 10.0 ** math.floor(math.log10(step))
-                released = round(risk / granularity) * granularity
-                self.incumbent_loss = vec.copy()
-                self.incumbent_risk = risk
-            else:
-                released = self.last_release
+        released = risk  # the first submission updates and is released exactly
+        if self.incumbent_loss is not None:
+            diff = vec - self.incumbent_loss
+            step = float(np.std(diff, ddof=1)) / math.sqrt(diff.size) if diff.size > 1 else 0.0
+            if not (step > 0.0 and risk < self.incumbent_risk - step):
+                return self._record(risk, self.last_release)
+            granularity = 10.0 ** math.floor(math.log10(step))
+            released = round(risk / granularity) * granularity
+        self.incumbent_loss, self.incumbent_risk = vec.copy(), risk
         return self._record(risk, released)
 
 

@@ -9,9 +9,11 @@ extracted answer equals the query's population mean exactly; against an
 accurate mechanism it is accurate to within alpha.
 
 A query carries its summary (mean, min, max), taken once when it is built;
-the schedule bounds its unclamped run from it in closed form and builds
-risk rows for that run only. 0/1 queries built from packed rows take their
-summaries from one popcount and unpack only for constructed-vector steps.
+the schedule bounds its unclamped run from it in closed form. Every step
+goes through ``session.submit_risks``, the run as one batch and each clamped
+step alone, and a step's loss vector is built only where it is read: a
+packed 0/1 query unpacks only for clamped steps and for mechanisms that
+read loss vectors.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audit import EvaluationSession
-from .core import SubmittedModel, _fmt, _unpack
+from .core import _fmt, _LazyRows, _unpack
 from .mechanisms import BudgetExhaustedError, LeaderboardMechanism
 
 __all__ = [
@@ -118,7 +120,7 @@ class QueryOutcome:
     """Result of answering one query through the offset schedule.
 
     ``clamped`` marks queries where some constructed loss value (or its
-    analytic risk) had to be clipped into [0, 1] at or before the trigger
+    population risk) had to be clipped into [0, 1] at or before the trigger
     round; exactness guarantees do not cover those. ``no_trigger`` marks the
     fallback answer 1.0 returned when the schedule exhausts, which can only
     happen for population means above 1 - 2*alpha and errs by at most
@@ -155,26 +157,18 @@ class AdaptiveEstimator:
         #: Queries per session that the reduction's guarantees cover, floor(1/(3*alpha)).
         self.query_budget = math.floor(1.0 / (3.0 * alpha))
 
-    def _constructed_model(self, query: Query, i: int) -> tuple[SubmittedModel, bool]:
-        raw = self.c + 0.5 * (query.values - i * self.alpha)
-        clamped = float(raw.min()) < 0.0 or float(raw.max()) > 1.0
-        values = np.clip(raw, 0.0, 1.0) if clamped else raw
-        risk_raw = (self.c - 0.5 * i * self.alpha) + 0.5 * query.population_mean
-        risk = min(1.0, max(0.0, risk_raw))
-        clamped = clamped or (risk != risk_raw)
-        return SubmittedModel(loss_vector=values, population_risk=risk), clamped
-
     def _unclamped_run(self, query: Query) -> tuple[int, int, np.ndarray, np.ndarray]:
         """The unclamped steps, start to stop, with their risks and population risks.
 
-        :meth:`_constructed_model` in closed form from the query's summary.
-        Step i clamps where c + (min - i*alpha)/2 < 0, c + (max - i*alpha)/2 > 1
-        or (c - i*alpha/2) + population_mean/2 leaves [0, 1], the first two
-        exactly as the constructed vector's min and max do. Each condition is
-        monotone in i, so the run starts where both upper ones hold and stops
-        where either lower one does (0, 0 when every step clamps), each bound
-        guessed in real arithmetic, then stepped to where its float expression
-        turns. Risks match the vectors' means up to rounding.
+        Step i's constructed loss vector is c + (g - i*alpha)/2 and its
+        population risk (c - i*alpha/2) + population_mean/2; the step clamps
+        where c + (min - i*alpha)/2 < 0, c + (max - i*alpha)/2 > 1 or the
+        population risk leaves [0, 1], the first two exactly as the vector's
+        min and max do. Each condition is monotone in i, so the run starts
+        where both upper ones hold and stops where either lower one does (0, 0
+        when every step clamps), each bound guessed in real arithmetic, then
+        stepped to where its float expression turns. The risks come from the
+        query's summary and match the vectors' means up to rounding.
         """
         c, alpha, steps = self.c, self.alpha, self.steps_per_query
         mean, low, high = query.summary
@@ -189,42 +183,44 @@ class AdaptiveEstimator:
         # 0.5*i*alpha, half of i*alpha: halving is exact for normal floats, so 0.5 * (mean
         # - i*alpha) is 0.5 * mean less it bit for bit (a subnormal mean is absorbed either way)
         half_offsets = np.arange(start, stop) * (0.5 * alpha)
-        return start, stop, c + (0.5 * mean - half_offsets), (c - half_offsets) + half_mean
+        risks, population_risks = 0.5 * mean - half_offsets, c - half_offsets
+        risks += c  # in place: c + (0.5 * mean - half_offsets), and one array fewer
+        population_risks += half_mean
+        return start, stop, risks, population_risks
 
     def answer(self, query: Query) -> QueryOutcome:
         """Run the offset schedule for one query and extract its answer.
 
-        :meth:`_unclamped_run` finds the unclamped steps, one contiguous
-        run, from the query's summary in a few scalar evaluations, and builds
-        risk rows for that run only. The run goes to the mechanism as one
-        ``session.submit_risks`` batch that stops at the first release below
-        ``c - alpha/2``, the trigger. A clamped step, and every step for a
-        mechanism that reads loss vectors (``needs_loss_vector``), submits
-        its constructed model through ``session.submit``; only these read
-        ``query.values``, so a packed 0/1 query (:meth:`Query.from_rows`) is
-        unpacked only there, once.
+        Every step goes through ``session.submit_risks``, which stops at the
+        trigger, the first release below ``c - alpha/2``: the unclamped run
+        (:meth:`_unclamped_run`) as one batch, and each clamped step as a
+        batch of one, its vector and population risk clipped into [0, 1] and
+        its risk the clipped vector's mean. Loss vectors go as a lazy column,
+        built only for a mechanism that reads them.
         """
-        mechanism = self.session.mechanism
+        session, mechanism = self.session, self.session.mechanism
         mechanism.check_size(query.size)
         if mechanism.rounds_remaining() < self.steps_per_query:
             raise BudgetExhaustedError(
                 f"estimator needs {self.steps_per_query} submissions per query; "
                 f"mechanism has {mechanism.rounds_remaining()} left"
             )
-        c = self.c
-        trigger_below = c - self.alpha / 2.0
+        c, alpha = self.c, self.alpha
+        trigger_below = c - alpha / 2.0
         free_from, free_to, risks, population_risks = self._unclamped_run(query)
-        scan_to = 0 if mechanism.needs_loss_vector else free_to
         first_round = mechanism.round
         i = 0
         try:
             while i < self.steps_per_query:
-                if i == free_from < scan_to:  # the unclamped run, steps free_from to free_to
-                    released = self.session.submit_risks(
-                        risks, population_risks, stop_below=trigger_below)
-                else:
-                    model, _ = self._constructed_model(query, i)
-                    released = (self.session.submit(model),)
+                if i == free_from < free_to:  # the unclamped run, steps free_from to free_to
+                    losses = _LazyRows(_step_vector, (query, c, alpha), free_from, free_to)
+                    released = session.submit_risks(risks, population_risks, trigger_below, losses)
+                else:  # one clamped step
+                    vector = np.clip(_step_vector(query, c, alpha, i), 0.0, 1.0)
+                    population_risk = (c - 0.5 * i * alpha) + 0.5 * query.population_mean
+                    released = session.submit_risks(
+                        (float(np.mean(vector)),), (min(1.0, max(0.0, population_risk)),),
+                        trigger_below, (vector,))
                 i += len(released)
                 if released[-1] < trigger_below:
                     break
@@ -249,6 +245,11 @@ class AdaptiveEstimator:
             r_value=r_value if triggered else math.nan, c_after=r_value,
             clamped=free_from > 0 or i > free_to, no_trigger=not triggered, submissions=i,
         )
+
+
+def _step_vector(query: Query, c: float, alpha: float, i: int) -> np.ndarray:
+    """Step i's constructed loss vector c + (g - i*alpha)/2, unclipped."""
+    return c + 0.5 * (query.values - i * alpha)
 
 
 def _first(holds, guess: float, stop: int) -> int:

@@ -6,8 +6,11 @@ recipe of the vector majority attack: it draws the whole k x n query matrix
 that way, scores it in float64 and votes through an explicit ``vstack`` of
 kept and flipped rows.
 
-:func:`per_step_answer` is the estimator's offset schedule one session round
-per step, each step's risks from the scalar closed form.
+:func:`constructed_step` is one step of the estimator's offset schedule
+built as a vector: its loss vector and population risk, each clipped into
+[0, 1]. :func:`per_step_answer` is the schedule one session round per step,
+an unclamped step's risks from the scalar closed form and a clamped step's
+risk from its clipped vector.
 :func:`vector_shifted_attack` is the shifted majority attack on float64
 vector queries, each answered by :func:`per_step_answer`, with an explicit
 +/-1 vote over the whole unpacked query matrix.
@@ -58,6 +61,18 @@ def vstack_majority_attack(n: int, k: int, noise_stddev: float | None = None,
     )
 
 
+def constructed_step(estimator, query, i):
+    """Step i's loss vector c + (g - i*alpha)/2 and population risk
+    (c - i*alpha/2) + population_mean/2, each clipped into [0, 1], and
+    whether either was clipped."""
+    c, alpha = estimator.c, estimator.alpha
+    raw = c + 0.5 * (query.values - i * alpha)
+    risk_raw = (c - 0.5 * i * alpha) + 0.5 * query.population_mean
+    risk = min(1.0, max(0.0, risk_raw))
+    clamped = float(raw.min()) < 0.0 or float(raw.max()) > 1.0 or risk != risk_raw
+    return np.clip(raw, 0.0, 1.0), risk, clamped
+
+
 def _scheduled_risks(estimator, stats, population_mean, i):
     """Step i's empirical risk, population risk and clamp flag, as scalars."""
     mean_g, min_g, max_g = stats
@@ -84,12 +99,12 @@ def per_step_answer(estimator, query) -> QueryOutcome:
     for i in range(estimator.steps_per_query):
         risk, population_risk, clamped_i = _scheduled_risks(
             estimator, stats, query.population_mean, i)
+        vector, _, _ = constructed_step(estimator, query, i)
+        if clamped_i:
+            risk = float(np.mean(vector))
         try:
-            if clamped_i or mechanism.needs_loss_vector:
-                model, _ = estimator._constructed_model(query, i)
-                released = estimator.session.submit(model)
-            else:
-                released = float(estimator.session.submit_risks((risk,), (population_risk,))[0])
+            released = float(estimator.session.submit_risks(
+                (risk,), (population_risk,), losses=(vector,))[0])
         except BudgetExhaustedError as err:
             err.partial = {
                 "query_index": estimator.queries_answered,

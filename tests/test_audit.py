@@ -19,6 +19,7 @@ from shakyladder.mechanisms import (
     Ladder,
     LadderConfig,
     MechanismParams,
+    ParameterFreeLadder,
     ShakyLadder,
     shaky_params,
 )
@@ -223,6 +224,23 @@ class TestEvaluationSession:
         with pytest.raises(ValueError):
             session.submit_risks((risk,), (population_risk,))
         assert session.mechanism.round == 0
+
+    @pytest.mark.parametrize("risks,losses", [
+        ([0.5], None), ([0.5, 0.25], None), ([0.5, 0.25], [np.zeros(4)]), ([0.5], []),
+    ])
+    def test_vector_reader_needs_a_loss_vector_per_risk(self, risks, losses):
+        # pf-ladder reads each round's loss vector: a missing or short column
+        # is rejected at the session, before any round runs
+        session = EvaluationSession(ParameterFreeLadder())
+        with pytest.raises(ValueError, match="reads loss vectors"):
+            session.submit_risks(risks, [0.5] * len(risks), losses=losses)
+        assert session.mechanism.round == 0
+        assert len(session.trace()) == 0
+
+    def test_risk_readers_ignore_the_loss_column(self):
+        session = EvaluationSession(ExactEmpiricalOracle())
+        assert session.submit_risks([0.5, 0.25], [0.5, 0.5]).tolist() == [0.5, 0.25]
+        assert session.submit_risks([0.125], [0.5], losses=[]).tolist() == [0.125]
 
     def test_trace_carries_population_risks(self):
         from shakyladder.core import SubmittedModel

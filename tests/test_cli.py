@@ -41,6 +41,24 @@ def test_unknown_flag_exits_2(capsys):
     assert cli_main(BASE + ["--frobnicate"]) == 2
 
 
+@pytest.mark.parametrize("extra", [["--frobnicate"], ["--frobnicate=1", "x", "y"]])
+def test_unknown_arguments_reported_as_parse_args_reports_them(extra, capsys):
+    assert cli_main(BASE + extra) == 2
+    with contextlib.redirect_stderr(io.StringIO()) as expected, pytest.raises(SystemExit):
+        cli._build_parser().parse_args(BASE + extra)
+    assert capsys.readouterr().err == expected.getvalue()
+    assert "unrecognized arguments: " + " ".join(extra) in expected.getvalue()
+
+
+def test_argv_parsed_once_without_config(monkeypatch, capsys):
+    parser, calls = cli._build_parser(), []
+    parse = parser.parse_known_args
+    monkeypatch.setattr(parser, "parse_known_args",
+                        lambda *args, **kwargs: calls.append(args) or parse(*args, **kwargs))
+    assert cli_main(BASE) == 0
+    assert len(calls) == 1
+
+
 def test_bad_grid_exits_2(capsys):
     assert cli_main(["--experiment", "vary-queries", "--n", "100", "--k", "a,b"]) == 2
 

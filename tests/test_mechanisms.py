@@ -425,7 +425,7 @@ def test_trace_agrees_with_running_counters(name, stream, seed):
         assert len(path.read_text().splitlines()) == 1 + mech.round
 
 
-@pytest.mark.parametrize("name", [name for name in MECHANISM_NAMES if name != "pf-ladder"])
+@pytest.mark.parametrize("name", MECHANISM_NAMES)
 @given(
     stream=st.lists(
         st.tuples(st.lists(_LOSS, min_size=8, max_size=8), st.floats(0.0, 1.0)),
@@ -444,22 +444,29 @@ def test_submit_equals_submit_risk_of_mean(name, stream, seed):
     for losses, population_risk in stream:
         vec = np.array(losses)
         oracle_side = (population_risk,) if by_vector.needs_population_risk else ()
+        vector_side = (vec,) if by_vector.needs_loss_vector else ()
         assert (by_vector.submit(vec, *oracle_side)
-                == by_risk.submit_risk(float(np.mean(vec)), *oracle_side))
+                == by_risk.submit_risk(float(np.mean(vec)), *oracle_side, *vector_side))
     assert_same_trace(by_vector.trace(), by_risk.trace())
 
 
-def test_pf_ladder_reads_vectors_only():
+def test_pf_ladder_decides_on_the_risk_it_is_handed():
+    # the risk handed decides and is released; the loss vector only sets the
+    # step s_t = std(vector - incumbent, ddof=1) / sqrt(n)
     pf = ParameterFreeLadder()
     assert pf.needs_loss_vector
-    with pytest.raises(NotImplementedError):
-        pf.submit_risk(0.5)
+    incumbent, other = np.array([0.0, 1.0, 0.0, 1.0]), np.array([1.0, 1.0, 0.0, 1.0])
+    assert pf.submit_risk(0.3, incumbent) == 0.3  # the first round, released exactly
+    assert pf.submit_risk(0.0, incumbent) == 0.3  # s_t = 0: no update, whatever the risk
+    assert pf.submit_risk(0.1, other) == 0.3  # s_t = 0.25, and 0.1 is not below 0.3 - s_t
+    assert pf.submit_risk(0.01, other) == 0.0  # below it: 0.01 rounded to s_t's tenths
+    assert (pf.incumbent_risk, pf.update_count) == (0.01, 2)
 
 
 _TIE_RISK = st.sampled_from([0.0, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0])
 
 
-@pytest.mark.parametrize("name", [name for name in MECHANISM_NAMES if name != "pf-ladder"])
+@pytest.mark.parametrize("name", MECHANISM_NAMES)
 @given(
     batches=st.lists(st.tuples(st.lists(st.one_of(_TIE_RISK, st.floats(0.0, 1.0)), max_size=40),
                                st.one_of(st.none(), _TIE_RISK, st.floats(0.0, 1.0))),
@@ -488,6 +495,8 @@ def test_submit_risks_equals_the_round_loop(name, batches, budget, record, varia
     scan, loop = build(), build()
     for risks, stop_below in batches:
         columns = (np.array(risks[::-1]),) if scan.needs_population_risk else ()
+        if scan.needs_loss_vector:  # each round's vector, as the session hands it on
+            columns += (Rng(seed, len(risks)).random(8 * len(risks)).reshape(-1, 8),)
         results = []
         for submit_risks in (scan.submit_risks,
                              functools.partial(LeaderboardMechanism.submit_risks, loop)):

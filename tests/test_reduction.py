@@ -14,6 +14,7 @@ from shakyladder.mechanisms import (
     LadderConfig,
     MECHANISM_NAMES,
     MechanismParams,
+    ParameterFreeLadder,
     PopulationMinOracle,
     ShakyLadder,
     make_mechanism,
@@ -27,7 +28,7 @@ from shakyladder.reduction import (
     write_session_csv,
 )
 from shakyladder import reduction
-from reference import _scheduled_risks, per_step_answer
+from reference import _scheduled_risks, constructed_step, per_step_answer
 from synthetic import PerturbedMinOracle, StaleDipOracle
 
 
@@ -200,11 +201,21 @@ class TestConstructedFunctionRange:
         assert out.clamped
 
     def test_clamped_loss_vectors_stay_in_range(self):
-        est = fresh_estimator(alpha=0.1)
-        est.c = 0.05  # simulate a deeply descended threshold
-        model, clamped = est._constructed_model(const_query(0.0, n=8), 5)
-        assert clamped
-        assert float(model.loss_vector.min()) >= 0.0
+        # a deeply descended threshold: every step from 2 on clamps, and the
+        # mechanism gets each step's vector clipped into [0, 1], its risk the
+        # clipped vector's mean
+        mech = ParameterFreeLadder()
+        est = fresh_estimator(0.1, mech)
+        est.c = 0.05
+        rounds = []
+        submit_risk = mech.submit_risk
+        mech.submit_risk = lambda risk, vector: rounds.append((risk, vector)) or submit_risk(
+            risk, vector)
+        out = est.answer(const_query(0.0, n=8))
+        assert out.clamped and len(rounds) == out.submissions == 10
+        for risk, vector in rounds[2:]:  # steps 2 on clamp
+            assert float(vector.min()) >= 0.0 and float(vector.max()) <= 1.0
+            assert risk == float(np.mean(vector))
 
 
 class TestScalarSchedule:
@@ -218,35 +229,31 @@ class TestScalarSchedule:
     @settings(max_examples=500, deadline=None)
     def test_closed_form_matches_constructed_model(self, values, c, alpha, position,
                                                    population_mean):
+        # the model built as a vector by the reference's constructed_step
         est = fresh_estimator(alpha)
         est.c = c
         i = int(position * est.steps_per_query)
         query = Query(values=np.array(values), population_mean=population_mean)
-        model, clamped = est._constructed_model(query, i)
+        vector, population_risk, clamped = constructed_step(est, query, i)
         start, stop, risks, population_risks = est._unclamped_run(query)
         assert (not start <= i < stop) == clamped
         if not clamped:
-            assert population_risks[i - start] == model.population_risk
-            assert abs(risks[i - start] - float(np.mean(model.loss_vector))) <= 1e-15
+            assert population_risks[i - start] == population_risk
+            assert abs(risks[i - start] - float(np.mean(vector))) <= 1e-15
 
     @pytest.mark.parametrize("name,reads_vectors", [("pf-ladder", True), ("ladder", False)])
-    def test_loss_vectors_built_only_where_read(self, name, reads_vectors):
-        # pf-ladder decides on the loss vector itself; the Ladder gets the
-        # scalar risk of every unclamped step.
+    def test_loss_vectors_built_only_where_read(self, name, reads_vectors, monkeypatch):
+        # pf-ladder reads each step's loss vector for its step size, so every
+        # step's vector is built, each with one read of the query's values;
+        # the Ladder reads risks only, and no unclamped step builds one.
         mech = make_mechanism(name, n=40, eta=0.05)
-        session = EvaluationSession(mech)
-        vectors = []
-        submit = session.submit
-
-        def spy(model):
-            vectors.append(model.loss_vector)
-            return submit(model)
-
-        session.submit = spy
-        out = AdaptiveEstimator(session, alpha=0.1).answer(
+        reads = []
+        values = Query.values
+        monkeypatch.setattr(Query, "values", property(lambda q: reads.append(1) or values.fget(q)))
+        out = AdaptiveEstimator(EvaluationSession(mech), alpha=0.1).answer(
             Query(values=Rng(4).random(40), population_mean=0.5))
         assert not out.clamped and mech.round == out.submissions
-        assert len(vectors) == (out.submissions if reads_vectors else 0)
+        assert len(reads) == (out.submissions if reads_vectors else 0)
 
 
 #: Per clamp condition of ``_unclamped_run``, the c that puts step i's
