@@ -20,6 +20,7 @@ from pathlib import Path
 from shakyladder import (
     Ladder,
     LadderConfig,
+    ParameterFreeLadder,
     ShakyLadder,
     Rng,
     gaussian,
@@ -79,24 +80,50 @@ def write_goldens(out: Path) -> list[str]:
         config = ExperimentConfig(**fields, reps=2, seed=0, per_rep=True)
         (out / name).write_bytes(experiment_csv(config).encode("utf-8"))
 
-    # Shifted majority attack on a non-recording Ladder, one line per seed.
-    lines = ["seed,final_error,selected_count,queries_issued,feedback_received,"
-             "final_released,rounds,update_count"]
-    for s in range(4):
-        sample = make_random_label_sample(2500, (s, 0))
-        ladder = Ladder(LadderConfig(eta=1.0 / 800.0), record=False)
-        report, _ = shifted_majority_attack(ladder, sample, 100, 1.0 / 400.0, (s, 0))
-        lines.append(",".join([
-            str(s), format(report.final_error, ".17g"), str(report.selected_count),
-            str(report.queries_issued), str(report.feedback_received),
-            format(report.final_released, ".17g"), str(ladder.round), str(ladder.update_count),
-        ]))
-    (out / "shifted_ladder_small.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    # Estimator sessions of continuous queries against the running-minimum oracle.
+    config = ExperimentConfig(experiment="reduction-oracle", n=1000, alpha=0.02, reps=3,
+                              per_rep=True)
+    (out / "reduction_oracle_small.csv").write_bytes(experiment_csv(config).encode("utf-8"))
+
+    # Shifted majority attacks on non-recording mechanisms, one line per seed,
+    # each inside the reduction's budget of floor(1/(3 alpha)) queries.
+    shifted = {
+        "shifted_ladder_small.csv": (
+            lambda seed: Ladder(LadderConfig(eta=1.0 / 800.0), record=False),
+            2500, 100, 1.0 / 400.0, range(4)),
+        # about two thirds of the queries clamp; the step size reads loss vectors
+        "shifted_pf_ladder_small.csv": (
+            lambda seed: ParameterFreeLadder(record=False), 2500, 100, 1.0 / 400.0, range(2)),
+        # every query but the final one clamps
+        "shifted_shaky_small.csv": (
+            lambda seed: ShakyLadder(shaky_params(10000, 100 * 300, 0.1), seed, record=False),
+            10000, 99, 1.0 / 300.0, range(4)),
+    }
+    for name, args in shifted.items():
+        (out / name).write_text(shifted_reports(*args), encoding="utf-8")
     return [
         "laplace_seed42_scale0.5.txt", "gaussian_seed42_stddev1.txt", "uniform_seed42.txt",
         "shaky_trace_seed7.csv", "vq_small.csv", "vn_small.csv", *attacks,
-        "shifted_ladder_small.csv",
+        "reduction_oracle_small.csv", *shifted,
     ]
+
+
+def shifted_reports(make_mechanism, n, k, alpha, seeds) -> str:
+    """One line per seed s of the shifted attack on ``make_mechanism((s, 0))``:
+    its report and the mechanism's rounds and updates."""
+    lines = ["seed,final_error,selected_count,queries_issued,feedback_received,"
+             "final_released,rounds,update_count"]
+    for s in seeds:
+        sample = make_random_label_sample(n, (s, 0))
+        mechanism = make_mechanism((s, 0))
+        report, _ = shifted_majority_attack(mechanism, sample, k, alpha, (s, 0))
+        lines.append(",".join([
+            str(s), format(report.final_error, ".17g"), str(report.selected_count),
+            str(report.queries_issued), str(report.feedback_received),
+            format(report.final_released, ".17g"), str(mechanism.round),
+            str(mechanism.update_count),
+        ]))
+    return "\n".join(lines) + "\n"
 
 
 def changed_goldens() -> list[str]:

@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""Audit the randomized ladder's error envelope under the majority attack.
+"""Write the per-rep ``envelope`` CSV for an audit of the randomized ladder.
 
 Runs the selection-mode attack against the mechanism across a k grid and
-writes a per-rep CSV with each repetition's leaderboard error (lberr), update
-count B and max noise magnitude L. The envelope checked is
+writes each repetition's leaderboard error (lberr), update count B and max
+noise magnitude L. The envelope to check them against is
 18 eps sqrt(B) + lam + 2L, with eps and lam from shaky_params(n, k+1, beta).
 
 Usage: python scripts/run_envelope_audit.py [--n N] [--k K1,K2,...] [--reps R]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LOSS_TOLERANCE, SubmittedModel, Trace, empirical_risk
+from .core import _MAX, _MIN, SubmittedModel, Trace, _check_unit_values, empirical_risk
 from .mechanisms import LeaderboardMechanism, MechanismParams
 
 __all__ = [
@@ -25,9 +25,6 @@ __all__ = [
     "faithfulness_audit",
     "error_rate_ratio",
 ]
-
-_MIN, _MAX = np.minimum.reduce, np.maximum.reduce  # the ufuncs behind .min() and .max()
-
 
 class EvaluationSession:
     """Runs models through a mechanism while keeping the information barrier.
@@ -60,17 +57,16 @@ class EvaluationSession:
         ``stop_below``. ``losses``, a column with a length, holds each
         model's loss vector; only a mechanism that reads them
         (``needs_loss_vector``) iterates it, and rejects, before any round, a
-        missing column or one shorter than ``risks``.
+        missing column or one shorter than ``risks``; it checks each vector
+        before that vector's round, so the rounds before a bad one stay.
         """
         risks = np.asarray(risks, dtype=float)
         population_risks = np.asarray(population_risks, dtype=float)
         if risks.ndim != 1 or risks.shape != population_risks.shape:
             raise ValueError("risks and population_risks must be vectors of one length")
+        if risks.size:
+            _check_unit_values(risks, "empirical risks")
         # min and max propagate NaN, which fails every comparison and is rejected too.
-        if risks.size and not (_MIN(risks) >= -LOSS_TOLERANCE
-                               and _MAX(risks) <= 1.0 + LOSS_TOLERANCE):
-            raise ValueError(f"empirical risks must lie in [0, 1], got values in "
-                             f"[{_MIN(risks)}, {_MAX(risks)}]")
         if risks.size and not (_MIN(population_risks) >= 0.0 and _MAX(population_risks) <= 1.0):
             raise ValueError(f"population risks must lie in [0, 1], got values in "
                              f"[{_MIN(population_risks)}, {_MAX(population_risks)}]")

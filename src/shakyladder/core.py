@@ -58,6 +58,21 @@ def _readonly_copy(array, dtype=None) -> np.ndarray:
     return out
 
 
+_MIN, _MAX = np.minimum.reduce, np.maximum.reduce  # the ufuncs behind .min() and .max()
+
+
+def _check_unit_values(values: np.ndarray, name: str = "loss values") -> None:
+    """Reject ``values`` unless they form a nonempty 1-d array within [0, 1] up to
+    ``LOSS_TOLERANCE``: the rule for a model's losses and for its empirical risk."""
+    if values.ndim != 1 or values.size == 0:
+        raise ValueError(f"{name} must form a nonempty 1-d array")
+    lo, hi = float(_MIN(values)), float(_MAX(values))
+    # Written so that NaN, which fails every comparison, is rejected too.
+    if not (lo >= -LOSS_TOLERANCE and hi <= 1.0 + LOSS_TOLERANCE):
+        raise ValueError(f"{name} must lie in [0, 1] (tolerance {LOSS_TOLERANCE}), "
+                         f"got values in [{lo}, {hi}]")
+
+
 @dataclass(frozen=True)
 class SubmittedModel:
     """A model as seen on the holdout: per-point losses plus true risk.
@@ -72,16 +87,7 @@ class SubmittedModel:
 
     def __post_init__(self):
         vec = _readonly_copy(self.loss_vector)
-        if vec.ndim != 1 or vec.size == 0:
-            raise ValueError("loss_vector must be a nonempty 1-d array")
-        lo = float(vec.min())
-        hi = float(vec.max())
-        # Written so that NaN, which fails every comparison, is rejected too.
-        if not (lo >= -LOSS_TOLERANCE and hi <= 1.0 + LOSS_TOLERANCE):
-            raise ValueError(
-                f"loss values must lie in [0, 1] (tolerance {LOSS_TOLERANCE}); "
-                f"observed range [{lo}, {hi}]"
-            )
+        _check_unit_values(vec)
         if not 0.0 <= self.population_risk <= 1.0:
             raise ValueError(f"population_risk must lie in [0, 1], got {self.population_risk}")
         object.__setattr__(self, "loss_vector", vec)

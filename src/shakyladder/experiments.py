@@ -2,14 +2,16 @@
 
 One table, ``_READS``, fixes the options each experiment reads and their
 defaults; a config holds each read option's effective value, the noise grid
-included. Each repetition is a pure function of (seed, rep) via sub-stream
-derivation, so the grid runners share model draws across cells by
-construction: the noise-multiplier-zero cell of one experiment equals the
-no-noise cell of another on identical seeds, repetitions can run in any
-order, and reruns are byte-identical. The vector-attack grids evaluate every
-(k, noise) cell of a repetition in one blocked pass over its query stream
-(``analysts._attack_cells``); every cell equals a standalone
-``majority_attack_direct`` call with the matching sub-stream seed.
+included. Each repetition is a pure function of its seed path via sub-stream
+derivation, so repetitions can run in any order and reruns are
+byte-identical. The ``vary-*`` grids evaluate every (k, noise) cell of a
+repetition in one blocked pass over its query stream
+(``analysts._attack_cells``), each cell equal to a standalone
+``majority_attack_direct`` call. The mechanism-driven experiments are one
+loop (``_mechanism_cells``): ``envelope`` is the Shaky Ladder case of
+``attack-vs-mechanism`` with the lberr as its error. Neither checks the
+envelope 18 eps sqrt(B) + lam + 2L; the per-rep B and L let a reader do so
+(``audit.envelope_check``).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import analysts
-from .audit import EvaluationSession, envelope_check, leaderboard_error
+from .audit import EvaluationSession, leaderboard_error
 from .core import _fmt, _integer, make_random_label_sample
 from .mechanisms import (MECHANISM_NAMES, LadderConfig, PopulationMinOracle, _regime_params,
                          make_mechanism)
@@ -198,42 +200,39 @@ def run_vary(config: ExperimentConfig) -> list[CellResult]:
     """Attack error over the (k, noise multiplier) grid, for both vary
     experiments: they differ only in their default noise grid."""
     cells = _attack_grid(config.n, config.k_grid, config.noise_grid, config.reps, config.seed)
+    return [CellResult(config.experiment, "direct", config.n, k, mult,
+                       tuple(RepResult(e) for e in errors))
+            for (k, mult), errors in cells.items()]
+
+
+def _mechanism_cells(config: ExperimentConfig, kind: str) -> list[CellResult]:
+    """The theorem-selection majority attack on ``make_mechanism``'s ``kind``
+    over the (k, noise multiplier) grid, each repetition seeded by (seed, k,
+    rep). Per rep: lberr, B and L from the trace, and as the error the lberr
+    for ``envelope``, the majority model's empirical risk otherwise."""
     rows = []
     for k in config.k_grid:
-        for mult in config.noise_grid:
-            reps = tuple(RepResult(final_error=e) for e in cells[(k, mult)])
-            rows.append(CellResult(config.experiment, "direct", config.n, k, mult, reps))
+        for mult in config.noise_grid or (0.0,):
+            reps = []
+            for rep in range(config.reps):
+                run_seed = (config.seed, k, rep)
+                sample = make_random_label_sample(config.n, run_seed)
+                mechanism = make_mechanism(
+                    kind, n=config.n, k=k + 1, beta=config.beta, eta=config.eta,
+                    noise_stddev=mult / math.sqrt(config.n), seed=run_seed)
+                report, trace = analysts.majority_attack_vs_mechanism(
+                    mechanism, sample, k, run_seed, selection="theorem")
+                lberr = leaderboard_error(trace)
+                error = lberr if config.experiment == "envelope" else report.final_error
+                reps.append(RepResult(error, lberr, float(trace.update_count),
+                                      trace.max_noise_magnitude))
+            rows.append(CellResult(config.experiment, kind, config.n, k, mult, tuple(reps)))
     return rows
-
-
-def _attack_rep(config: ExperimentConfig, kind: str, k: int, mult: float, rep: int):
-    """One repetition of the theorem-selection majority attack of k queries.
-
-    The sample, the mechanism (``make_mechanism``'s ``kind``, at noise
-    multiplier mult) and the attack are all seeded by (seed, k, rep).
-    Returns the attack's report and trace, and the mechanism.
-    """
-    run_seed = (config.seed, k, rep)
-    sample = make_random_label_sample(config.n, run_seed)
-    mechanism = make_mechanism(kind, n=config.n, k=k + 1, beta=config.beta, eta=config.eta,
-                               noise_stddev=mult / math.sqrt(config.n), seed=run_seed)
-    report, trace = analysts.majority_attack_vs_mechanism(
-        mechanism, sample, k, run_seed, selection="theorem")
-    return report, trace, mechanism
 
 
 def run_envelope(config: ExperimentConfig) -> list[CellResult]:
-    """Leaderboard error of the randomized ladder under the majority attack,
-    audited against its error envelope; mean_error is the mean lberr."""
-    rows = []
-    for k in config.k_grid:
-        reps = []
-        for rep in range(config.reps):
-            _, trace, mechanism = _attack_rep(config, "shaky", k, 0.0, rep)
-            ev = envelope_check(trace, mechanism.params)
-            reps.append(RepResult(ev.lberr, ev.lberr, float(ev.update_count), ev.max_noise))
-        rows.append(CellResult(config.experiment, "shaky", config.n, k, 0.0, tuple(reps)))
-    return rows
+    """The Shaky Ladder's rows of the mechanism attack; mean_error is the mean lberr."""
+    return _mechanism_cells(config, "shaky")
 
 
 def run_reduction_oracle(config: ExperimentConfig) -> list[CellResult]:
@@ -266,19 +265,8 @@ def run_reduction_oracle(config: ExperimentConfig) -> list[CellResult]:
 
 
 def run_attack_vs_mechanism(config: ExperimentConfig) -> list[CellResult]:
-    """Majority attack against a configured mechanism across the k grid."""
-    multipliers = config.noise_grid or (0.0,)
-    rows = []
-    for k in config.k_grid:
-        for mult in multipliers:
-            reps = []
-            for rep in range(config.reps):
-                report, trace, _ = _attack_rep(config, config.mechanism, k, mult, rep)
-                reps.append(RepResult(report.final_error, leaderboard_error(trace),
-                                      float(trace.update_count), trace.max_noise_magnitude))
-            rows.append(CellResult(config.experiment, config.mechanism, config.n, k, mult,
-                                   tuple(reps)))
-    return rows
+    """The mechanism attack on ``config.mechanism``; mean_error is the majority model's."""
+    return _mechanism_cells(config, config.mechanism)
 
 
 _RUNNERS = {

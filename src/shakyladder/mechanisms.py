@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import INITIAL_RELEASE, Trace
+from .core import INITIAL_RELEASE, Trace, _check_unit_values
 from .noise import Rng, gaussian, laplace
 
 __all__ = [
@@ -407,7 +407,9 @@ class ParameterFreeLadder(LeaderboardMechanism):
     the one use of the loss vectors. Released values are the empirical risk
     rounded to the decimal place of s_t's leading significant digit. A
     degenerate step (s_t = 0, e.g. resubmitting the incumbent) never updates;
-    the first submission always does and is released exactly.
+    the first submission always does and is released exactly. A loss vector
+    that ``SubmittedModel`` would reject, or whose length differs from the
+    incumbent's, is a ValueError before its round runs.
     """
 
     name = "pf-ladder"
@@ -421,8 +423,12 @@ class ParameterFreeLadder(LeaderboardMechanism):
     def submit_risk(self, risk: float, loss_vector) -> float:
         self._check_budget()
         vec = np.asarray(loss_vector, dtype=float)
+        _check_unit_values(vec)
         released = risk  # the first submission updates and is released exactly
         if self.incumbent_loss is not None:
+            if vec.size != self.incumbent_loss.size:
+                raise ValueError(f"loss vector length {vec.size}, the incumbent's is "
+                                 f"{self.incumbent_loss.size}")
             diff = vec - self.incumbent_loss
             step = float(np.std(diff, ddof=1)) / math.sqrt(diff.size) if diff.size > 1 else 0.0
             if not (step > 0.0 and risk < self.incumbent_risk - step):

@@ -237,6 +237,26 @@ class TestEvaluationSession:
         assert session.mechanism.round == 0
         assert len(session.trace()) == 0
 
+    @pytest.mark.parametrize("losses,rounds,match", [
+        ([np.zeros(4), np.ones(5)], 1, "length 5, the incumbent's is 4"),
+        ([np.full(4, 9.0), np.full(4, -3.0)], 0, r"\[0, 1\]"),
+        ([np.zeros(4), np.full(4, -3.0)], 1, r"\[0, 1\]"),
+        ([np.zeros(4), np.full(4, 1.0 + 1e-9)], 1, r"\[0, 1\]"),
+        ([np.full(4, np.nan), np.zeros(4)], 0, r"\[0, 1\]"),
+        ([np.zeros((2, 2)), np.zeros(4)], 0, "nonempty 1-d"),
+        ([np.zeros(0), np.zeros(4)], 0, "nonempty 1-d"),
+    ], ids=["length", "above-1", "below-0", "past-tolerance", "nan", "2-d", "empty"])
+    def test_vector_reader_rejects_a_bad_loss_vector(self, losses, rounds, match):
+        # pf-ladder checks each vector as SubmittedModel does, and its length
+        # against the incumbent's, before the vector's round commits
+        session = EvaluationSession(ParameterFreeLadder())
+        with pytest.raises(ValueError, match=match):
+            session.submit_risks([0.5, 0.25], [0.5, 0.5], losses=losses)
+        assert session.mechanism.round == rounds
+        assert len(session.trace()) == rounds
+        # a rejected vector leaves the incumbent as it was
+        assert session.submit_risks([0.5], [0.5], losses=[np.full(4, 0.5)]).size == 1
+
     def test_risk_readers_ignore_the_loss_column(self):
         session = EvaluationSession(ExactEmpiricalOracle())
         assert session.submit_risks([0.5, 0.25], [0.5, 0.5]).tolist() == [0.5, 0.25]

@@ -251,7 +251,7 @@ class TestOtherRunners:
                 assert rep.final_error == rep.lberr
                 assert rep.updates >= 0
                 assert rep.max_noise > 0
-        # the envelope audits the very runs attack-vs-mechanism makes on shaky
+        # envelope is attack-vs-mechanism on shaky with the lberr as its error
         attacked = run_attack_vs_mechanism(ExperimentConfig(
             experiment="attack-vs-mechanism", n=2000, k_grid=(20, 60), reps=4, seed=2,
             mechanism="shaky"))
