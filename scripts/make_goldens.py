@@ -101,10 +101,17 @@ def write_goldens(out: Path) -> list[str]:
     }
     for name, args in shifted.items():
         (out / name).write_text(shifted_reports(*args), encoding="utf-8")
+
+    # The shifted attack on a recording Ladder, inside the budget (11 of 13 queries):
+    # its trace pins the population risks the estimator hands the session.
+    sample = make_random_label_sample(400, (0, 0))
+    _, trace = shifted_majority_attack(Ladder(LadderConfig(eta=1.0 / 80.0)), sample, 10,
+                                       1.0 / 40.0, (0, 0))
+    write_trace_csv(trace, out / "shifted_ladder_trace.csv")
     return [
         "laplace_seed42_scale0.5.txt", "gaussian_seed42_stddev1.txt", "uniform_seed42.txt",
         "shaky_trace_seed7.csv", "vq_small.csv", "vn_small.csv", *attacks,
-        "reduction_oracle_small.csv", *shifted,
+        "reduction_oracle_small.csv", *shifted, "shifted_ladder_trace.csv",
     ]
 
 

@@ -3,8 +3,11 @@
 This module is the only place population risks meet mechanism releases. An
 :class:`EvaluationSession` drives a mechanism through one path,
 ``submit_risks``: each round's empirical risk, plus its loss vector or its
-population risk for the mechanisms that read them. It assembles traces with
-true risks filled in so the error metrics below can be computed.
+population risk for the mechanisms that read them. Population risks come as
+an array or as a callable that builds one; the session builds and checks
+them only where they are read, by the population-minimum oracle or for a
+recorded trace. It assembles traces with true risks filled in so the error
+metrics below can be computed.
 """
 
 from __future__ import annotations
@@ -54,23 +57,32 @@ class EvaluationSession:
         The empirical and population risks are checked like a
         :class:`SubmittedModel`'s losses and risk before any round runs; the
         mechanism's ``submit_risks`` then stops after the first release below
-        ``stop_below``. ``losses``, a column with a length, holds each
-        model's loss vector; only a mechanism that reads them
-        (``needs_loss_vector``) iterates it, and rejects, before any round, a
-        missing column or one shorter than ``risks``; it checks each vector
-        before that vector's round, so the rounds before a bad one stay.
+        ``stop_below``. ``population_risks`` is an array or a zero-argument
+        callable returning one; the callable is called, and its array
+        checked, only where population risks are read: by a mechanism that
+        reads them (``needs_population_risk``) or for a recorded trace.
+        ``losses``, a column with a length, holds each model's loss vector;
+        only a mechanism that reads them (``needs_loss_vector``) iterates
+        it, and rejects, before any round, a missing column or one shorter
+        than ``risks``; it checks each vector before that vector's round, so
+        the rounds before a bad one stay.
         """
+        mechanism = self.mechanism
         risks = np.asarray(risks, dtype=float)
-        population_risks = np.asarray(population_risks, dtype=float)
-        if risks.ndim != 1 or risks.shape != population_risks.shape:
+        lazy = callable(population_risks)
+        built = not lazy or mechanism.needs_population_risk or mechanism.records_trace
+        if built:
+            population_risks = np.asarray(population_risks() if lazy else population_risks,
+                                          dtype=float)
+        if risks.ndim != 1 or built and risks.shape != population_risks.shape:
             raise ValueError("risks and population_risks must be vectors of one length")
         if risks.size:
             _check_unit_values(risks, "empirical risks")
         # min and max propagate NaN, which fails every comparison and is rejected too.
-        if risks.size and not (_MIN(population_risks) >= 0.0 and _MAX(population_risks) <= 1.0):
+        if built and risks.size and not (
+                _MIN(population_risks) >= 0.0 and _MAX(population_risks) <= 1.0):
             raise ValueError(f"population risks must lie in [0, 1], got values in "
                              f"[{_MIN(population_risks)}, {_MAX(population_risks)}]")
-        mechanism = self.mechanism
         columns = (population_risks.tolist(),) if mechanism.needs_population_risk else ()
         if mechanism.needs_loss_vector:
             if losses is None or len(losses) < len(risks):

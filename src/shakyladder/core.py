@@ -181,8 +181,10 @@ def _unpack(block: np.ndarray, n: int) -> np.ndarray:
 
 
 def _mismatches(block: np.ndarray, words: np.ndarray) -> np.ndarray:
-    """Per packed row, the entries where it differs from packed ``words``."""
-    return np.bitwise_count(block ^ words).sum(axis=-1, dtype=np.int64)
+    """Per packed row, the entries where it differs from packed ``words``, as int64;
+    summed in the narrowest type that holds a row's count (uint16 up to 65472 entries)."""
+    counts = np.bitwise_count(block ^ words)
+    return counts.sum(axis=-1, dtype=np.min_scalar_type(64 * counts.shape[-1])).astype(np.int64)
 
 
 class _LazyRows:

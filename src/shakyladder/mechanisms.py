@@ -204,11 +204,13 @@ class LeaderboardMechanism:
             raise ValueError(f"loss vector length {n}, expected {self.params.n}")
 
     def submit(self, loss_vector, *args, **kwargs) -> float:
-        """Score one loss vector: its length passes :meth:`check_size`, and its mean goes to
-        ``submit_risk`` with further arguments (the population risk, for the mechanisms that
-        read it) unchanged, then the vector itself if the mechanism reads loss vectors.
+        """Score one loss vector: it passes the ``SubmittedModel`` rule for losses and
+        :meth:`check_size`, and its mean goes to ``submit_risk`` with further arguments (the
+        population risk, for the mechanisms that read it) unchanged, then the vector itself
+        if the mechanism reads loss vectors. A rejected vector runs no round.
         """
         vec = np.asarray(loss_vector)
+        _check_unit_values(vec)
         self.check_size(vec.size)
         if self.needs_loss_vector:
             args += (vec,)

@@ -11,9 +11,11 @@ accurate mechanism it is accurate to within alpha.
 A query carries its summary (mean, min, max), taken once when it is built;
 the schedule bounds its unclamped run from it in closed form. Every step
 goes through ``session.submit_risks``, the run as one batch and each clamped
-step alone, and a step's loss vector is built only where it is read: a
-packed 0/1 query unpacks only for clamped steps and for mechanisms that
-read loss vectors.
+step alone, and the run's population risks and a step's loss vector are
+built only where they are read: the population risks for the
+population-minimum oracle and for recorded traces, and the loss vectors for
+mechanisms that read them; a packed 0/1 query unpacks only for clamped steps
+and for those mechanisms.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import csv
 import math
 import operator
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,8 +160,9 @@ class AdaptiveEstimator:
         #: Queries per session that the reduction's guarantees cover, floor(1/(3*alpha)).
         self.query_budget = math.floor(1.0 / (3.0 * alpha))
 
-    def _unclamped_run(self, query: Query) -> tuple[int, int, np.ndarray, np.ndarray]:
-        """The unclamped steps, start to stop, with their risks and population risks.
+    def _unclamped_run(self, query: Query) -> tuple[int, int, np.ndarray, Callable[[], np.ndarray]]:
+        """The unclamped steps, start to stop, with their risks and a callable that
+        builds their population risks, for the session to call where they are read.
 
         Step i's constructed loss vector is c + (g - i*alpha)/2 and its
         population risk (c - i*alpha/2) + population_mean/2; the step clamps
@@ -182,11 +186,11 @@ class AdaptiveEstimator:
         start, stop = (start, stop) if start < stop else (0, 0)
         # 0.5*i*alpha, half of i*alpha: halving is exact for normal floats, so 0.5 * (mean
         # - i*alpha) is 0.5 * mean less it bit for bit (a subnormal mean is absorbed either way)
-        half_offsets = np.arange(start, stop) * (0.5 * alpha)
-        risks, population_risks = 0.5 * mean - half_offsets, c - half_offsets
+        half_offsets = np.arange(start, stop, dtype=float)
+        half_offsets *= 0.5 * alpha
+        risks = 0.5 * mean - half_offsets
         risks += c  # in place: c + (0.5 * mean - half_offsets), and one array fewer
-        population_risks += half_mean
-        return start, stop, risks, population_risks
+        return start, stop, risks, lambda: (c - half_offsets) + half_mean
 
     def answer(self, query: Query) -> QueryOutcome:
         """Run the offset schedule for one query and extract its answer.
@@ -195,8 +199,9 @@ class AdaptiveEstimator:
         trigger, the first release below ``c - alpha/2``: the unclamped run
         (:meth:`_unclamped_run`) as one batch, and each clamped step as a
         batch of one, its vector and population risk clipped into [0, 1] and
-        its risk the clipped vector's mean. Loss vectors go as a lazy column,
-        built only for a mechanism that reads them.
+        its risk the clipped vector's mean. Loss vectors go as a lazy column
+        and the run's population risks as a callable, each built only where
+        the session reads it.
         """
         session, mechanism = self.session, self.session.mechanism
         mechanism.check_size(query.size)

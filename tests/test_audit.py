@@ -20,6 +20,7 @@ from shakyladder.mechanisms import (
     LadderConfig,
     MechanismParams,
     ParameterFreeLadder,
+    PopulationMinOracle,
     ShakyLadder,
     shaky_params,
 )
@@ -218,12 +219,41 @@ class TestEvaluationSession:
     @pytest.mark.parametrize("risk,population_risk", [
         (math.nan, 0.5), (math.inf, 0.5), (1.5, 0.5), (-0.1, 0.5),
         (0.5, math.nan), (0.5, -math.inf), (0.5, 1.2),
+        # population risks built on call, for the recorded trace: checked as an array is
+        pytest.param(0.5, lambda: (math.nan,), id="callable-nan"),
+        pytest.param(0.5, lambda: (1.2,), id="callable-above-1"),
+        pytest.param(0.5, lambda: (-0.1,), id="callable-below-0"),
+        pytest.param(0.5, lambda: (0.5, 0.5), id="callable-length"),
+        pytest.param(0.5, lambda: 0.5, id="callable-scalar"),
     ])
     def test_submit_risk_rejects_bad_values(self, risk, population_risk):
         session = EvaluationSession(ExactEmpiricalOracle())
         with pytest.raises(ValueError):
-            session.submit_risks((risk,), (population_risk,))
+            session.submit_risks((risk,), population_risk if callable(population_risk)
+                                 else (population_risk,))
         assert session.mechanism.round == 0
+
+    @pytest.mark.parametrize("make,calls", [
+        (lambda: Ladder(LadderConfig(0.1), record=False), 0),
+        (lambda: ExactEmpiricalOracle(record=False), 0),
+        (lambda: PopulationMinOracle(record=False), 1),
+        (PopulationMinOracle, 1),
+        (lambda: Ladder(LadderConfig(0.1)), 1),
+    ], ids=["ladder", "empirical", "population-min", "population-min-recording",
+            "ladder-recording"])
+    def test_population_risks_built_only_where_read(self, make, calls):
+        # a callable is called once by a mechanism that reads population risks
+        # or records them in its trace, and never by one that reads risks only
+        made = []
+        mechanism = make()
+        session = EvaluationSession(mechanism)
+        released = session.submit_risks([0.75, 0.5, 0.25],
+                                         lambda: made.append(1) or [0.5, 0.375, 0.5])
+        assert len(made) == calls and mechanism.round == 3
+        if mechanism.needs_population_risk:
+            assert released.tolist() == [0.5, 0.375, 0.375]
+        if mechanism.records_trace:
+            assert session.trace().population_risks.tolist() == [0.5, 0.375, 0.5]
 
     @pytest.mark.parametrize("risks,losses", [
         ([0.5], None), ([0.5, 0.25], None), ([0.5, 0.25], [np.zeros(4)]), ([0.5], []),

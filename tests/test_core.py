@@ -9,6 +9,8 @@ from shakyladder.core import (
     HoldoutSample,
     SubmittedModel,
     Trace,
+    _mismatches,
+    _pack,
     clamp_release,
     empirical_risk,
     make_random_label_sample,
@@ -245,3 +247,13 @@ def test_holdout_sample_accepts_binary_labels(labels):
 def test_holdout_sample_rejects_non_binary_labels(bad):
     with pytest.raises(ValueError, match="binary"):
         HoldoutSample(size=3, hidden_labels=np.array([0, 1, bad]), seed=0)
+
+
+@pytest.mark.parametrize("n", [65472, 65473], ids=["uint16", "uint32"])
+def test_mismatches_count_full_rows_exactly(n):
+    # rows of up to 65472 entries sum their popcounts in uint16, longer ones in
+    # uint32; an all-ones row against zeros is the largest count either holds
+    ones, zeros = _pack(np.ones(n, dtype=np.uint8)), _pack(np.zeros(n, dtype=np.uint8))
+    counts = _mismatches(np.stack([ones, zeros, ones]), zeros)
+    assert counts.dtype == np.int64
+    assert counts.tolist() == [n, 0, n]

@@ -450,6 +450,29 @@ def test_submit_equals_submit_risk_of_mean(name, stream, seed):
     assert_same_trace(by_vector.trace(), by_risk.trace())
 
 
+@pytest.mark.parametrize("name", MECHANISM_NAMES)
+@pytest.mark.parametrize("vector", [
+    np.full(4, 5.0), np.array([0.5, -0.5, 0.5, 0.5]), np.full(4, np.nan), np.array([]),
+    np.zeros((2, 2)),
+], ids=["above-1", "below-0", "nan", "empty", "2-d"])
+def test_submit_rejects_an_invalid_vector_before_its_round(name, vector):
+    # the SubmittedModel rule for losses, checked before the round commits:
+    # no round, no noise drawn, and the next valid round is the first one
+    def build():
+        if name == "shaky":
+            return ShakyLadder(off_regime_params(n=4, k=30), seed=3)
+        return make_mechanism(name, n=4, k=30, seed=3)
+
+    mech, fresh = build(), build()
+    oracle_side = (0.5,) if mech.needs_population_risk else ()
+    with pytest.raises(ValueError, match=r"\[0, 1\]|nonempty 1-d"):
+        mech.submit(vector, *oracle_side)
+    assert mech.round == 0
+    valid = np.array([0.0, 1.0, 0.0, 0.0])
+    assert mech.submit(valid, *oracle_side) == fresh.submit(valid, *oracle_side)
+    assert_same_trace(mech.trace(), fresh.trace())
+
+
 def test_pf_ladder_decides_on_the_risk_it_is_handed():
     # the risk handed decides and is released; the loss vector only sets the
     # step s_t = std(vector - incumbent, ddof=1) / sqrt(n)

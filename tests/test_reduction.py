@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shakyladder.analysts import shifted_majority_attack
 from shakyladder.audit import EvaluationSession
+from shakyladder.core import make_random_label_sample
 from shakyladder.mechanisms import (
     BudgetExhaustedError,
     ExactEmpiricalOracle,
@@ -238,7 +240,7 @@ class TestScalarSchedule:
         start, stop, risks, population_risks = est._unclamped_run(query)
         assert (not start <= i < stop) == clamped
         if not clamped:
-            assert population_risks[i - start] == population_risk
+            assert population_risks()[i - start] == population_risk
             assert abs(risks[i - start] - float(np.mean(vector))) <= 1e-15
 
     @pytest.mark.parametrize("name,reads_vectors", [("pf-ladder", True), ("ladder", False)])
@@ -254,6 +256,27 @@ class TestScalarSchedule:
             Query(values=Rng(4).random(40), population_mean=0.5))
         assert not out.clamped and mech.round == out.submissions
         assert len(reads) == (out.submissions if reads_vectors else 0)
+
+    @pytest.mark.parametrize("record", [False, True])
+    def test_population_risks_built_only_for_a_trace(self, record, monkeypatch):
+        # the shifted attack on a non-recording Ladder reads risks only, so no
+        # unclamped run builds its population-risk row; a recording one builds
+        # it once for each run it submits (no query of this attack clamps)
+        runs, built = [], []
+        unclamped_run = AdaptiveEstimator._unclamped_run
+
+        def spy(self, query):
+            *head, population_risks = unclamped_run(self, query)
+            runs.append(head)
+            return (*head, lambda: built.append(1) or population_risks())
+
+        monkeypatch.setattr(AdaptiveEstimator, "_unclamped_run", spy)
+        ladder = Ladder(LadderConfig(eta=1.0 / 80.0), record=record)
+        report, trace = shifted_majority_attack(ladder, make_random_label_sample(400, (0, 0)),
+                                                10, 1.0 / 40.0, (0, 0))
+        assert report.clamped_queries == 0 and len(runs) == report.queries_issued == 11
+        assert len(built) == (len(runs) if record else 0)
+        assert (trace is not None) == record
 
 
 #: Per clamp condition of ``_unclamped_run``, the c that puts step i's
@@ -300,7 +323,7 @@ class TestUnclampedRun:
         # bit for bit, so that a -0.0 where the reference has 0.0 shows too
         assert np.array([steps[i][0] for i in free], dtype=float).tobytes() == risks.tobytes()
         assert (np.array([steps[i][1] for i in free], dtype=float).tobytes()
-                == population_risks.tobytes())
+                == population_risks().tobytes())
 
     @pytest.mark.parametrize("values,population_mean,c,run", [
         ([0.0, 1.0], 0.5, 0.25, (0, 5)),   # c + (0 - 4 alpha)/2 is exactly 0 at step 4
@@ -316,7 +339,7 @@ class TestUnclampedRun:
         start, stop, risks, population_risks = est._unclamped_run(
             Query(values=np.array(values), population_mean=population_mean))
         assert (start, stop) == run
-        assert len(risks) == len(population_risks) == stop - start
+        assert len(risks) == len(population_risks()) == stop - start
 
     def test_construction_allocates_no_per_step_rows(self):
         # the estimator used to keep i*alpha and 0.5*i*alpha for all 10^6
@@ -364,7 +387,8 @@ class TestPackedQuery:
         est.c = c
         fast, slow = est._unclamped_run(packed), est._unclamped_run(vector)
         assert fast[:2] == slow[:2]
-        for fast_row, slow_row in zip(fast[2:], slow[2:]):
+        # the risks, then the population risks the run builds on call
+        for fast_row, slow_row in ((fast[2], slow[2]), (fast[3](), slow[3]())):
             assert fast_row.tobytes() == slow_row.tobytes()
         assert packed.values.dtype == np.float64
         assert packed.values.tobytes() == vector.values.tobytes()
