@@ -26,9 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audit import EvaluationSession
-from .core import HoldoutSample, Trace, _integer, _LazyRows, _mismatches, _pack, _unpack
+from .core import HoldoutSample, Trace, _LazyRows, _mismatches, _pack, _unpack
 from .mechanisms import BudgetExhaustedError, LeaderboardMechanism
-from .noise import Rng
+from .noise import Rng, _integer, _unit
 from .reduction import AdaptiveEstimator, Query
 
 __all__ = [
@@ -78,8 +78,7 @@ class AttackReport:
     untriggered_queries: int = 0
 
     def __post_init__(self):
-        if not 0.0 <= self.final_error <= 1.0:
-            raise ValueError(f"final_error must lie in [0, 1], got {self.final_error}")
+        _unit("final_error", self.final_error)
         if self.selected_count > self.queries_issued:
             raise ValueError("selected_count cannot exceed queries_issued")
         for name in ("clamped_queries", "untriggered_queries"):

@@ -6,8 +6,9 @@ This module is the only place population risks meet mechanism releases. An
 population risk for the mechanisms that read them. Population risks come as
 an array or as a callable that builds one; the session builds and checks
 them only where they are read, by the population-minimum oracle or for a
-recorded trace. It assembles traces with true risks filled in so the error
-metrics below can be computed.
+recorded trace, and checks them within [0, 1] exactly (the empirical risks up
+to ``LOSS_TOLERANCE``) before any round. It assembles traces with true risks
+filled in so the error metrics below can be computed.
 """
 
 from __future__ import annotations
@@ -17,8 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _MAX, _MIN, SubmittedModel, Trace, _check_unit_values, empirical_risk
+from .core import LOSS_TOLERANCE, SubmittedModel, Trace, empirical_risk
 from .mechanisms import LeaderboardMechanism, MechanismParams
+from .noise import _unit
 
 __all__ = [
     "EvaluationSession",
@@ -77,12 +79,9 @@ class EvaluationSession:
         if risks.ndim != 1 or built and risks.shape != population_risks.shape:
             raise ValueError("risks and population_risks must be vectors of one length")
         if risks.size:
-            _check_unit_values(risks, "empirical risks")
-        # min and max propagate NaN, which fails every comparison and is rejected too.
-        if built and risks.size and not (
-                _MIN(population_risks) >= 0.0 and _MAX(population_risks) <= 1.0):
-            raise ValueError(f"population risks must lie in [0, 1], got values in "
-                             f"[{_MIN(population_risks)}, {_MAX(population_risks)}]")
+            _unit("empirical risks", risks, LOSS_TOLERANCE)
+            if built:
+                _unit("population risks", population_risks)
         columns = (population_risks.tolist(),) if mechanism.needs_population_risk else ()
         if mechanism.needs_loss_vector:
             if losses is None or len(losses) < len(risks):

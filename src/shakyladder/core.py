@@ -5,19 +5,19 @@ the fixed holdout plus an analytically known population risk. Mechanisms
 receive a model's empirical risk, and its loss vector if they read one; the
 population risk travels alongside for the evaluation oracle (see
 :mod:`shakyladder.audit`) and never enters a mechanism's decision logic. All
-types here are immutable after construction and safe to share across threads.
+types here are immutable after construction and safe to share across threads,
+and check their input when built, with the rules of :mod:`shakyladder.noise`.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .noise import Rng
+from .noise import Rng, _integer, _unit
 
 __all__ = [
     "INITIAL_RELEASE",
@@ -35,20 +35,12 @@ __all__ = [
 #: R_0, the release every mechanism starts from: round 1 updates when it releases less.
 INITIAL_RELEASE = 1.0
 
-#: Loss values may stray from [0, 1] by at most this much before rejection.
+#: Losses and empirical risks may stray from [0, 1] by at most this much
+#: before rejection; every other [0, 1] value is checked exactly.
 LOSS_TOLERANCE = 1e-12
 
 #: Sub-stream tag used when generating hidden holdout labels from a seed.
 LABEL_STREAM = 11
-
-
-def _integer(name: str, value, least: int | None = None) -> int:
-    """``value`` as a Python int; a bool, a non-integer or one below ``least`` is a ValueError."""
-    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if least is not None and operator.index(value) < least:
-        raise ValueError(f"{name} must be >= {least}, got {value}")
-    return operator.index(value)
 
 
 def _readonly_copy(array, dtype=None) -> np.ndarray:
@@ -56,21 +48,6 @@ def _readonly_copy(array, dtype=None) -> np.ndarray:
     out = np.array(array, dtype=dtype)
     out.setflags(write=False)
     return out
-
-
-_MIN, _MAX = np.minimum.reduce, np.maximum.reduce  # the ufuncs behind .min() and .max()
-
-
-def _check_unit_values(values: np.ndarray, name: str = "loss values") -> None:
-    """Reject ``values`` unless they form a nonempty 1-d array within [0, 1] up to
-    ``LOSS_TOLERANCE``: the rule for a model's losses and for its empirical risk."""
-    if values.ndim != 1 or values.size == 0:
-        raise ValueError(f"{name} must form a nonempty 1-d array")
-    lo, hi = float(_MIN(values)), float(_MAX(values))
-    # Written so that NaN, which fails every comparison, is rejected too.
-    if not (lo >= -LOSS_TOLERANCE and hi <= 1.0 + LOSS_TOLERANCE):
-        raise ValueError(f"{name} must lie in [0, 1] (tolerance {LOSS_TOLERANCE}), "
-                         f"got values in [{lo}, {hi}]")
 
 
 @dataclass(frozen=True)
@@ -87,9 +64,8 @@ class SubmittedModel:
 
     def __post_init__(self):
         vec = _readonly_copy(self.loss_vector)
-        _check_unit_values(vec)
-        if not 0.0 <= self.population_risk <= 1.0:
-            raise ValueError(f"population_risk must lie in [0, 1], got {self.population_risk}")
+        _unit("loss values", vec, LOSS_TOLERANCE)
+        _unit("population_risk", self.population_risk)
         object.__setattr__(self, "loss_vector", vec)
 
     @property
@@ -106,8 +82,7 @@ class HoldoutSample:
     seed: int | tuple[int, ...]
 
     def __post_init__(self):
-        if self.size < 1:
-            raise ValueError(f"sample size must be >= 1, got {self.size}")
+        object.__setattr__(self, "size", _integer("sample size", self.size, 1))
         labels = _readonly_copy(self.hidden_labels)
         if labels.shape != (self.size,):
             raise ValueError("hidden_labels length must equal size")
@@ -205,8 +180,9 @@ class _LazyRows:
 def make_random_label_sample(n: int, seed: int | tuple[int, ...]) -> HoldoutSample:
     """Holdout with labels i.i.d. uniform over {0, 1}, deterministic in seed."""
     n = _integer("n", n, 1)
-    labels = Rng(seed, LABEL_STREAM).bits(n)
-    return HoldoutSample(size=n, hidden_labels=labels, seed=seed if isinstance(seed, int) else tuple(seed))
+    rng = Rng(seed, LABEL_STREAM)  # checks the seed
+    seed = rng.path[:-1] if isinstance(seed, (tuple, list)) else rng.path[0]
+    return HoldoutSample(size=n, hidden_labels=rng.bits(n), seed=seed)
 
 
 def model_from_predictions(predictions, sample: HoldoutSample) -> SubmittedModel:
@@ -230,11 +206,11 @@ def empirical_risk(model: SubmittedModel) -> float:
 
 
 def clamp_release(value: float) -> float:
-    """Presentation-layer clamp of a released value into [0, 1].
+    """Clamp into [0, 1]: a release for display, or a clamped estimator step's population risk.
 
     Mechanisms never clamp internally (noise rides on raw estimates and the
-    zero-noise equivalence with the deterministic ladder depends on it);
-    apply this only when displaying or serializing releases.
+    zero-noise equivalence with the deterministic ladder depends on it), so
+    apply this to a release only when displaying or serializing it.
     """
     return min(1.0, max(0.0, value))
 

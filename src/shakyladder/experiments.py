@@ -23,10 +23,10 @@ import numpy as np
 
 from . import analysts
 from .audit import EvaluationSession, leaderboard_error
-from .core import _fmt, _integer, make_random_label_sample
+from .core import _fmt, make_random_label_sample
 from .mechanisms import (MECHANISM_NAMES, LadderConfig, PopulationMinOracle, _regime_params,
                          make_mechanism)
-from .noise import Rng
+from .noise import Rng, _integer, _seed_path
 from .reduction import AdaptiveEstimator, Query
 
 __all__ = [
@@ -45,6 +45,9 @@ __all__ = [
     "run_attack_vs_mechanism",
     "experiment_csv",
 ]
+
+#: Sub-stream tag of the reduction-oracle experiment's query draws.
+REDUCTION_STREAM = 5
 
 DEFAULT_K_GRID = tuple(range(100, 1001, 100))
 VARY_QUERIES_NOISE_GRID = (0.0, 1.0, 3.0)
@@ -111,12 +114,11 @@ class ExperimentConfig:
         for name, default in reads.items():
             if getattr(self, name) is None:
                 object.__setattr__(self, name, default)
-        for name, least in (("n", 1), ("reps", 1), ("seed", None)):  # as Python ints, like each k
+        for name, least in (("n", 1), ("reps", 1), ("seed", 0)):  # as Python ints, like each k
             object.__setattr__(self, name, _integer(name, getattr(self, name), least))
         if not isinstance(self.per_rep, bool):
             raise ValueError(f"per_rep must be a bool, got {self.per_rep!r}")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must lie in [0, 2^64), got {self.seed}")
+        _seed_path(self.seed, ())  # the range of every seed path part, [0, 2^64)
         if self.mechanism is not None and self.mechanism not in MECHANISM_NAMES:
             raise ValueError(f"mechanism must be one of {MECHANISM_NAMES}, got {self.mechanism!r}")
         # Sorted tuples of distinct values (+ 0.0 folds -0.0 into 0.0): one cell each.
@@ -245,7 +247,7 @@ def run_reduction_oracle(config: ExperimentConfig) -> list[CellResult]:
     alpha = config.alpha
     reps = []
     for rep in range(config.reps):
-        rng = Rng((config.seed, rep), 5)
+        rng = Rng((config.seed, rep), REDUCTION_STREAM)
         session = EvaluationSession(PopulationMinOracle())
         estimator = AdaptiveEstimator(session, alpha)
         worst = 0.0

@@ -9,6 +9,9 @@ vector (``needs_loss_vector``), for its step size only, and the
 population-minimum oracle, which exists only behind the audit-side
 evaluation interface, its true risk (``needs_population_risk``). Released
 values are never clamped to [0, 1] (see :func:`~shakyladder.core.clamp_release`).
+Constructors check their input with the rules of :mod:`shakyladder.noise`;
+``submit_risk`` and ``submit_risks`` take risks as given (the checked entry
+points are ``submit``, the evaluation session and the value types).
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import INITIAL_RELEASE, Trace, _check_unit_values
-from .noise import Rng, gaussian, laplace
+from .core import INITIAL_RELEASE, LOSS_TOLERANCE, Trace
+from .noise import Rng, _integer, _positive, _unit, gaussian, laplace
 
 __all__ = [
     "ParameterRegimeError",
@@ -94,18 +97,15 @@ class MechanismParams:
 
 def _regime_params(n: int, k: int, beta: float) -> MechanismParams:
     """Derive and validate the randomized-ladder parameters without warning."""
-    if n < 1 or k < 1:
-        raise ValueError(f"n and k must be positive, got n={n}, k={k}")
+    n, k = _integer("n", n, 1), _integer("k", k, 1)
     if not 0.0 < beta < 1.0:
         raise ValueError(f"beta must lie in (0, 1), got {beta}")
     delta = beta / (k * n)
     epsilon = (math.log(k / beta) * math.sqrt(math.log(1.0 / delta)) / n) ** 0.6
     sigma = math.sqrt(math.log(1.0 / delta)) / (epsilon * n)
     lam = 4.0 * math.log(4.0 * k / beta) * sigma
-    params = MechanismParams(
-        n=int(n), k=int(k), beta=float(beta),
-        delta=delta, epsilon=epsilon, lam=lam, sigma=sigma,
-    )
+    params = MechanismParams(n=n, k=k, beta=float(beta), delta=delta, epsilon=epsilon,
+                             lam=lam, sigma=sigma)
     params.validate()
     return params
 
@@ -155,7 +155,7 @@ class LeaderboardMechanism:
     params: MechanismParams | None = None
 
     def __init__(self, max_rounds: int | None = None, record: bool = True):
-        self.max_rounds = max_rounds
+        self.max_rounds = None if max_rounds is None else _integer("max_rounds", max_rounds, 0)
         self.records_trace = record
         self.round = 0
         self.update_count = 0
@@ -210,7 +210,7 @@ class LeaderboardMechanism:
         if the mechanism reads loss vectors. A rejected vector runs no round.
         """
         vec = np.asarray(loss_vector)
-        _check_unit_values(vec)
+        _unit("loss values", vec, LOSS_TOLERANCE)
         self.check_size(vec.size)
         if self.needs_loss_vector:
             args += (vec,)
@@ -363,8 +363,7 @@ class LadderConfig:
     rounding: str = "none"
 
     def __post_init__(self):
-        if not 0.0 < self.eta < math.inf:  # NaN fails too
-            raise ValueError(f"eta must be positive and finite, got {self.eta}")
+        _positive("eta", self.eta)
         if self.rounding not in ("none", "multiples-of-eta"):
             raise ValueError(f"unknown rounding mode {self.rounding!r}")
 
@@ -425,7 +424,7 @@ class ParameterFreeLadder(LeaderboardMechanism):
     def submit_risk(self, risk: float, loss_vector) -> float:
         self._check_budget()
         vec = np.asarray(loss_vector, dtype=float)
-        _check_unit_values(vec)
+        _unit("loss values", vec, LOSS_TOLERANCE)
         released = risk  # the first submission updates and is released exactly
         if self.incumbent_loss is not None:
             if vec.size != self.incumbent_loss.size:
@@ -459,8 +458,7 @@ class NoisyEmpiricalOracle(LeaderboardMechanism):
     def __init__(self, stddev: float, seed: int | tuple[int, ...],
                  max_rounds: int | None = None, record: bool = True):
         super().__init__(max_rounds=max_rounds, record=record)
-        if not 0.0 < stddev < math.inf:  # NaN fails too
-            raise ValueError(f"stddev must be positive and finite, got {stddev}")
+        _positive("stddev", stddev)
         self.stddev = stddev
         self.rng = Rng(seed, MECHANISM_STREAM)
 
@@ -501,6 +499,7 @@ def make_mechanism(kind: str, *, n: int, k: int | None = None, beta: float = 0.1
     whose parameters derive from (n, k, beta)). ``noise_stddev`` defaults to
     3/sqrt(n) for the noisy oracle; a stddev of 0 means exact feedback.
     """
+    n = _integer("n", n, 1)
     if kind == "shaky":
         if k is None:
             raise ValueError("shaky requires a round budget k")

@@ -9,6 +9,10 @@ how parallel repetitions and mechanism instances stay reproducible.
 The Laplace sampler is an explicit inverse-CDF transform (not a library
 sampler) because the tail identity Pr{|X| > t*scale} = exp(-t) is asserted at
 tight tolerances and golden files pin the exact draw sequence.
+
+It also holds the input rules, each written once: :func:`_integer`,
+:func:`_unit` (within [0, 1] up to a tolerance) and :func:`_positive` (a
+positive, finite scale); every public entry point checks its input with them.
 """
 
 from __future__ import annotations
@@ -22,17 +26,48 @@ import numpy as np
 __all__ = ["Rng", "laplace", "gaussian", "binomial_exceedance"]
 
 _UINT64 = 2**64
+_MIN, _MAX = np.minimum.reduce, np.maximum.reduce  # the ufuncs behind .min() and .max()
+
+
+def _integer(name: str, value, least: int | None = None) -> int:
+    """``value`` as a Python int; a bool, a non-integer or one below ``least`` is a ValueError."""
+    if type(value) is not int:  # a numpy integer passes through __index__, a bool fails
+        if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        value = operator.index(value)
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return value
+
+
+def _unit(name: str, values, tolerance: float = 0.0) -> tuple[float, float]:
+    """Reject ``values``, a number or a nonempty 1-d array, unless they lie within
+    [0, 1] up to ``tolerance``; returns their least and greatest value."""
+    if isinstance(values, np.ndarray):
+        if values.ndim != 1 or values.size == 0:
+            raise ValueError(f"{name} must form a nonempty 1-d array")
+        lo, hi = float(_MIN(values)), float(_MAX(values))
+    else:
+        lo = hi = values
+    # Written so that NaN, which fails every comparison, is rejected too.
+    if not (lo >= -tolerance and hi <= 1.0 + tolerance):
+        within = f" (tolerance {tolerance})" if tolerance else ""
+        got = f"values in [{lo}, {hi}]" if isinstance(values, np.ndarray) else values
+        raise ValueError(f"{name} must lie in [0, 1]{within}, got {got}")
+    return lo, hi
+
+
+def _positive(name: str, value: float) -> None:
+    """Reject ``value`` unless it is positive and finite (NaN fails too)."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 def _seed_path(seed: int | tuple[int, ...] | list[int], stream: tuple[int, ...]) -> tuple[int, ...]:
-    if isinstance(seed, (tuple, list)):
-        raw = (*seed, *stream)
-    else:
-        raw = (seed, *stream)
-    path = tuple(int(part) for part in raw)
-    for part in path:
-        if not 0 <= part < _UINT64:
-            raise ValueError(f"seed path parts must lie in [0, 2^64), got {part}")
+    raw = (*seed, *stream) if isinstance(seed, (tuple, list)) else (seed, *stream)
+    path = tuple(_integer("seed path parts", part, 0) for part in raw)
+    if max(path, default=0) >= _UINT64:
+        raise ValueError(f"seed path parts must lie in [0, 2^64), got {max(path)}")
     return path
 
 
@@ -85,7 +120,7 @@ class Rng:
         ``j // 64``; the bits at and above ``n % 64`` in a row's last word
         are zero. Calls continue one draw exactly for any row counts.
         """
-        n = operator.index(n)  # a numpy integer would make the mask below a numpy shift
+        n = _integer("n", n, 1)  # a numpy integer would make the mask below a numpy shift
         raw = self._gen.bit_generator.random_raw((rows, -(-n // 64))).astype("<u8", copy=False)
         raw[:, -1] &= np.uint64((_UINT64 - 1) >> (-n % 64))
         return raw
@@ -104,8 +139,7 @@ def laplace(rng: Rng, scale: float, size=None):
     so Pr{|X| > t*scale} = exp(-t) exactly. Draws at scale s equal s times
     the draws at scale 1 from the same underlying uniform stream.
     """
-    if not 0.0 < scale < math.inf:  # NaN fails too
-        raise ValueError(f"scale must be positive and finite, got {scale}")
+    _positive("scale", scale)
     if size is None:  # one draw of the vector path, so scalar draws equal vector prefixes
         return float(laplace(rng, scale, 1)[0])
     v = rng.random(size)
@@ -119,8 +153,7 @@ def laplace(rng: Rng, scale: float, size=None):
 
 def gaussian(rng: Rng, stddev: float, size=None):
     """Centered normal draw(s) with the given standard deviation."""
-    if not 0.0 < stddev < math.inf:  # NaN fails too
-        raise ValueError(f"stddev must be positive and finite, got {stddev}")
+    _positive("stddev", stddev)
     out = stddev * rng.standard_normal(size)
     return float(out) if size is None else out
 
@@ -134,11 +167,8 @@ def binomial_exceedance(m: int, p: float) -> float:
     exact in floating point; for p = 1/2 and odd m the result is exactly 0.5.
     No normal approximation is involved anywhere.
     """
-    if m < 1:
-        raise ValueError(f"m must be a positive integer, got {m}")
-    m = int(m)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
+    m = _integer("m", m, 1)
+    _unit("p", p)
     if p == 0.0:
         return 0.0
     if p == 1.0:

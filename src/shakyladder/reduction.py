@@ -22,15 +22,15 @@ from __future__ import annotations
 
 import csv
 import math
-import operator
 from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .audit import EvaluationSession
-from .core import _fmt, _LazyRows, _unpack
+from .core import _fmt, _LazyRows, _readonly_copy, _unpack, clamp_release
 from .mechanisms import BudgetExhaustedError, LeaderboardMechanism
+from .noise import _integer, _unit
 
 __all__ = [
     "Query",
@@ -52,20 +52,16 @@ class Query:
     :meth:`from_rows` builds 0/1 queries from packed rows, and
     :meth:`from_bits` one, each summary from its row's popcount; their
     ``values`` are unpacked on first read and kept. Every constructor keeps
-    a read-only copy of its input, so a query never changes once built.
+    a read-only copy of its input, so a query never changes once built, and
+    checks the values and ``population_mean`` within [0, 1] once per call.
     """
 
     __slots__ = ("size", "summary", "population_mean", "_values", "_words")
 
     def __init__(self, values, population_mean: float):
-        vec = np.array(values, dtype=float)
-        if vec.ndim != 1 or vec.size == 0:
-            raise ValueError("query values must form a nonempty vector")
-        lo, hi = float(vec.min()), float(vec.max())
-        # Written so that NaN, which fails every comparison, is rejected too.
-        if not (lo >= 0.0 and hi <= 1.0):
-            raise ValueError("query values must lie in [0, 1]")
-        vec.setflags(write=False)
+        vec = _readonly_copy(values, float)
+        lo, hi = _unit("query values", vec)
+        _unit("population_mean", population_mean)
         self._fill(vec.size, (float(np.mean(vec)), lo, hi), population_mean, vec, None)
 
     @classmethod
@@ -82,21 +78,19 @@ class Query:
         (c/n, min, max); c/n equals ``np.mean`` of the 0/1 values bit for bit.
         One popcount covers the block; the queries share one read-only copy.
         """
-        n = operator.index(n)
-        block = np.array(block)
+        n = _integer("n", n)
+        _unit("population_mean", population_mean)
+        block = _readonly_copy(block)
         if n < 1 or block.dtype != np.dtype("<u8") or block.shape[1:] != (-(-n // 64),):
             raise ValueError(f"a packed query of n={n} entries is {-(-n // 64)} little-endian "
                              f"uint64 words, got {block.dtype} of shape {block.shape[1:]}")
         if n % 64 and (block[:, -1] >> np.uint64(n % 64)).any():
             raise ValueError(f"a packed query of n={n} entries has bits set past entry n")
-        block.setflags(write=False)
         return [cls.__new__(cls)._fill(n, (count / n, 0.0 if count < n else 1.0,
                                            1.0 if count else 0.0), population_mean, None, words)
                 for words, count in zip(block, np.bitwise_count(block).sum(axis=1).tolist())]
 
     def _fill(self, size, summary, population_mean, values, words) -> Query:
-        if not 0.0 <= population_mean <= 1.0:
-            raise ValueError(f"population_mean must lie in [0, 1], got {population_mean}")
         setattr_ = object.__setattr__  # past the immutable __setattr__ below
         setattr_(self, "size", size)
         setattr_(self, "summary", summary)
@@ -224,7 +218,7 @@ class AdaptiveEstimator:
                     vector = np.clip(_step_vector(query, c, alpha, i), 0.0, 1.0)
                     population_risk = (c - 0.5 * i * alpha) + 0.5 * query.population_mean
                     released = session.submit_risks(
-                        (float(np.mean(vector)),), (min(1.0, max(0.0, population_risk)),),
+                        (float(np.mean(vector)),), (clamp_release(population_risk),),
                         trigger_below, (vector,))
                 i += len(released)
                 if released[-1] < trigger_below:

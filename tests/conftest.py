@@ -3,6 +3,8 @@ from pathlib import Path
 
 import pytest
 
+from shakyladder.noise import _seed_path
+
 # Make sibling test helpers (synthetic.py) importable regardless of rootdir.
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
@@ -16,7 +18,15 @@ def fixtures_dir() -> Path:
 
 @pytest.fixture
 def no_draws(monkeypatch):
-    """Make any draw by the attacks fail the test: checks must come first."""
-    def refuse(*args, **kwargs):
-        raise AssertionError("the attack drew before validating its input")
-    monkeypatch.setattr("shakyladder.analysts.Rng", refuse)
+    """Make any draw fail the test: checks must come first.
+
+    Every module that builds an ``Rng`` gets one that checks its seed path as
+    ``Rng`` does, so that a bad seed is still a ValueError, and then fails. A
+    test whose inputs draw (a holdout, a Shaky Ladder) builds them first and
+    then calls ``request.getfixturevalue("no_draws")``.
+    """
+    def refuse(seed, *stream):
+        _seed_path(seed, stream)
+        raise AssertionError("drew before validating its input")
+    for module in ("core", "mechanisms", "analysts", "experiments"):
+        monkeypatch.setattr(f"shakyladder.{module}.Rng", refuse)

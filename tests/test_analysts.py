@@ -542,8 +542,9 @@ class TestAttackVsMechanism:
         assert np.all(trace.population_risks == 0.5)
         assert report.final_released == trace.released[-1]
 
-    def test_budget_error_propagates(self, no_draws):
+    def test_budget_error_propagates(self, request):
         sample = make_random_label_sample(100, 4)
+        request.getfixturevalue("no_draws")
         # mechanism sized for exactly k rounds cannot take the majority model;
         # the budget is checked before any query is drawn or submitted
         mech = Ladder(LadderConfig(eta=0.1), max_rounds=5)
@@ -551,8 +552,9 @@ class TestAttackVsMechanism:
             majority_attack_vs_mechanism(mech, sample, 5, 4)
         assert mech.round == 0
 
-    def test_unknown_selection_mode(self, no_draws):
+    def test_unknown_selection_mode(self, request):
         sample = make_random_label_sample(10, 0)
+        request.getfixturevalue("no_draws")
         for k in (0, 2):
             mechanism = ExactEmpiricalOracle()
             with pytest.raises(ValueError, match="selection"):
@@ -560,11 +562,12 @@ class TestAttackVsMechanism:
             assert mechanism.round == 0
 
     @pytest.mark.parametrize("attack", ["plain", "shifted", "random"])
-    def test_size_mismatch_rejected_before_any_round(self, attack, no_draws):
+    def test_size_mismatch_rejected_before_any_round(self, attack, request):
         # a Shaky Ladder for n = 10000 on a 300-point holdout: risks reach it
         # in batches, which skip the per-vector length check of submit
         mechanism = ShakyLadder(shaky_params(10000, 101 * 20, 0.1), seed=3)
         sample = make_random_label_sample(300, 3)
+        request.getfixturevalue("no_draws")
         with pytest.raises(ValueError, match="length 300, expected 10000"):
             if attack == "plain":
                 majority_attack_vs_mechanism(mechanism, sample, 100, 3)
@@ -577,16 +580,18 @@ class TestAttackVsMechanism:
 
 class TestShiftedAttack:
     @pytest.mark.parametrize("alpha", [0.0, math.nan, -0.1, 0.5, math.inf])
-    def test_bad_alpha_rejected_before_drawing(self, alpha, no_draws):
+    def test_bad_alpha_rejected_before_drawing(self, alpha, request):
         # alpha = 0 used to raise ZeroDivisionError, NaN "cannot convert float
         # NaN to integer"
         sample = make_random_label_sample(100, 23)
+        request.getfixturevalue("no_draws")
         with pytest.raises(ValueError, match="alpha"):
             shifted_majority_attack(Ladder(LadderConfig(eta=0.01)), sample, 5, alpha, seed=23)
 
-    def test_negative_k_rejected_before_drawing(self, no_draws):
+    def test_negative_k_rejected_before_drawing(self, request):
         # used to fail in numpy with "negative dimensions are not allowed"
         sample = make_random_label_sample(100, 24)
+        request.getfixturevalue("no_draws")
         with pytest.raises(ValueError, match="k must be >= 0"):
             shifted_majority_attack(Ladder(LadderConfig(eta=0.01)), sample, -1, 0.1, seed=24)
         with pytest.raises(ValueError, match="k must be >= 0"):
@@ -595,9 +600,10 @@ class TestShiftedAttack:
             run_random_analyst(ExactEmpiricalOracle(), sample, -5, 24)
 
     @pytest.mark.parametrize("k", [5.5, True])
-    def test_non_integer_k_rejected_before_drawing(self, k, no_draws):
+    def test_non_integer_k_rejected_before_drawing(self, k, request):
         # k = 5.5 used to fail in range() with a TypeError
         sample = make_random_label_sample(100, 24)
+        request.getfixturevalue("no_draws")
         with pytest.raises(ValueError, match="k must be an integer"):
             shifted_majority_attack(Ladder(LadderConfig(eta=0.01)), sample, k, 0.1, seed=24)
         with pytest.raises(ValueError, match="k must be an integer"):
@@ -695,9 +701,10 @@ class TestShiftedAttack:
         if k > 6 and name in ("ladder", "empirical", "population-min"):
             assert "clamped_queries=0," not in runs[0][0]
 
-    def test_query_budget_warns_before_drawing(self, no_draws):
+    def test_query_budget_warns_before_drawing(self, request):
         # floor(1/(3 alpha)) = 133 at alpha = 1/400: 201 queries are past it
         sample = make_random_label_sample(2500, 0)
+        request.getfixturevalue("no_draws")
         with pytest.warns(RuntimeWarning, match=r"k\+1 = 201 .* = 133;"):
             with pytest.raises(AssertionError, match="drew before"):
                 shifted_majority_attack(Ladder(LadderConfig(eta=1 / 800)), sample, 200, 1 / 400, 0)

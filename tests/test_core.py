@@ -43,6 +43,12 @@ class TestRandomLabelSample:
         with pytest.raises(ValueError):
             make_random_label_sample(0, 1)
 
+    def test_numpy_integer_seed(self):
+        # the seed was kept as tuple(seed), a TypeError for a numpy integer
+        sample = make_random_label_sample(8, np.int64(3))
+        assert sample.seed == 3 and type(sample.seed) is int
+        assert np.array_equal(sample.hidden_labels, make_random_label_sample(8, 3).hidden_labels)
+
     def test_labels_read_only(self):
         sample = make_random_label_sample(8, 3)
         with pytest.raises(ValueError):

@@ -352,6 +352,21 @@ def test_make_mechanism_factory():
         make_mechanism("shaky", n=16)  # k is required
 
 
+@pytest.mark.parametrize("build", [
+    lambda: make_mechanism("noisy", n=0),  # ZeroDivisionError
+    lambda: make_mechanism("noisy", n=-4),  # math domain error
+    lambda: make_mechanism("noisy", n=2.5),  # stddev 3/sqrt(2.5)
+    lambda: make_mechanism("shaky", n=10000.0, k=100),
+    lambda: make_mechanism("ladder", n=10, k=2.5),  # ran 3 rounds, then 0.5 - 1 remained
+    lambda: Ladder(LadderConfig(0.1), max_rounds=-1),
+    lambda: ExactEmpiricalOracle(max_rounds=True),
+], ids=["noisy-n0", "noisy-n-4", "noisy-n2.5", "shaky-float-n", "ladder-k2.5",
+        "ladder-budget-1", "budget-bool"])
+def test_constructors_reject_bad_integers_before_any_draw(build, no_draws):
+    with pytest.raises(ValueError, match="must be (an integer|>= )"):
+        build()
+
+
 def test_record_false_keeps_counters_only():
     params = off_regime_params(n=8, k=50)
     mech = ShakyLadder(params, seed=4, record=False)

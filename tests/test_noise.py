@@ -6,7 +6,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom
 
+from shakyladder.analysts import HIDDEN_STREAM, NOISE_STREAM, QUERY_STREAM
+from shakyladder.core import LABEL_STREAM, HoldoutSample, make_random_label_sample
+from shakyladder.experiments import REDUCTION_STREAM
+from shakyladder.mechanisms import MECHANISM_STREAM, shaky_params
 from shakyladder.noise import Rng, binomial_exceedance, gaussian, laplace
+from shakyladder.reduction import Query
 
 
 class TestRng:
@@ -22,11 +27,18 @@ class TestRng:
 
     @pytest.mark.parametrize("seed,stream", [
         (-1, ()), (2**64, ()), (0, (-1,)), ((3, 2**64), ()), ((3,), (-7, 1)),
+        (1.5, ()), (-0.5, ()), (True, ()), ("7", ()), (np.float64(3.0), ()),
     ])
     def test_out_of_range_seed_parts_rejected(self, seed, stream):
-        # Reducing mod 2^64 would make -1 and 2^64 - 1 the same stream.
+        # Reducing mod 2^64 would make -1 and 2^64 - 1 the same stream, and
+        # int() made 1.5, -0.5, True and "7" run the streams of 1, 0, 1 and 7.
         with pytest.raises(ValueError):
             Rng(seed, *stream)
+
+    def test_stream_tags_distinct(self):
+        tags = (LABEL_STREAM, MECHANISM_STREAM, HIDDEN_STREAM, QUERY_STREAM, NOISE_STREAM,
+                REDUCTION_STREAM)
+        assert len(set(tags)) == len(tags)
 
     def test_path_recorded(self):
         assert Rng(7, 1, 2).path == (7, 1, 2)
@@ -243,3 +255,16 @@ class TestBinomialExceedance:
         assert binomial_exceedance(m, p) == pytest.approx(
             binom.sf(math.floor(m / 2), m, p), rel=1e-11, abs=1e-300
         )
+
+
+@pytest.mark.parametrize("call", [
+    lambda: shaky_params(10000, 2.5, 0.1),  # stored k=2 while delta used 2.5
+    lambda: HoldoutSample(3.0, np.zeros(3), 0),  # kept a float size
+    lambda: binomial_exceedance(2.5, 0.5),  # computed m=2
+    lambda: make_random_label_sample(10, 2.5),  # TypeError: 'float' object is not iterable
+    lambda: Query.from_rows(np.zeros((1, 1), dtype=np.uint64), 2.5, 0.5),  # TypeError
+    lambda: Rng(0).bit_rows(1, 2.5),  # TypeError
+], ids=["shaky-k", "holdout-size", "binomial-m", "label-seed", "query-rows-n", "bit-rows-n"])
+def test_non_integer_inputs_rejected_before_any_draw(call, no_draws):
+    with pytest.raises(ValueError, match="must be an integer"):
+        call()
