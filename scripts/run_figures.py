@@ -32,7 +32,7 @@ def main() -> None:
         config = ExperimentConfig(
             experiment=experiment,
             n=n,
-            k_grid=k_grid if k_grid else tuple(range(100, 1001, 100)),
+            k_grid=k_grid,
             reps=args.reps,
             seed=args.seed,
         )

@@ -28,7 +28,7 @@ import numpy as np
 from .audit import EvaluationSession
 from .core import HoldoutSample, Trace, _LazyRows, _mismatches, _pack, _unpack
 from .mechanisms import BudgetExhaustedError, LeaderboardMechanism
-from .noise import Rng, _integer, _unit
+from .noise import Rng, _integer, _non_negative, _unit
 from .reduction import AdaptiveEstimator, Query
 
 __all__ = [
@@ -105,9 +105,11 @@ def _attack_cells(n: int, k_grid, noise_stddevs,
 
     Returns the sorted distinct k values and two ``len(k) x len(noise)``
     arrays: each cell's final error and selected (positively answered) query
-    count. Query i and its noise are entry i of their streams, so a cell
-    equals the attack run alone with its k and noise. Per query block a
-    popcount gives the correlations, n - 2 mismatches with the hidden vector.
+    count. n, every k and every stddev (a noise level, finite and >= 0) are
+    checked before any draw. Query i and its noise are entry i of their
+    streams, so a cell equals the attack run alone with its k and noise. Per
+    query block a popcount gives the correlations, n - 2 mismatches with the
+    hidden vector.
     A query's sign is monotone in the noise scale, so over the L levels in
     ascending scale its positive levels are a prefix (z <= 0) or a suffix
     (z > 0): its threshold group is ``up`` or ``2L+1-up`` for ``up``
@@ -127,9 +129,7 @@ def _attack_cells(n: int, k_grid, noise_stddevs,
     """
     k_sorted = sorted({_integer("k", k, 0) for k in k_grid})
     k_max, n = k_sorted[-1], _integer("n", n, 1)
-    stddevs = np.asarray(noise_stddevs, dtype=np.float64)
-    if not np.isfinite(stddevs).all():
-        raise ValueError(f"noise stddevs must be finite, got {noise_stddevs}")
+    stddevs = np.array([_non_negative("noise_stddev", s) for s in noise_stddevs], dtype=np.float64)
     blocks = _query_blocks(seed, k_max, n)
     chunk = min(PENDING_ROWS, max(1, BLOCK_ENTRIES // n))  # rows unpacked at a time
     order, levels = np.argsort(stddevs, kind="stable"), len(stddevs)  # ascending scale
@@ -200,14 +200,12 @@ def majority_attack_direct(n: int, k: int, noise_stddev: float | None = None,
     ones, and majority-votes all of them. ``noise_stddev``, when given, is the
     standard deviation of Gaussian noise applied to the risk-scale feedback;
     the correlation scale spans [-1, 1] instead of [0, 1], so internally the
-    answers receive noise of twice that standard deviation. This is the
-    one-cell case of the grid the vary experiments run; its correlations and
-    its vote are exact integer counts for any n and k.
+    answers receive noise of twice that standard deviation; None or 0 means
+    exact feedback. This is the one-cell case of the grid the vary
+    experiments run, which checks n, k and the noise level before any draw;
+    its correlations and its vote are exact integer counts for any n and k.
     """
     k = _integer("k", k, 1)
-    if noise_stddev is not None and not (math.isfinite(noise_stddev) and noise_stddev >= 0):
-        raise ValueError(f"noise_stddev must be finite and >= 0, got {noise_stddev}")
-    # _attack_cells checks n before it draws anything.
     _, errors, selected = _attack_cells(n, (k,), (noise_stddev or 0.0,), seed)
     return AttackReport(
         final_error=float(errors[0, 0]),

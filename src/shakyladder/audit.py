@@ -20,7 +20,7 @@ import numpy as np
 
 from .core import LOSS_TOLERANCE, SubmittedModel, Trace, empirical_risk
 from .mechanisms import LeaderboardMechanism, MechanismParams
-from .noise import _unit
+from .noise import _unit_array
 
 __all__ = [
     "EvaluationSession",
@@ -79,9 +79,9 @@ class EvaluationSession:
         if risks.ndim != 1 or built and risks.shape != population_risks.shape:
             raise ValueError("risks and population_risks must be vectors of one length")
         if risks.size:
-            _unit("empirical risks", risks, LOSS_TOLERANCE)
+            _unit_array("empirical risks", risks, LOSS_TOLERANCE)
             if built:
-                _unit("population risks", population_risks)
+                _unit_array("population risks", population_risks)
         columns = (population_risks.tolist(),) if mechanism.needs_population_risk else ()
         if mechanism.needs_loss_vector:
             if losses is None or len(losses) < len(risks):

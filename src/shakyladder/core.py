@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .noise import Rng, _integer, _unit
+from .noise import Rng, _binary, _integer, _unit, _unit_array
 
 __all__ = [
     "INITIAL_RELEASE",
@@ -64,7 +64,7 @@ class SubmittedModel:
 
     def __post_init__(self):
         vec = _readonly_copy(self.loss_vector)
-        _unit("loss values", vec, LOSS_TOLERANCE)
+        _unit_array("loss values", vec, LOSS_TOLERANCE)
         _unit("population_risk", self.population_risk)
         object.__setattr__(self, "loss_vector", vec)
 
@@ -86,8 +86,7 @@ class HoldoutSample:
         labels = _readonly_copy(self.hidden_labels)
         if labels.shape != (self.size,):
             raise ValueError("hidden_labels length must equal size")
-        if not ((labels == 0) | (labels == 1)).all():
-            raise ValueError("hidden_labels must be binary")
+        _binary("hidden_labels", labels)
         object.__setattr__(self, "hidden_labels", labels)
 
 
@@ -196,6 +195,7 @@ def model_from_predictions(predictions, sample: HoldoutSample) -> SubmittedModel
         raise ValueError(
             f"predictions length {preds.shape} does not match sample size {sample.size}"
         )
+    _binary("predictions", preds)
     loss = preds.astype(np.uint8) != sample.hidden_labels
     return SubmittedModel(loss_vector=loss, population_risk=0.5)
 

@@ -26,7 +26,7 @@ from .audit import EvaluationSession, leaderboard_error
 from .core import _fmt, make_random_label_sample
 from .mechanisms import (MECHANISM_NAMES, LadderConfig, PopulationMinOracle, _regime_params,
                          make_mechanism)
-from .noise import Rng, _integer, _seed_path
+from .noise import Rng, _integer, _non_negative, _seed_path
 from .reduction import AdaptiveEstimator, Query
 
 __all__ = [
@@ -131,12 +131,10 @@ class ExperimentConfig:
             if not self.experiment.startswith("vary-") and self.k_grid[-1] > self.n:
                 raise ValueError(f"the attack needs k <= n, got k={self.k_grid[-1]} > n={self.n}")
         if self.noise_grid is not None:
-            object.__setattr__(self, "noise_grid",
-                               tuple(sorted({m + 0.0 for m in self.noise_grid})))
+            object.__setattr__(self, "noise_grid", tuple(sorted(
+                {_non_negative("noise multiplier", m) + 0.0 for m in self.noise_grid})))
             if not self.noise_grid:
                 raise ValueError("noise grid must be nonempty")
-            if not all(math.isfinite(m) and m >= 0.0 for m in self.noise_grid):
-                raise ValueError("noise multipliers must be finite and >= 0")
         if self.alpha is not None and not 0.0 < self.alpha <= 1.0 / 3.0:
             raise ValueError(f"alpha must lie in (0, 1/3] to ask any query, got {self.alpha}")
         if self.eta is not None:
@@ -183,12 +181,11 @@ def _attack_grid(n: int, k_grid, multipliers, reps: int, seed: int):
     """All (k, multiplier) cells of the vector majority attack, per rep.
 
     Each repetition is one pass of :func:`analysts._attack_cells` over its
-    query stream, which reads off every cell on the way; multiplier m means
-    noise of standard deviation m/sqrt(n), and every cell matches the
-    standalone attack bit for bit.
+    query stream, which reads off every cell on the way. Multiplier m means
+    the stddev ``m / math.sqrt(n)``, as everywhere, so each cell equals
+    ``majority_attack_direct(n, k, m / math.sqrt(n))`` bit for bit.
     """
-    inv_sqrt_n = 1.0 / math.sqrt(n)
-    stddevs = [mult * inv_sqrt_n for mult in multipliers]
+    stddevs = [mult / math.sqrt(n) for mult in multipliers]
     cells: dict[tuple[int, float], list[float]] = {}
     for rep in range(reps):
         k_sorted, errors, _ = analysts._attack_cells(n, k_grid, stddevs, (seed, rep))

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import INITIAL_RELEASE, LOSS_TOLERANCE, Trace
-from .noise import Rng, _integer, _positive, _unit, gaussian, laplace
+from .noise import Rng, _integer, _positive, _unit_array, gaussian, laplace
 
 __all__ = [
     "ParameterRegimeError",
@@ -210,7 +210,7 @@ class LeaderboardMechanism:
         if the mechanism reads loss vectors. A rejected vector runs no round.
         """
         vec = np.asarray(loss_vector)
-        _unit("loss values", vec, LOSS_TOLERANCE)
+        _unit_array("loss values", vec, LOSS_TOLERANCE)
         self.check_size(vec.size)
         if self.needs_loss_vector:
             args += (vec,)
@@ -424,7 +424,7 @@ class ParameterFreeLadder(LeaderboardMechanism):
     def submit_risk(self, risk: float, loss_vector) -> float:
         self._check_budget()
         vec = np.asarray(loss_vector, dtype=float)
-        _unit("loss values", vec, LOSS_TOLERANCE)
+        _unit_array("loss values", vec, LOSS_TOLERANCE)
         released = risk  # the first submission updates and is released exactly
         if self.incumbent_loss is not None:
             if vec.size != self.incumbent_loss.size:

@@ -11,13 +11,16 @@ sampler) because the tail identity Pr{|X| > t*scale} = exp(-t) is asserted at
 tight tolerances and golden files pin the exact draw sequence.
 
 It also holds the input rules, each written once: :func:`_integer`,
-:func:`_unit` (within [0, 1] up to a tolerance) and :func:`_positive` (a
-positive, finite scale); every public entry point checks its input with them.
+:func:`_unit` (a number) and :func:`_unit_array` (an array, up to a
+tolerance) within [0, 1], :func:`_binary` (0/1 values), :func:`_positive` (a
+positive, finite scale) and :func:`_non_negative` (a finite noise level >= 0);
+every public entry point checks its input with them.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from math import fsum, lgamma
 
@@ -40,27 +43,42 @@ def _integer(name: str, value, least: int | None = None) -> int:
     return value
 
 
-def _unit(name: str, values, tolerance: float = 0.0) -> tuple[float, float]:
-    """Reject ``values``, a number or a nonempty 1-d array, unless they lie within
-    [0, 1] up to ``tolerance``; returns their least and greatest value."""
-    if isinstance(values, np.ndarray):
-        if values.ndim != 1 or values.size == 0:
-            raise ValueError(f"{name} must form a nonempty 1-d array")
-        lo, hi = float(_MIN(values)), float(_MAX(values))
-    else:
-        lo = hi = values
+def _unit(name: str, value) -> None:
+    """Reject ``value`` unless it is a real number, not an array, within [0, 1] (NaN fails too)."""
+    if not (isinstance(value, numbers.Real) and 0.0 <= value <= 1.0):
+        raise ValueError(f"{name} must be a number in [0, 1], got {value!r}")
+
+
+def _unit_array(name: str, values: np.ndarray, tolerance: float = 0.0) -> tuple[float, float]:
+    """Reject ``values`` unless they form a nonempty 1-d array within [0, 1] up to
+    ``tolerance``; returns their least and greatest value."""
+    if values.ndim != 1 or values.size == 0:
+        raise ValueError(f"{name} must form a nonempty 1-d array")
+    lo, hi = float(_MIN(values)), float(_MAX(values))
     # Written so that NaN, which fails every comparison, is rejected too.
     if not (lo >= -tolerance and hi <= 1.0 + tolerance):
         within = f" (tolerance {tolerance})" if tolerance else ""
-        got = f"values in [{lo}, {hi}]" if isinstance(values, np.ndarray) else values
-        raise ValueError(f"{name} must lie in [0, 1]{within}, got {got}")
+        raise ValueError(f"{name} must lie in [0, 1]{within}, got values in [{lo}, {hi}]")
     return lo, hi
+
+
+def _binary(name: str, values: np.ndarray) -> None:
+    """Reject ``values`` unless every entry is 0 or 1."""
+    if not ((values == 0) | (values == 1)).all():
+        raise ValueError(f"{name} must be binary")
 
 
 def _positive(name: str, value: float) -> None:
     """Reject ``value`` unless it is positive and finite (NaN fails too)."""
     if not 0.0 < value < math.inf:
         raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+def _non_negative(name: str, value: float) -> float:
+    """``value``, a noise level, unless it is negative or not finite (NaN fails too)."""
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and >= 0, got {value}")
+    return value
 
 
 def _seed_path(seed: int | tuple[int, ...] | list[int], stream: tuple[int, ...]) -> tuple[int, ...]:
@@ -107,7 +125,8 @@ class Rng:
         ceil(size/8) raw words, so consecutive calls whose sizes are
         multiples of 8 continue one draw exactly.
         """
-        shape = (size,) if isinstance(size, (int, np.integer)) else tuple(size)
+        dims = tuple(size) if isinstance(size, (tuple, list)) else (size,)
+        shape = tuple(_integer("size", dim, 0) for dim in dims)
         count = math.prod(shape)
         raw = self._gen.bit_generator.random_raw(-(-count // 8))
         return (raw.astype("<u8", copy=False).view(np.uint8)[:count] >> 7).reshape(shape)
@@ -120,6 +139,7 @@ class Rng:
         ``j // 64``; the bits at and above ``n % 64`` in a row's last word
         are zero. Calls continue one draw exactly for any row counts.
         """
+        rows = _integer("rows", rows, 0)
         n = _integer("n", n, 1)  # a numpy integer would make the mask below a numpy shift
         raw = self._gen.bit_generator.random_raw((rows, -(-n // 64))).astype("<u8", copy=False)
         raw[:, -1] &= np.uint64((_UINT64 - 1) >> (-n % 64))

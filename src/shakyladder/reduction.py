@@ -30,7 +30,7 @@ import numpy as np
 from .audit import EvaluationSession
 from .core import _fmt, _LazyRows, _readonly_copy, _unpack, clamp_release
 from .mechanisms import BudgetExhaustedError, LeaderboardMechanism
-from .noise import _integer, _unit
+from .noise import _integer, _unit, _unit_array
 
 __all__ = [
     "Query",
@@ -60,7 +60,7 @@ class Query:
 
     def __init__(self, values, population_mean: float):
         vec = _readonly_copy(values, float)
-        lo, hi = _unit("query values", vec)
+        lo, hi = _unit_array("query values", vec)
         _unit("population_mean", population_mean)
         self._fill(vec.size, (float(np.mean(vec)), lo, hi), population_mean, vec, None)
 

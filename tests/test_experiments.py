@@ -191,9 +191,24 @@ class TestVaryQueries:
             cells = _attack_grid(n, k_grid, multipliers, reps, seed)
         assert set(cells) == {(k, m) for k in k_grid for m in multipliers}
         for (k, mult), errors in cells.items():
-            stddev = None if mult == 0.0 else mult * (1.0 / math.sqrt(n))
+            stddev = None if mult == 0.0 else mult / math.sqrt(n)
             assert errors == [vstack_majority_attack(n, k, stddev, seed=(seed, rep)).final_error
                               for rep in range(reps)]
+
+    def test_multiplier_to_stddev_is_one_division(self, monkeypatch):
+        # 3 * (1 / sqrt(400)) is 0.15000000000000002, one ulp from the
+        # 3 / sqrt(400) that the standalone attack is called with
+        seen = []
+        cells = analysts._attack_cells
+
+        def spy(n, k_grid, noise_stddevs, seed):
+            seen.extend(noise_stddevs)
+            return cells(n, k_grid, noise_stddevs, seed)
+
+        monkeypatch.setattr(analysts, "_attack_cells", spy)
+        _attack_grid(400, (5,), (3.0,), 1, 0)
+        assert seen == [3 / math.sqrt(400)]
+
 
 class TestVaryNoise:
     def test_zero_multiplier_matches_vary_queries(self):

@@ -6,8 +6,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom
 
-from shakyladder.analysts import HIDDEN_STREAM, NOISE_STREAM, QUERY_STREAM
-from shakyladder.core import LABEL_STREAM, HoldoutSample, make_random_label_sample
+from shakyladder.analysts import (
+    HIDDEN_STREAM,
+    NOISE_STREAM,
+    QUERY_STREAM,
+    AttackReport,
+    _attack_cells,
+)
+from shakyladder.core import (
+    LABEL_STREAM,
+    HoldoutSample,
+    SubmittedModel,
+    make_random_label_sample,
+    model_from_predictions,
+)
 from shakyladder.experiments import REDUCTION_STREAM
 from shakyladder.mechanisms import MECHANISM_STREAM, shaky_params
 from shakyladder.noise import Rng, binomial_exceedance, gaussian, laplace
@@ -264,7 +276,36 @@ class TestBinomialExceedance:
     lambda: make_random_label_sample(10, 2.5),  # TypeError: 'float' object is not iterable
     lambda: Query.from_rows(np.zeros((1, 1), dtype=np.uint64), 2.5, 0.5),  # TypeError
     lambda: Rng(0).bit_rows(1, 2.5),  # TypeError
-], ids=["shaky-k", "holdout-size", "binomial-m", "label-seed", "query-rows-n", "bit-rows-n"])
+    lambda: Rng(0).bits(2.5),  # TypeError
+    lambda: Rng(0).bits(True),  # TypeError
+    lambda: Rng(0).bit_rows(2.5, 10),  # TypeError
+    lambda: Rng(0).bit_rows(True, 10),  # TypeError
+], ids=["shaky-k", "holdout-size", "binomial-m", "label-seed", "query-rows-n", "bit-rows-n",
+        "bits-float", "bits-bool", "bit-rows-rows-float", "bit-rows-rows-bool"])
 def test_non_integer_inputs_rejected_before_any_draw(call, no_draws):
     with pytest.raises(ValueError, match="must be an integer"):
+        call()
+
+
+SAMPLE = HoldoutSample(4, np.array([0, 1, 1, 0], dtype=np.uint8), 0)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: Rng(0).bits(-1), "size must be >= 0"),  # an empty array
+    (lambda: Rng(0).bits((2, -1)), "size must be >= 0"),  # an empty array
+    (lambda: _attack_cells(100, (10,), [-0.5], 0), "noise_stddev must be finite and >= 0"),
+    (lambda: _attack_cells(100, (10,), [0.1, math.nan], 0),
+     "noise_stddev must be finite and >= 0"),
+    (lambda: AttackReport(final_error=np.array([0.2, 0.3]), selected_count=0, queries_issued=1,
+                          feedback_received=1), "final_error must be a number"),
+    (lambda: SubmittedModel(np.zeros(3), np.array([0.2, 0.3])), "population_risk must be a number"),
+    (lambda: Query(np.zeros(3), np.array([0.2, 0.3])), "population_mean must be a number"),
+    (lambda: binomial_exceedance(3, np.array([0.5, 0.5])), "p must be a number"),
+    *((lambda v=v: model_from_predictions(np.array([v, 0, 1, 0]), SAMPLE), "must be binary")
+      for v in (0.7, 256, math.nan, -1)),  # cast to 0, 0, 0 (warning) and 255
+], ids=["bits-negative", "bits-negative-dim", "stddev-negative", "stddev-nan", "report-array",
+        "model-array", "query-array", "binomial-p-array", "prediction-0.7", "prediction-256",
+        "prediction-nan", "prediction-minus-1"])
+def test_invalid_values_rejected_before_any_draw(call, message, no_draws):
+    with pytest.raises(ValueError, match=message):
         call()
