@@ -21,17 +21,20 @@ from shakyladder import (
     Ladder,
     LadderConfig,
     ParameterFreeLadder,
+    Query,
     ShakyLadder,
     Rng,
     gaussian,
     laplace,
     make_random_label_sample,
+    run_estimator_session,
     run_random_analyst,
     shaky_params,
     shifted_majority_attack,
 )
 from shakyladder.core import write_trace_csv
 from shakyladder.experiments import ExperimentConfig, experiment_csv
+from shakyladder.reduction import write_session_csv
 
 FIXTURES = Path(__file__).resolve().parent.parent / "tests" / "fixtures"
 
@@ -108,10 +111,18 @@ def write_goldens(out: Path) -> list[str]:
     _, trace = shifted_majority_attack(Ladder(LadderConfig(eta=1.0 / 80.0)), sample, 10,
                                        1.0 / 40.0, (0, 0))
     write_trace_csv(trace, out / "shifted_ladder_trace.csv")
+
+    # An estimator session on a non-recording Ladder: 100 packed 0/1 queries, each
+    # triggered and unclamped (20305 rounds); pins each outcome's CSV fields.
+    queries = Query.from_rows(Rng(0, 2).bit_rows(100, 2500), 2500, 0.5)
+    outcomes = run_estimator_session(Ladder(LadderConfig(eta=1.0 / 800.0), record=False),
+                                     queries, 1.0 / 400.0)
+    write_session_csv(outcomes, out / "ladder_session.csv")
     return [
         "laplace_seed42_scale0.5.txt", "gaussian_seed42_stddev1.txt", "uniform_seed42.txt",
         "shaky_trace_seed7.csv", "vq_small.csv", "vn_small.csv", *attacks,
         "reduction_oracle_small.csv", *shifted, "shifted_ladder_trace.csv",
+        "ladder_session.csv",
     ]
 
 

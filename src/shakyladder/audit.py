@@ -82,17 +82,21 @@ class EvaluationSession:
             _unit_array("empirical risks", risks, LOSS_TOLERANCE)
             if built:
                 _unit_array("population risks", population_risks)
+        if not (mechanism.needs_population_risk or mechanism.needs_loss_vector
+                or mechanism.records_trace):  # reads and keeps nothing but the risks
+            return mechanism.submit_risks(risks, stop_below=stop_below)
         columns = (population_risks.tolist(),) if mechanism.needs_population_risk else ()
         if mechanism.needs_loss_vector:
             if losses is None or len(losses) < len(risks):
                 raise ValueError(f"{mechanism.name} reads loss vectors: losses needs one per risk")
             columns += (losses,)
+        if not mechanism.records_trace:
+            return mechanism.submit_risks(risks, *columns, stop_below=stop_below)
         start = mechanism.round
         try:
             return mechanism.submit_risks(risks, *columns, stop_below=stop_below)
         finally:  # also when the budget ends mid-array: keep the rounds that ran
-            if mechanism.records_trace:
-                self._population_risks.extend(population_risks[:mechanism.round - start].tolist())
+            self._population_risks.extend(population_risks[:mechanism.round - start].tolist())
 
     def trace(self) -> Trace:
         return self.mechanism.trace(self._population_risks)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import INITIAL_RELEASE, LOSS_TOLERANCE, Trace
-from .noise import Rng, _integer, _positive, _unit_array, gaussian, laplace
+from .noise import Rng, _integer, _non_negative, _positive, _unit_array, gaussian, laplace
 
 __all__ = [
     "ParameterRegimeError",
@@ -421,10 +421,19 @@ class ParameterFreeLadder(LeaderboardMechanism):
         self.incumbent_loss: np.ndarray | None = None
         self.incumbent_risk = INITIAL_RELEASE
 
-    def submit_risk(self, risk: float, loss_vector) -> float:
-        self._check_budget()
+    def submit(self, loss_vector) -> float:
+        """Score one loss vector, checked once, here: its mean is the risk it decides on."""
         vec = np.asarray(loss_vector, dtype=float)
         _unit_array("loss values", vec, LOSS_TOLERANCE)
+        return self._submit_checked(float(np.mean(vec)), vec)
+
+    def submit_risk(self, risk: float, loss_vector) -> float:
+        vec = np.asarray(loss_vector, dtype=float)
+        _unit_array("loss values", vec, LOSS_TOLERANCE)
+        return self._submit_checked(risk, vec)
+
+    def _submit_checked(self, risk: float, vec: np.ndarray) -> float:
+        self._check_budget()
         released = risk  # the first submission updates and is released exactly
         if self.incumbent_loss is not None:
             if vec.size != self.incumbent_loss.size:
@@ -500,6 +509,8 @@ def make_mechanism(kind: str, *, n: int, k: int | None = None, beta: float = 0.1
     3/sqrt(n) for the noisy oracle; a stddev of 0 means exact feedback.
     """
     n = _integer("n", n, 1)
+    if noise_stddev is not None:
+        _non_negative("noise_stddev", noise_stddev)
     if kind == "shaky":
         if k is None:
             raise ValueError("shaky requires a round budget k")

@@ -12,9 +12,10 @@ tight tolerances and golden files pin the exact draw sequence.
 
 It also holds the input rules, each written once: :func:`_integer`,
 :func:`_unit` (a number) and :func:`_unit_array` (an array, up to a
-tolerance) within [0, 1], :func:`_binary` (0/1 values), :func:`_positive` (a
-positive, finite scale) and :func:`_non_negative` (a finite noise level >= 0);
-every public entry point checks its input with them.
+tolerance) within [0, 1], :func:`_binary` (0/1 values), :func:`_shape` (a
+draw's size, each dimension an integer >= 0), :func:`_positive` (a positive,
+finite scale) and :func:`_non_negative` (a finite noise level >= 0); every
+public entry point checks its input with them.
 """
 
 from __future__ import annotations
@@ -44,8 +45,10 @@ def _integer(name: str, value, least: int | None = None) -> int:
 
 
 def _unit(name: str, value) -> None:
-    """Reject ``value`` unless it is a real number, not an array, within [0, 1] (NaN fails too)."""
-    if not (isinstance(value, numbers.Real) and 0.0 <= value <= 1.0):
+    """Reject ``value`` unless it is a real number, not an array or a bool, within [0, 1]
+    (NaN fails too)."""
+    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and 0.0 <= value <= 1.0):
         raise ValueError(f"{name} must be a number in [0, 1], got {value!r}")
 
 
@@ -66,6 +69,12 @@ def _binary(name: str, values: np.ndarray) -> None:
     """Reject ``values`` unless every entry is 0 or 1."""
     if not ((values == 0) | (values == 1)).all():
         raise ValueError(f"{name} must be binary")
+
+
+def _shape(size) -> tuple[int, ...]:
+    """``size``, one dimension or a tuple or list of them, as a shape of integers >= 0."""
+    dims = tuple(size) if isinstance(size, (tuple, list)) else (size,)
+    return tuple(_integer("size", dim, 0) for dim in dims)
 
 
 def _positive(name: str, value: float) -> None:
@@ -107,12 +116,13 @@ class Rng:
         self._gen = np.random.Generator(np.random.Philox(ss))
 
     def random(self, size=None):
-        """Uniform draws in [0, 1)."""
-        return self._gen.random(size)
+        """Uniform draws in [0, 1); one float for ``size=None``."""
+        return self._gen.random(size if size is None else _shape(size))
 
     def integers(self, low: int, high: int, size=None, dtype=np.int64):
         """Uniform integers in [low, high)."""
-        return self._gen.integers(low, high, size=size, dtype=dtype)
+        return self._gen.integers(low, high, size=size if size is None else _shape(size),
+                                  dtype=dtype)
 
     def bits(self, size) -> np.ndarray:
         """Uniform 0/1 values as uint8, equal to ``integers(0, 2, size,
@@ -125,8 +135,7 @@ class Rng:
         ceil(size/8) raw words, so consecutive calls whose sizes are
         multiples of 8 continue one draw exactly.
         """
-        dims = tuple(size) if isinstance(size, (tuple, list)) else (size,)
-        shape = tuple(_integer("size", dim, 0) for dim in dims)
+        shape = _shape(size)
         count = math.prod(shape)
         raw = self._gen.bit_generator.random_raw(-(-count // 8))
         return (raw.astype("<u8", copy=False).view(np.uint8)[:count] >> 7).reshape(shape)
@@ -146,7 +155,8 @@ class Rng:
         return raw
 
     def standard_normal(self, size=None):
-        return self._gen.standard_normal(size)
+        """Standard normal draws; one float for ``size=None``."""
+        return self._gen.standard_normal(size if size is None else _shape(size))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Rng(path={self.path})"

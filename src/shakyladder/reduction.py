@@ -23,7 +23,7 @@ from __future__ import annotations
 import csv
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -112,8 +112,7 @@ class Query:
         return self._values
 
 
-@dataclass(frozen=True)
-class QueryOutcome:
+class QueryOutcome(NamedTuple):
     """Result of answering one query through the offset schedule.
 
     ``clamped`` marks queries where some constructed loss value (or its
@@ -153,6 +152,9 @@ class AdaptiveEstimator:
         self.steps_per_query = math.ceil(1.0 / alpha)
         #: Queries per session that the reduction's guarantees cover, floor(1/(3*alpha)).
         self.query_budget = math.floor(1.0 / (3.0 * alpha))
+        #: i * (0.5*alpha) for i below the longest run's end, read-only; grown only
+        #: when a run reaches past it, so construction builds no per-step row.
+        self._half_offsets = np.empty(0)
 
     def _unclamped_run(self, query: Query) -> tuple[int, int, np.ndarray, Callable[[], np.ndarray]]:
         """The unclamped steps, start to stop, with their risks and a callable that
@@ -166,7 +168,9 @@ class AdaptiveEstimator:
         where both upper ones hold and stops where either lower one does (0, 0
         when every step clamps), each bound guessed in real arithmetic, then
         stepped to where its float expression turns. The risks come from the
-        query's summary and match the vectors' means up to rounding.
+        query's summary and match the vectors' means up to rounding; both rows
+        read the run's offsets i*alpha/2 as one slice of the estimator's
+        offset row, regrown only when the run reaches past its end.
         """
         c, alpha, steps = self.c, self.alpha, self.steps_per_query
         mean, low, high = query.summary
@@ -180,8 +184,12 @@ class AdaptiveEstimator:
         start, stop = (start, stop) if start < stop else (0, 0)
         # 0.5*i*alpha, half of i*alpha: halving is exact for normal floats, so 0.5 * (mean
         # - i*alpha) is 0.5 * mean less it bit for bit (a subnormal mean is absorbed either way)
-        half_offsets = np.arange(start, stop, dtype=float)
-        half_offsets *= 0.5 * alpha
+        if stop > len(self._half_offsets):
+            row = np.arange(stop, dtype=float)
+            row *= 0.5 * alpha
+            row.setflags(write=False)
+            self._half_offsets = row
+        half_offsets = self._half_offsets[start:stop]
         risks = 0.5 * mean - half_offsets
         risks += c  # in place: c + (0.5 * mean - half_offsets), and one array fewer
         return start, stop, risks, lambda: (c - half_offsets) + half_mean
@@ -234,16 +242,16 @@ class AdaptiveEstimator:
             raise
         self.total_submissions += i
         self.queries_answered += 1
+        clamped = free_from > 0 or i > free_to
+        # fields by position, in QueryOutcome's order: answer, triggered, trigger_index,
+        # r_value, c_after, clamped, no_trigger, submissions
+        if released[-1] < trigger_below:
+            self.c = r_value = float(released[-1])
+            return QueryOutcome(2.0 * ((r_value - c) + 0.5 * (i - 1) * alpha), True, i - 1,
+                                r_value, r_value, clamped, False, i)
         # Without a trigger the schedule ran out, possible only for large population
         # means; answering 1.0 is then off by at most 2*alpha, and c stays put.
-        triggered = bool(released[-1] < trigger_below)
-        self.c = r_value = float(released[-1]) if triggered else c
-        return QueryOutcome(
-            answer=2.0 * ((r_value - c) + 0.5 * (i - 1) * self.alpha) if triggered else 1.0,
-            triggered=triggered, trigger_index=i - 1 if triggered else None,
-            r_value=r_value if triggered else math.nan, c_after=r_value,
-            clamped=free_from > 0 or i > free_to, no_trigger=not triggered, submissions=i,
-        )
+        return QueryOutcome(1.0, False, None, math.nan, c, clamped, True, i)
 
 
 def _step_vector(query: Query, c: float, alpha: float, i: int) -> np.ndarray:

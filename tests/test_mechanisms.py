@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shakyladder import mechanisms
 from shakyladder.audit import EvaluationSession
 from shakyladder.core import SubmittedModel, make_random_label_sample, write_trace_csv
 from shakyladder.mechanisms import (
@@ -486,6 +487,20 @@ def test_submit_rejects_an_invalid_vector_before_its_round(name, vector):
     valid = np.array([0.0, 1.0, 0.0, 0.0])
     assert mech.submit(valid, *oracle_side) == fresh.submit(valid, *oracle_side)
     assert_same_trace(mech.trace(), fresh.trace())
+
+
+def test_pf_ladder_checks_a_submitted_vector_once(monkeypatch):
+    # submit checks the vector with the rule for losses; submit_risk, which
+    # checks the vectors a session hands it, does not check it again
+    checks = []
+    unit_array = mechanisms._unit_array
+    monkeypatch.setattr(mechanisms, "_unit_array",
+                        lambda *args: checks.append(args[0]) or unit_array(*args))
+    pf = ParameterFreeLadder()
+    assert pf.submit(np.full(4, 0.5)) == 0.5
+    assert checks == ["loss values"]
+    pf.submit_risk(0.5, np.full(4, 0.5))
+    assert checks == ["loss values"] * 2
 
 
 def test_pf_ladder_decides_on_the_risk_it_is_handed():

@@ -21,7 +21,7 @@ from shakyladder.core import (
     model_from_predictions,
 )
 from shakyladder.experiments import REDUCTION_STREAM
-from shakyladder.mechanisms import MECHANISM_STREAM, shaky_params
+from shakyladder.mechanisms import MECHANISM_STREAM, make_mechanism, shaky_params
 from shakyladder.noise import Rng, binomial_exceedance, gaussian, laplace
 from shakyladder.reduction import Query
 
@@ -280,8 +280,17 @@ class TestBinomialExceedance:
     lambda: Rng(0).bits(True),  # TypeError
     lambda: Rng(0).bit_rows(2.5, 10),  # TypeError
     lambda: Rng(0).bit_rows(True, 10),  # TypeError
+    lambda: laplace(Rng(0), 1.0, 2.5),  # TypeError from numpy, as for each draw size below
+    lambda: laplace(Rng(0), 1.0, True),
+    lambda: gaussian(Rng(0), 1.0, True),
+    lambda: Rng(0).random(2.5),
+    lambda: Rng(0).standard_normal(True),
+    lambda: Rng(0).integers(0, 2, 2.5),
+    lambda: Rng(0).random((2, 1.5)),
 ], ids=["shaky-k", "holdout-size", "binomial-m", "label-seed", "query-rows-n", "bit-rows-n",
-        "bits-float", "bits-bool", "bit-rows-rows-float", "bit-rows-rows-bool"])
+        "bits-float", "bits-bool", "bit-rows-rows-float", "bit-rows-rows-bool",
+        "laplace-size-float", "laplace-size-bool", "gaussian-size-bool", "random-size-float",
+        "normal-size-bool", "integers-size-float", "random-dim-float"])
 def test_non_integer_inputs_rejected_before_any_draw(call, no_draws):
     with pytest.raises(ValueError, match="must be an integer"):
         call()
@@ -303,9 +312,22 @@ SAMPLE = HoldoutSample(4, np.array([0, 1, 1, 0], dtype=np.uint8), 0)
     (lambda: binomial_exceedance(3, np.array([0.5, 0.5])), "p must be a number"),
     *((lambda v=v: model_from_predictions(np.array([v, 0, 1, 0]), SAMPLE), "must be binary")
       for v in (0.7, 256, math.nan, -1)),  # cast to 0, 0, 0 (warning) and 255
+    (lambda: laplace(Rng(0), 1.0, -1), "size must be >= 0"),  # numpy's "negative dimensions"
+    (lambda: Rng(0).random((2, -1)), "size must be >= 0"),
+    (lambda: Rng(0).integers(0, 2, -3), "size must be >= 0"),
+    (lambda: make_mechanism("ladder", n=10, noise_stddev=-1.0),  # built a Ladder
+     "noise_stddev must be finite and >= 0"),
+    (lambda: make_mechanism("empirical", n=10, noise_stddev=math.nan),  # an exact oracle
+     "noise_stddev must be finite and >= 0"),
+    (lambda: make_mechanism("shaky", n=10, k=5, noise_stddev=math.inf),  # drew its noise
+     "noise_stddev must be finite and >= 0"),
+    (lambda: SubmittedModel(np.zeros(3), True), "population_risk must be a number"),
+    (lambda: Query(np.zeros(3), False), "population_mean must be a number"),
 ], ids=["bits-negative", "bits-negative-dim", "stddev-negative", "stddev-nan", "report-array",
         "model-array", "query-array", "binomial-p-array", "prediction-0.7", "prediction-256",
-        "prediction-nan", "prediction-minus-1"])
+        "prediction-nan", "prediction-minus-1", "laplace-size-negative", "random-dim-negative",
+        "integers-size-negative", "ladder-stddev-negative", "empirical-stddev-nan",
+        "shaky-stddev-inf", "model-risk-bool", "query-mean-bool"])
 def test_invalid_values_rejected_before_any_draw(call, message, no_draws):
     with pytest.raises(ValueError, match=message):
         call()

@@ -353,6 +353,25 @@ class TestUnclampedRun:
             tracemalloc.stop()
         assert peak < 64 * 1024
 
+    def test_queries_share_one_read_only_offset_row(self):
+        # each run slices the estimator's row of i * (alpha/2); a run that ends
+        # within it reads the same row, and only a longer one builds a new row
+        alpha = 0.01
+        est = fresh_estimator(alpha)
+        assert len(est._half_offsets) == 0
+        rows, stops = [], []
+        for c in (0.2, None, 0.4):  # None: the c the previous answer left, below 0.2
+            if c is not None:
+                est.c = c
+            stops.append(est._unclamped_run(const_query(0.0))[1])
+            est.answer(const_query(0.0))
+            rows.append(est._half_offsets)
+        assert stops[1] < stops[0] < stops[2] <= est.steps_per_query
+        assert rows[1] is rows[0] and rows[2] is not rows[0]
+        for row, stop in ((rows[0], stops[0]), (rows[2], stops[2])):
+            assert not row.flags.writeable
+            assert row.tobytes() == (np.arange(stop, dtype=float) * (0.5 * alpha)).tobytes()
+
 
 def packed_row(n, fill, seed):
     """One row in the ``Rng.bit_rows`` layout: random, all zero or all one."""
