@@ -68,6 +68,9 @@ def write_goldens(out: Path) -> list[str]:
     # All seven default noise levels; one threshold group holds over 255 rows of a block.
     config = ExperimentConfig(experiment="vary-noise", n=200, k_grid=(500, 3000), reps=2)
     (out / "vn_small.csv").write_bytes(experiment_csv(config).encode("utf-8"))
+    # A grid of 20 query blocks per rep, drawn ahead on the worker where there are CPUs for it.
+    config = ExperimentConfig(experiment="vary-noise", n=40000, k_grid=(100, 1000), reps=2)
+    (out / "vn_blocks.csv").write_bytes(experiment_csv(config).encode("utf-8"))
 
     # The mechanism-driven attacks, one file per configuration.
     attacks = {
@@ -120,7 +123,7 @@ def write_goldens(out: Path) -> list[str]:
     write_session_csv(outcomes, out / "ladder_session.csv")
     return [
         "laplace_seed42_scale0.5.txt", "gaussian_seed42_stddev1.txt", "uniform_seed42.txt",
-        "shaky_trace_seed7.csv", "vq_small.csv", "vn_small.csv", *attacks,
+        "shaky_trace_seed7.csv", "vq_small.csv", "vn_small.csv", "vn_blocks.csv", *attacks,
         "reduction_oracle_small.csv", *shifted, "shifted_ladder_trace.csv",
         "ladder_session.csv",
     ]

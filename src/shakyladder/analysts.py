@@ -8,7 +8,15 @@ that mechanisms which rarely give feedback (ladders) answer every query.
 
 Every attack reads its queries one bit per entry from ``_query_blocks`` and
 folds each block into its vote when read, so memory is O(block * n) for any
-k. Risks and correlations are popcounts of the packed rows, exact for any n.
+k. Where the process may run on more than one CPU, a stream of two or more
+blocks queues each next block to one shared worker thread while the caller
+folds the current one, so two blocks of a stream are alive at a time: the
+caller's and the one being drawn. A queued block the worker has not begun
+when the caller needs it is drawn by the caller. Either way the draws run
+in order from the stream's own generator, so every block equals the inline
+draw: no output depends on the worker, the CPU count or a fork, whose child
+starts its own worker on first use.
+Risks and correlations are popcounts of the packed rows, exact for any n.
 A block of models reaches the mechanism as one ``session.submit_risks``
 batch (``_submit_rows``) or as estimator queries (``Query.from_rows``); a
 row is unpacked only where it is read, by a vote (``_attack_cells``,
@@ -19,14 +27,18 @@ any k; a tie or an empty selection gives label 0.
 
 from __future__ import annotations
 
+import functools
 import math
+import os
+import queue
+import threading
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .audit import EvaluationSession
-from .core import HoldoutSample, Trace, _LazyRows, _mismatches, _pack, _unpack
+from .core import BLOCK_ENTRIES, HoldoutSample, Trace, _LazyRows, _mismatches, _pack, _unpack
 from .mechanisms import BudgetExhaustedError, LeaderboardMechanism
 from .noise import Rng, _integer, _non_negative, _unit
 from .reduction import AdaptiveEstimator, Query
@@ -38,9 +50,6 @@ __all__ = [
     "shifted_majority_attack",
     "run_random_analyst",
 ]
-
-#: Half the entries of a query block, and the most any reader unpacks at once: 1 MB as uint8 bits.
-BLOCK_ENTRIES = 2**20
 
 #: Rows a uint8 pending count sums before its flush into the integer counts.
 PENDING_ROWS = 255
@@ -92,11 +101,94 @@ def _query_blocks(seed: int | tuple[int, ...], k: int, n: int):
 
     Packed ``Rng.bit_rows`` blocks of ``2 * BLOCK_ENTRIES`` entries, but no more rows
     than at n = 64, below which the per-row arrays outweigh the bits. A row takes
-    whole raw words, so consecutive blocks continue one draw for any n.
+    whole raw words, so consecutive blocks continue one draw for any n. A stream of
+    two or more blocks, where the process may run on more than one CPU, draws its
+    first block inline and queues each next one to the worker thread (``_drawn_ahead``).
     """
     rows = max(1, 2 * BLOCK_ENTRIES // max(n, 64))
-    queries = Rng(seed, QUERY_STREAM)
-    return (queries.bit_rows(min(rows, k - start), n) for start in range(0, k, rows))
+    draw = Rng(seed, QUERY_STREAM).bit_rows
+    sizes = (min(rows, k - start) for start in range(0, k, rows))
+    if k <= rows or not _multiple_cpus():  # fewer than two blocks, or one CPU
+        return (draw(size, n) for size in sizes)
+    return _drawn_ahead(draw, sizes, n)
+
+
+def _multiple_cpus() -> bool:
+    """Whether this process may run on more than one CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) > 1
+    return (os.cpu_count() or 1) > 1
+
+
+def _drawn_ahead(draw, sizes, n: int):
+    """``draw(size, n)`` for each size in turn, each after the first queued to the worker
+    while the caller reads the one before; a draw's exception is raised at its block.
+
+    At most one draw of a stream is in flight, so no two threads use its generator at once.
+    """
+    block = draw(next(sizes), n)
+    for size in sizes:
+        ahead = _Ahead(functools.partial(draw, size, n))
+        _worker().put(ahead)
+        yield block
+        block = ahead.result()
+    yield block
+
+
+class _Ahead:
+    """One queued draw, made by the worker or, if the worker has not begun it when the
+    caller needs it, by the caller: a caller never waits for the worker to be scheduled."""
+
+    __slots__ = ("draw", "claim", "reply")
+
+    def __init__(self, draw):
+        self.draw, self.claim, self.reply = draw, threading.Lock(), queue.SimpleQueue()
+
+    def run(self) -> None:
+        """On the worker: the draw, unless the caller took it, replied as (block, error)."""
+        if self.claim.acquire(blocking=False):
+            try:
+                self.reply.put((self.draw(), None))
+            except BaseException as error:  # the caller waits on every draw the worker took
+                self.reply.put((None, error))
+
+    def result(self) -> np.ndarray:
+        if self.claim.acquire(blocking=False):
+            return self.draw()
+        block, error = self.reply.get()
+        if error is not None:
+            raise error
+        return block
+
+
+_requests: queue.SimpleQueue | None = None  # the worker's, once started in this process
+_start = threading.Lock()
+
+
+def _worker() -> queue.SimpleQueue:
+    """The request queue of the draw worker, a daemon thread started on first use."""
+    global _requests
+    with _start:
+        if _requests is None:
+            _requests = queue.SimpleQueue()
+            threading.Thread(target=_serve, args=(_requests,), name="shakyladder-draws",
+                             daemon=True).start()
+        return _requests
+
+
+def _serve(requests: queue.SimpleQueue) -> None:
+    while True:
+        requests.get().run()
+
+
+def _forget_worker() -> None:
+    """In a forked child: the worker thread stayed in the parent, so start a new one."""
+    global _requests, _start
+    _requests, _start = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_worker)
 
 
 def _attack_cells(n: int, k_grid, noise_stddevs,

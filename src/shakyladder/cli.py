@@ -1,10 +1,11 @@
 """Command-line front end for the experiment grids.
 
-Exit codes: 0 success, 2 invalid arguments, 3 golden-file mismatch (1 for
-I/O failures). A plain-text key=value config file can seed any flag: its
-entries are replayed as flags ahead of the command line, so they are parsed
-and validated exactly like flags and flags given on the command line win. A
-key the experiment does not read is therefore rejected like its flag.
+Exit codes: 0 success, 2 invalid arguments or a run that ran out of memory,
+3 golden-file mismatch (1 for I/O failures). A plain-text key=value config
+file can seed any flag: its entries are replayed as flags ahead of the
+command line, so they are parsed and validated exactly like flags and flags
+given on the command line win. A key the experiment does not read is
+therefore rejected like its flag.
 """
 
 from __future__ import annotations
@@ -133,7 +134,12 @@ def cli_main(argv: list[str] | None = None) -> int:
         print(f"invalid arguments: {err}", file=sys.stderr)
         return 2
 
-    csv_text = experiment_csv(config)
+    try:
+        csv_text = experiment_csv(config)
+    except MemoryError as err:  # numpy's names the allocation it could not make
+        print(f"not enough memory to run {config.experiment} at n={config.n}"
+              + (f": {err}" if str(err) else ""), file=sys.stderr)
+        return 2
 
     if args.out is not None:
         try:

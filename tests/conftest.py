@@ -1,9 +1,12 @@
 import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
 
-from shakyladder.noise import _seed_path
+from shakyladder import analysts
+from shakyladder.noise import Rng, _seed_path
 
 # Make sibling test helpers (synthetic.py) importable regardless of rootdir.
 sys.path.insert(0, str(Path(__file__).resolve().parent))
@@ -30,3 +33,30 @@ def no_draws(monkeypatch):
         raise AssertionError("drew before validating its input")
     for module in ("core", "mechanisms", "analysts", "experiments"):
         monkeypatch.setattr(f"shakyladder.{module}.Rng", refuse)
+
+
+@pytest.fixture
+def worker_draws(monkeypatch):
+    """Send every block after a stream's first to the draw worker; returns the thread
+    of each ``Rng.bit_rows`` call, in call order.
+
+    The worker is used whatever the CPU count. A caller that needs a queued block the
+    worker has not begun draws it itself; here it first waits up to 10 s for the worker
+    to begin, so that the worker draws every queued block.
+    """
+    threads, draw, result = [], Rng.bit_rows, analysts._Ahead.result
+
+    def spy(rng, rows, n):
+        threads.append(threading.current_thread())
+        return draw(rng, rows, n)
+
+    def patient(ahead):
+        deadline = time.monotonic() + 10
+        while not ahead.claim.locked() and time.monotonic() < deadline:
+            time.sleep(1e-4)
+        return result(ahead)
+
+    monkeypatch.setattr(Rng, "bit_rows", spy)
+    monkeypatch.setattr(analysts._Ahead, "result", patient)
+    monkeypatch.setattr(analysts, "_multiple_cpus", lambda: True)
+    return threads

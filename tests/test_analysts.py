@@ -1,4 +1,9 @@
 import math
+import os
+import pickle
+import select
+import signal
+import threading
 import tracemalloc
 import warnings
 from contextlib import nullcontext
@@ -12,6 +17,7 @@ from shakyladder import analysts, reduction
 from shakyladder.analysts import (
     AttackReport,
     HIDDEN_STREAM,
+    QUERY_STREAM,
     _attack_cells,
     _add_votes,
     _pack,
@@ -439,8 +445,9 @@ def test_attacks_unpack_in_chunks(attack, kind, monkeypatch):
 
 
 def test_attack_memory_does_not_grow_with_k():
-    # the attack holds one query block, not the k x n matrix: at n = 5000 a
-    # 5000-query matrix alone would take 25 MB as bytes, 100 MB as float32
+    # the attack holds two query blocks, the one it folds and the one being
+    # drawn, not the k x n matrix: at n = 5000 a 5000-query matrix alone
+    # would take 25 MB as bytes, 100 MB as float32
     def peak(n, k, selection="theorem"):
         sample = make_random_label_sample(n, 8)
         tracemalloc.start()
@@ -454,18 +461,18 @@ def test_attack_memory_does_not_grow_with_k():
     small, large = peak(5000, 500), peak(5000, 5000)
     assert large < 1.2 * small + 256 * 1024, (small, large)
     # with direct selection every row votes: per block (209 rows at n = 10^4,
-    # 256 KB packed) a side's rows are copied packed and unpacked to uint8 one
-    # part of at most BLOCK_ENTRIES entries (1 MB) at a time, each part summed
-    # and folded into the count before the next; a float32 copy of the block
-    # alone would take 8 MB
+    # 256 KB packed, two alive) a side's rows are copied packed and unpacked to
+    # uint8 one part of at most BLOCK_ENTRIES entries (1 MB) at a time, each
+    # part summed and folded into the count before the next; a float32 copy of
+    # the block alone would take 8 MB
     direct = peak(10**4, 5000, "direct")
     assert direct < 2 * 2**20, direct
 
-    # the vector attack's grid holds one packed block (256 KB at n = 40000)
-    # and a copy of its rows sorted by threshold group, unpacks at most
-    # BLOCK_ENTRIES entries at a time (1 MB as uint8 bits), and keeps per
+    # the vector attack's grid holds two packed blocks (256 KB each at
+    # n = 40000) and a copy of one's rows sorted by threshold group, unpacks at
+    # most BLOCK_ENTRIES entries at a time (1 MB as uint8 bits), and keeps per
     # group an int16 count row and a uint8 pending row (16 x 120 KB for seven
-    # levels), whatever k: a peak of about 4.3 MiB
+    # levels), whatever k: a peak of about 4.0 MiB
     n = 40000
     stddevs = [m / math.sqrt(n) for m in VARY_NOISE_GRID]
 
@@ -480,6 +487,159 @@ def test_attack_memory_does_not_grow_with_k():
     small, large = grid_peak(200), grid_peak(1000)
     assert large < 1.2 * small + 256 * 1024, (small, large)
     assert max(small, large) < 5 * 2**20, (small, large)
+
+
+def test_envelope_cell_memory():
+    # one rep of an envelope cell at n = 10^4, k = 1000: five blocks of 209
+    # rows (256 KB packed), two alive at a time. A block's mismatch counts
+    # XOR at most BLOCK_ENTRIES entries (128 KB) at a time: a peak of
+    # 0.83 MiB, where XORing the whole block at once took 0.96 MiB
+    n, k = 10**4, 1000
+    sample = make_random_label_sample(n, 8)
+    mechanism = ShakyLadder(shaky_params(n, k + 1, 0.1), 8)
+    tracemalloc.start()
+    try:
+        majority_attack_vs_mechanism(mechanism, sample, k, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.9 * 2**20, peak
+
+
+def _stream(seed, k, n):
+    return list(analysts._query_blocks(seed, k, n))
+
+
+class _BusyWorker:
+    """A request that holds the draw worker until ``release`` is set (at most 10 s)."""
+
+    def __init__(self):
+        self.release = threading.Event()
+
+    def run(self):
+        self.release.wait(10)
+
+
+class TestDrawWorker:
+    """Where the process may run on more than one CPU, ``_query_blocks`` queues every
+    block after a stream's first to the worker thread; the blocks are those of one
+    inline draw whichever thread draws them, and whatever the CPUs, the worker's
+    failures or a fork."""
+
+    @pytest.mark.parametrize("parallel", [True, False])
+    @pytest.mark.parametrize("n, k, rows", [(1, 7, 3), (63, 40, 7), (64, 33, 1), (65, 50, 4),
+                                            (1001, 20, 6), (3000, 9, 2)])
+    def test_blocks_continue_one_draw(self, n, k, rows, parallel, worker_draws, monkeypatch):
+        monkeypatch.setattr(analysts, "BLOCK_ENTRIES", -(-rows * max(n, 64) // 2))
+        monkeypatch.setattr(analysts, "_multiple_cpus", lambda: parallel)
+        blocks = _stream((3, n), k, n)
+        assert [len(block) for block in blocks] == [min(rows, k - s) for s in range(0, k, rows)]
+        expected = Rng((3, n), QUERY_STREAM).bit_rows(k, n)
+        assert np.array_equal(np.concatenate(blocks), expected)
+        main = threading.main_thread()
+        assert worker_draws[0] is main
+        assert all((thread is not main) == parallel for thread in worker_draws[1:len(blocks)])
+
+    def test_caller_draws_what_the_worker_has_not_begun(self, monkeypatch):
+        threads, draw = [], Rng.bit_rows
+
+        def spy(rng, rows, n):
+            threads.append(threading.current_thread())
+            return draw(rng, rows, n)
+
+        monkeypatch.setattr(Rng, "bit_rows", spy)
+        monkeypatch.setattr(analysts, "_multiple_cpus", lambda: True)
+        monkeypatch.setattr(analysts, "BLOCK_ENTRIES", 3 * 100 // 2)
+        busy = _BusyWorker()
+        analysts._worker().put(busy)
+        try:
+            blocks = _stream(2, 20, 100)
+        finally:
+            busy.release.set()
+        assert len(blocks) == 7 and threads == [threading.main_thread()] * 7
+        assert np.array_equal(np.concatenate(blocks), Rng(2, QUERY_STREAM).bit_rows(20, 100))
+
+    def test_draw_error_raised_at_its_block(self, worker_draws, monkeypatch):
+        n, k, rows = 100, 30, 4
+        monkeypatch.setattr(analysts, "BLOCK_ENTRIES", rows * n // 2)
+        expected = Rng(0, QUERY_STREAM).bit_rows(k, n)
+        worker_draws.clear()
+        draw = Rng.bit_rows
+
+        def failing(rng, size, n):  # the third draw of the next stream fails
+            if len(worker_draws) == 2:
+                worker_draws.append(threading.current_thread())
+                raise MemoryError("third block")
+            return draw(rng, size, n)
+
+        monkeypatch.setattr(Rng, "bit_rows", failing)
+        read = []
+        with pytest.raises(MemoryError, match="third block"):
+            for block in analysts._query_blocks(0, k, n):
+                read.append(block)
+        assert len(worker_draws) == 3 and worker_draws[2] is not threading.main_thread()
+        assert np.array_equal(np.concatenate(read), expected[:2 * rows])
+        assert np.array_equal(np.concatenate(_stream(0, k, n)), expected)
+
+    def test_abandoned_stream_leaves_the_next_one_whole(self, worker_draws, monkeypatch):
+        n, k = 200, 40
+        monkeypatch.setattr(analysts, "BLOCK_ENTRIES", 5 * n // 2)
+        blocks = analysts._query_blocks(1, k, n)
+        next(blocks)
+        blocks.close()  # its second block is queued or being drawn
+        for seed in (2, 1):
+            assert np.array_equal(np.concatenate(_stream(seed, k, n)),
+                                  Rng(seed, QUERY_STREAM).bit_rows(k, n))
+
+    def test_one_block_stream_starts_no_thread(self, worker_draws, monkeypatch):
+        monkeypatch.setattr(analysts, "_requests", None)
+        before = threading.enumerate()
+        blocks = _stream(4, 50, 1000)
+        assert len(blocks) == 1 and worker_draws == [threading.main_thread()]
+        assert analysts._requests is None and threading.enumerate() == before
+
+    def test_one_cpu_starts_no_thread(self, monkeypatch):
+        monkeypatch.setattr(analysts, "_requests", None)
+        if hasattr(os, "sched_getaffinity"):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        else:
+            monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        assert not analysts._multiple_cpus()
+        majority_attack_direct(40000, 200)  # four blocks
+        assert analysts._requests is None
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_starts_its_own_worker(self, worker_draws):
+        n, k_grid, stddevs = 40000, (100, 400), [0.0, 0.01]
+        expected = _attack_cells(n, k_grid, stddevs, 5)  # starts the parent's worker
+        assert analysts._requests is not None
+        read, write = os.pipe()
+        with warnings.catch_warnings():  # Python 3.12+ warns of a fork with threads
+            warnings.filterwarnings("ignore", ".*fork", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:  # the child reports its grid and exits without returning to pytest
+            status = 1
+            try:
+                os.close(read)
+                worker_draws.clear()
+                cells = _attack_cells(n, k_grid, stddevs, 5)
+                main = threading.current_thread()
+                with os.fdopen(write, "wb") as out:
+                    pickle.dump((cells, sum(thread is not main for thread in worker_draws)), out)
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(write)
+        with os.fdopen(read, "rb") as result:
+            if not select.select([result], [], [], 60)[0]:
+                os.kill(pid, signal.SIGKILL)
+            _, status = os.waitpid(pid, 0)
+            assert os.waitstatus_to_exitcode(status) == 0, "the child hung or failed"
+            cells, worker = pickle.load(result)
+        assert worker == 7  # eight blocks of 52 rows: all but the first on the child's worker
+        assert cells[0] == expected[0]
+        for got, want in zip(cells[1:], expected[1:]):
+            assert np.array_equal(got, want)
 
 
 class TestAttackVsMechanism:

@@ -3,14 +3,16 @@ import io
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from shakyladder import cli
+from shakyladder import analysts, cli, experiments
 from shakyladder.cli import cli_main
+from shakyladder.noise import Rng
 
 BASE = ["--experiment", "vary-queries", "--n", "400", "--k", "20,50",
         "--reps", "5", "--seed", "1"]
@@ -137,6 +139,45 @@ def test_consecutive_calls_share_no_state(tmp_path):
     assert per_rep.read_text().splitlines()[0].endswith("max_noise_L")
     assert plain.read_text().splitlines()[0] == ("experiment,mechanism,n,k,noise_multiplier,"
                                                  "rep_count,mean_error,std_error")
+
+
+@pytest.mark.parametrize("parallel", [True, False])
+def test_many_block_golden_with_and_without_the_draw_worker(parallel, fixtures_dir,
+                                                            monkeypatch, capsys):
+    monkeypatch.setattr(analysts, "_multiple_cpus", lambda: parallel)
+    assert cli_main(["--experiment", "vary-noise", "--n", "40000", "--k", "100,1000",
+                     "--reps", "2", "--golden", str(fixtures_dir / "vn_blocks.csv")]) == 0
+
+
+def test_memory_error_exits_2_with_one_line(monkeypatch, capsys):
+    def runner(config):
+        raise MemoryError("Unable to allocate 93.1 GiB")
+
+    monkeypatch.setitem(experiments._RUNNERS, "vary-noise", runner)
+    assert cli_main(["--experiment", "vary-noise", "--n", str(10**11), "--k", "10",
+                     "--reps", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("not enough memory to run vary-noise at n=100000000000: "
+                            "Unable to allocate 93.1 GiB\n")
+
+
+def test_memory_error_on_the_draw_worker_exits_2(worker_draws, monkeypatch, capsys):
+    # vary-noise at n = 40000 reads 20 blocks of 52 queries; the fourth is drawn
+    # on the worker thread and fails there
+    draw = Rng.bit_rows
+
+    def failing(rng, rows, n):
+        if len(worker_draws) == 3:
+            worker_draws.append(threading.current_thread())
+            raise MemoryError()
+        return draw(rng, rows, n)
+
+    monkeypatch.setattr(Rng, "bit_rows", failing)
+    assert cli_main(["--experiment", "vary-noise", "--n", "40000", "--k", "100,1000",
+                     "--reps", "1"]) == 2
+    assert len(worker_draws) == 4 and worker_draws[-1] is not threading.main_thread()
+    assert capsys.readouterr().err == "not enough memory to run vary-noise at n=40000\n"
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
