@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audit import EvaluationSession
-from .core import BLOCK_ENTRIES, HoldoutSample, Trace, _LazyRows, _mismatches, _pack, _unpack
+from .core import BLOCK_ENTRIES, HoldoutSample, Trace, _mismatches, _pack, _unpack
 from .mechanisms import BudgetExhaustedError, LeaderboardMechanism
 from .noise import Rng, _integer, _non_negative, _unit
 from .reduction import AdaptiveEstimator, Query
@@ -313,11 +313,11 @@ def _submit_rows(session: EvaluationSession, block: np.ndarray, labels: np.ndarr
 
     A row's risk is its mismatch popcount against the packed ``labels`` over
     n, equal to ``np.mean`` of its 0/1 loss vector bit for bit; the vector,
-    unpacked, is built only for a mechanism that reads it, one row at a time.
+    unpacked, is built only for a mechanism that reads it, one round at a time.
     """
     risks = _mismatches(block, labels) / sample.size
-    losses = _LazyRows(lambda j: _unpack(block[j] ^ labels, sample.size), (), 0, len(block))
-    return risks, session.submit_risks(risks, np.full(len(risks), 0.5), losses=losses)
+    return risks, session.submit_risks(risks, np.full(len(risks), 0.5),
+                                        losses=lambda j: _unpack(block[j] ^ labels, sample.size))
 
 
 def run_random_analyst(mechanism: LeaderboardMechanism, sample: HoldoutSample,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LOSS_TOLERANCE, SubmittedModel, Trace, empirical_risk
+from .core import LOSS_TOLERANCE, SubmittedModel, Trace, _loss_vector, empirical_risk
 from .mechanisms import LeaderboardMechanism, MechanismParams
 from .noise import _unit_array
 
@@ -50,7 +50,7 @@ class EvaluationSession:
         """One round for a whole model: its size checked, then its risks and vector."""
         self.mechanism.check_size(model.size)
         return float(self.submit_risks((empirical_risk(model),), (model.population_risk,),
-                                       losses=(model.loss_vector,))[0])
+                                       losses=lambda j: model.loss_vector)[0])
 
     def submit_risks(self, risks, population_risks, stop_below: float | None = None,
                      losses=None) -> np.ndarray:
@@ -63,11 +63,11 @@ class EvaluationSession:
         callable returning one; the callable is called, and its array
         checked, only where population risks are read: by a mechanism that
         reads them (``needs_population_risk``) or for a recorded trace.
-        ``losses``, a column with a length, holds each model's loss vector;
-        only a mechanism that reads them (``needs_loss_vector``) iterates
-        it, and rejects, before any round, a missing column or one shorter
-        than ``risks``; it checks each vector before that vector's round, so
-        the rounds before a bad one stay.
+        ``losses(j)`` builds round j's loss vector, j = 0 being the first
+        risk's; only a mechanism that reads them (``needs_loss_vector``) has
+        it called, just before each round, and each vector checked like a
+        :class:`SubmittedModel`'s losses, so the rounds before a bad one stay.
+        Such a mechanism without a callable is a ValueError before any round.
         """
         mechanism = self.mechanism
         risks = np.asarray(risks, dtype=float)
@@ -87,9 +87,9 @@ class EvaluationSession:
             return mechanism.submit_risks(risks, stop_below=stop_below)
         columns = (population_risks.tolist(),) if mechanism.needs_population_risk else ()
         if mechanism.needs_loss_vector:
-            if losses is None or len(losses) < len(risks):
-                raise ValueError(f"{mechanism.name} reads loss vectors: losses needs one per risk")
-            columns += (losses,)
+            if not callable(losses):
+                raise ValueError(f"{mechanism.name} reads loss vectors: losses(j) builds them")
+            columns += (map(lambda j: _loss_vector(losses(j)), range(len(risks))),)
         if not mechanism.records_trace:
             return mechanism.submit_risks(risks, *columns, stop_below=stop_below)
         start = mechanism.round

@@ -47,6 +47,13 @@ LABEL_STREAM = 11
 BLOCK_ENTRIES = 2**20
 
 
+def _loss_vector(vector) -> np.ndarray:
+    """``vector`` as an array, if nonempty, 1-d and within [0, 1] up to ``LOSS_TOLERANCE``."""
+    vec = np.asarray(vector)
+    _unit_array("loss values", vec, LOSS_TOLERANCE)
+    return vec
+
+
 def _readonly_copy(array, dtype=None) -> np.ndarray:
     """A read-only copy: the caller's array stays writable and its later writes do not reach it."""
     out = np.array(array, dtype=dtype)
@@ -67,8 +74,7 @@ class SubmittedModel:
     population_risk: float
 
     def __post_init__(self):
-        vec = _readonly_copy(self.loss_vector)
-        _unit_array("loss values", vec, LOSS_TOLERANCE)
+        vec = _loss_vector(_readonly_copy(self.loss_vector))
         _unit("population_risk", self.population_risk)
         object.__setattr__(self, "loss_vector", vec)
 
@@ -172,21 +178,6 @@ def _mismatches(block: np.ndarray, words: np.ndarray) -> np.ndarray:
         part = block[first:first + step]
         counts[first:first + step] = np.bitwise_count(part ^ words).sum(axis=-1, dtype=count_type)
     return counts
-
-
-class _LazyRows:
-    """The rows ``row(*args, i)`` for i from start to stop, each built as iteration reaches it."""
-
-    __slots__ = ("row", "args", "start", "stop")
-
-    def __init__(self, row, args: tuple, start: int, stop: int):
-        self.row, self.args, self.start, self.stop = row, args, start, stop
-
-    def __len__(self) -> int:
-        return self.stop - self.start
-
-    def __iter__(self):
-        return (self.row(*self.args, i) for i in range(self.start, self.stop))
 
 
 def make_random_label_sample(n: int, seed: int | tuple[int, ...]) -> HoldoutSample:

@@ -10,8 +10,9 @@ population-minimum oracle, which exists only behind the audit-side
 evaluation interface, its true risk (``needs_population_risk``). Released
 values are never clamped to [0, 1] (see :func:`~shakyladder.core.clamp_release`).
 Constructors check their input with the rules of :mod:`shakyladder.noise`;
-``submit_risk`` and ``submit_risks`` take risks as given (the checked entry
-points are ``submit``, the evaluation session and the value types).
+``submit_risk`` and ``submit_risks`` take risks and loss vectors as given
+(the checked entry points are ``submit``, the evaluation session and the
+value types, each with the one rule for losses of :mod:`shakyladder.core`).
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import INITIAL_RELEASE, LOSS_TOLERANCE, Trace
-from .noise import Rng, _integer, _non_negative, _positive, _unit_array, gaussian, laplace
+from .core import INITIAL_RELEASE, Trace, _loss_vector
+from .noise import Rng, _integer, _non_negative, _positive, gaussian, laplace
 
 __all__ = [
     "ParameterRegimeError",
@@ -209,8 +210,7 @@ class LeaderboardMechanism:
         population risk, for the mechanisms that read it) unchanged, then the vector itself
         if the mechanism reads loss vectors. A rejected vector runs no round.
         """
-        vec = np.asarray(loss_vector)
-        _unit_array("loss values", vec, LOSS_TOLERANCE)
+        vec = _loss_vector(loss_vector)
         self.check_size(vec.size)
         if self.needs_loss_vector:
             args += (vec,)
@@ -408,9 +408,9 @@ class ParameterFreeLadder(LeaderboardMechanism):
     the one use of the loss vectors. Released values are the empirical risk
     rounded to the decimal place of s_t's leading significant digit. A
     degenerate step (s_t = 0, e.g. resubmitting the incumbent) never updates;
-    the first submission always does and is released exactly. A loss vector
-    that ``SubmittedModel`` would reject, or whose length differs from the
-    incumbent's, is a ValueError before its round runs.
+    the first submission always does and is released exactly. A vector whose
+    length differs from the incumbent's is a ValueError before its round runs;
+    ``submit_risk`` takes it unchecked otherwise, as float64.
     """
 
     name = "pf-ladder"
@@ -421,18 +421,8 @@ class ParameterFreeLadder(LeaderboardMechanism):
         self.incumbent_loss: np.ndarray | None = None
         self.incumbent_risk = INITIAL_RELEASE
 
-    def submit(self, loss_vector) -> float:
-        """Score one loss vector, checked once, here: its mean is the risk it decides on."""
-        vec = np.asarray(loss_vector, dtype=float)
-        _unit_array("loss values", vec, LOSS_TOLERANCE)
-        return self._submit_checked(float(np.mean(vec)), vec)
-
     def submit_risk(self, risk: float, loss_vector) -> float:
         vec = np.asarray(loss_vector, dtype=float)
-        _unit_array("loss values", vec, LOSS_TOLERANCE)
-        return self._submit_checked(risk, vec)
-
-    def _submit_checked(self, risk: float, vec: np.ndarray) -> float:
         self._check_budget()
         released = risk  # the first submission updates and is released exactly
         if self.incumbent_loss is not None:

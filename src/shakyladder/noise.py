@@ -13,9 +13,10 @@ tight tolerances and golden files pin the exact draw sequence.
 It also holds the input rules, each written once: :func:`_integer`,
 :func:`_unit` (a number) and :func:`_unit_array` (an array, up to a
 tolerance) within [0, 1], :func:`_binary` (0/1 values), :func:`_shape` (a
-draw's size, each dimension an integer >= 0), :func:`_positive` (a positive,
-finite scale) and :func:`_non_negative` (a finite noise level >= 0); every
-public entry point checks its input with them.
+draw's size, integers >= 0 that an array can hold), :func:`_positive` (a
+positive, finite scale) and :func:`_non_negative` (a finite noise level >= 0),
+both real numbers as :func:`_unit` takes them; every public entry point
+checks its input with them.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ __all__ = ["Rng", "laplace", "gaussian", "binomial_exceedance"]
 
 _UINT64 = 2**64
 _MIN, _MAX = np.minimum.reduce, np.maximum.reduce  # the ufuncs behind .min() and .max()
+_MAX_BYTES = int(np.iinfo(np.intp).max)  # the largest array numpy can make
 
 
 def _integer(name: str, value, least: int | None = None) -> int:
@@ -44,11 +46,14 @@ def _integer(name: str, value, least: int | None = None) -> int:
     return value
 
 
+def _real(value) -> bool:
+    """Whether ``value`` is a real number, not an array, a string or a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _unit(name: str, value) -> None:
-    """Reject ``value`` unless it is a real number, not an array or a bool, within [0, 1]
-    (NaN fails too)."""
-    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and 0.0 <= value <= 1.0):
+    """Reject ``value`` unless it is a real number within [0, 1] (NaN fails too)."""
+    if not (_real(value) and 0.0 <= value <= 1.0):
         raise ValueError(f"{name} must be a number in [0, 1], got {value!r}")
 
 
@@ -71,22 +76,26 @@ def _binary(name: str, values: np.ndarray) -> None:
         raise ValueError(f"{name} must be binary")
 
 
-def _shape(size) -> tuple[int, ...]:
-    """``size``, one dimension or a tuple or list of them, as a shape of integers >= 0."""
+def _shape(size, bits: int = 64) -> tuple[int, ...]:
+    """``size``, one dimension or a tuple or list of them, as a shape of integers >= 0; a draw
+    of it, ``bits`` raw bits an entry in 64-bit words, that no array holds is a MemoryError."""
     dims = tuple(size) if isinstance(size, (tuple, list)) else (size,)
-    return tuple(_integer("size", dim, 0) for dim in dims)
+    shape = tuple(_integer("size", dim, 0) for dim in dims)
+    if 8 * -(-math.prod(shape) * bits // 64) > _MAX_BYTES:
+        raise MemoryError(f"a draw of shape {shape} needs over {_MAX_BYTES} bytes, past any array")
+    return shape
 
 
 def _positive(name: str, value: float) -> None:
-    """Reject ``value`` unless it is positive and finite (NaN fails too)."""
-    if not 0.0 < value < math.inf:
-        raise ValueError(f"{name} must be positive and finite, got {value}")
+    """Reject ``value`` unless it is a real number, positive and finite (NaN fails too)."""
+    if not (_real(value) and 0.0 < value < math.inf):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 def _non_negative(name: str, value: float) -> float:
-    """``value``, a noise level, unless it is negative or not finite (NaN fails too)."""
-    if not 0.0 <= value < math.inf:
-        raise ValueError(f"{name} must be finite and >= 0, got {value}")
+    """``value``, a noise level, unless it is not a finite real number >= 0 (NaN fails too)."""
+    if not (_real(value) and 0.0 <= value < math.inf):
+        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
     return value
 
 
@@ -135,7 +144,7 @@ class Rng:
         ceil(size/8) raw words, so consecutive calls whose sizes are
         multiples of 8 continue one draw exactly.
         """
-        shape = _shape(size)
+        shape = _shape(size, 8)
         count = math.prod(shape)
         raw = self._gen.bit_generator.random_raw(-(-count // 8))
         return (raw.astype("<u8", copy=False).view(np.uint8)[:count] >> 7).reshape(shape)
@@ -150,7 +159,8 @@ class Rng:
         """
         rows = _integer("rows", rows, 0)
         n = _integer("n", n, 1)  # a numpy integer would make the mask below a numpy shift
-        raw = self._gen.bit_generator.random_raw((rows, -(-n // 64))).astype("<u8", copy=False)
+        shape = _shape((rows, -(-n // 64)))
+        raw = self._gen.bit_generator.random_raw(shape).astype("<u8", copy=False)
         raw[:, -1] &= np.uint64((_UINT64 - 1) >> (-n % 64))
         return raw
 

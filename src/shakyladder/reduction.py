@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .audit import EvaluationSession
-from .core import _fmt, _LazyRows, _readonly_copy, _unpack, clamp_release
+from .core import _fmt, _readonly_copy, _unpack, clamp_release
 from .mechanisms import BudgetExhaustedError, LeaderboardMechanism
 from .noise import _integer, _unit, _unit_array
 
@@ -201,9 +201,9 @@ class AdaptiveEstimator:
         trigger, the first release below ``c - alpha/2``: the unclamped run
         (:meth:`_unclamped_run`) as one batch, and each clamped step as a
         batch of one, its vector and population risk clipped into [0, 1] and
-        its risk the clipped vector's mean. Loss vectors go as a lazy column
-        and the run's population risks as a callable, each built only where
-        the session reads it.
+        its risk the clipped vector's mean. Loss vectors go as a builder and
+        the run's population risks as a callable, each called only where the
+        session reads it.
         """
         session, mechanism = self.session, self.session.mechanism
         mechanism.check_size(query.size)
@@ -220,14 +220,15 @@ class AdaptiveEstimator:
         try:
             while i < self.steps_per_query:
                 if i == free_from < free_to:  # the unclamped run, steps free_from to free_to
-                    losses = _LazyRows(_step_vector, (query, c, alpha), free_from, free_to)
-                    released = session.submit_risks(risks, population_risks, trigger_below, losses)
+                    released = session.submit_risks(
+                        risks, population_risks, trigger_below,
+                        lambda j: _step_vector(query, c, alpha, free_from + j))
                 else:  # one clamped step
                     vector = np.clip(_step_vector(query, c, alpha, i), 0.0, 1.0)
                     population_risk = (c - 0.5 * i * alpha) + 0.5 * query.population_mean
                     released = session.submit_risks(
                         (float(np.mean(vector)),), (clamp_release(population_risk),),
-                        trigger_below, (vector,))
+                        trigger_below, lambda j: vector)
                 i += len(released)
                 if released[-1] < trigger_below:
                     break

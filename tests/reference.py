@@ -104,7 +104,7 @@ def per_step_answer(estimator, query) -> QueryOutcome:
             risk = float(np.mean(vector))
         try:
             released = float(estimator.session.submit_risks(
-                (risk,), (population_risk,), losses=(vector,))[0])
+                (risk,), (population_risk,), losses=lambda j: vector)[0])
         except BudgetExhaustedError as err:
             err.partial = {
                 "query_index": estimator.queries_answered,

@@ -22,6 +22,7 @@ from shakyladder.mechanisms import (
     ParameterFreeLadder,
     PopulationMinOracle,
     ShakyLadder,
+    make_mechanism,
     shaky_params,
 )
 from shakyladder.analysts import run_random_analyst
@@ -259,8 +260,9 @@ class TestEvaluationSession:
         ([0.5], None), ([0.5, 0.25], None), ([0.5, 0.25], [np.zeros(4)]), ([0.5], []),
     ])
     def test_vector_reader_needs_a_loss_vector_per_risk(self, risks, losses):
-        # pf-ladder reads each round's loss vector: a missing or short column
-        # is rejected at the session, before any round runs
+        # pf-ladder reads each round's loss vector: losses missing, or a column
+        # where a builder of round j's vector belongs, is rejected at the
+        # session, before any round runs
         session = EvaluationSession(ParameterFreeLadder())
         with pytest.raises(ValueError, match="reads loss vectors"):
             session.submit_risks(risks, [0.5] * len(risks), losses=losses)
@@ -277,15 +279,45 @@ class TestEvaluationSession:
         ([np.zeros(0), np.zeros(4)], 0, "nonempty 1-d"),
     ], ids=["length", "above-1", "below-0", "past-tolerance", "nan", "2-d", "empty"])
     def test_vector_reader_rejects_a_bad_loss_vector(self, losses, rounds, match):
-        # pf-ladder checks each vector as SubmittedModel does, and its length
-        # against the incumbent's, before the vector's round commits
+        # the session checks each built vector as SubmittedModel does, and
+        # pf-ladder its length against the incumbent's, before its round commits
         session = EvaluationSession(ParameterFreeLadder())
         with pytest.raises(ValueError, match=match):
-            session.submit_risks([0.5, 0.25], [0.5, 0.5], losses=losses)
+            session.submit_risks([0.5, 0.25], [0.5, 0.5], losses=losses.__getitem__)
         assert session.mechanism.round == rounds
         assert len(session.trace()) == rounds
         # a rejected vector leaves the incumbent as it was
-        assert session.submit_risks([0.5], [0.5], losses=[np.full(4, 0.5)]).size == 1
+        assert session.submit_risks([0.5], [0.5], losses=lambda j: np.full(4, 0.5)).size == 1
+
+    @pytest.mark.parametrize("record", [False, True])
+    def test_vector_reader_builds_only_the_rounds_that_run(self, record):
+        # one call per round, round j of the batch as losses(j), and none
+        # after the release below stop_below ends the batch
+        vectors = [np.array([0.0, 1.0, 0.0, 1.0])] + [np.array([1.0, 1.0, 0.0, 1.0])] * 3
+        built = []
+        session = EvaluationSession(ParameterFreeLadder(record=record))
+        released = session.submit_risks([0.5, 0.4, 0.1, 0.05], [0.5] * 4, stop_below=0.2,
+                                         losses=lambda j: built.append(j) or vectors[j])
+        assert released.tolist() == [0.5, 0.5, 0.1]  # the step is 0.25 from round 1 on
+        assert built == [0, 1, 2]
+        # a second batch counts its rounds from 0 again
+        session.submit_risks([0.125], [0.5], losses=lambda j: built.append(j) or vectors[3])
+        assert built == [0, 1, 2, 0] and session.mechanism.round == 4
+
+    @pytest.mark.parametrize("kind", ["shaky", "ladder", "empirical", "noisy", "population-min"])
+    @pytest.mark.parametrize("record", [False, True])
+    def test_risk_readers_never_build_a_loss_vector(self, kind, record):
+        if kind == "shaky":
+            params = MechanismParams(n=4, k=10, beta=0.1, delta=1e-6,
+                                     epsilon=0.05, lam=0.1, sigma=0.01)
+            mechanism = ShakyLadder(params, seed=0, record=record)
+        else:
+            mechanism = make_mechanism(kind, n=4, k=10, seed=0, record=record)
+        assert not mechanism.needs_loss_vector
+        session = EvaluationSession(mechanism)
+        released = session.submit_risks([0.75, 0.5, 0.25], [0.5, 0.5, 0.5],
+                                         losses=lambda j: pytest.fail(f"built round {j}"))
+        assert released.size == mechanism.round == 3
 
     def test_risk_readers_ignore_the_loss_column(self):
         session = EvaluationSession(ExactEmpiricalOracle())

@@ -208,6 +208,25 @@ def test_run_time_regime_errors_exit_2(argv):
     assert "Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["--experiment", "vary-noise", "--n", str(2**63 - 1), "--k", "10"],
+    ["--experiment", "vary-noise", "--n", str(10**24), "--k", "10"],
+    ["--experiment", "envelope", "--n", str(10**24), "--k", "10"],
+    ["--experiment", "reduction-oracle", "--n", str(10**24)],
+    ["--experiment", "attack-vs-mechanism", "--mechanism", "ladder", "--n", str(10**24),
+     "--k", "10"],
+    ["--experiment", "vary-queries", "--n", "100", "--k", str(10**23)],
+], ids=["vary-noise-n-2**63-1", "vary-noise", "envelope", "reduction-oracle",
+        "attack-vs-mechanism", "vary-queries-k"])
+def test_sizes_no_array_can_hold_exit_2(argv):
+    # the draw-size rule raises MemoryError before numpy allocates anything
+    result = run_module([*argv, "--reps", "1"])
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith("not enough memory to run")
+    assert len(result.stderr.splitlines()) == 1
+
+
 def test_regime_warnings_print_as_one_plain_line():
     # n = 10000 is below the Shaky Ladder's generalization requirement at these k
     result = run_module(["--experiment", "envelope", "--n", "10000", "--k", "100,300",

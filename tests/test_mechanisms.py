@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shakyladder import mechanisms
+from shakyladder import core
 from shakyladder.audit import EvaluationSession
 from shakyladder.core import SubmittedModel, make_random_label_sample, write_trace_csv
 from shakyladder.mechanisms import (
@@ -490,17 +490,38 @@ def test_submit_rejects_an_invalid_vector_before_its_round(name, vector):
 
 
 def test_pf_ladder_checks_a_submitted_vector_once(monkeypatch):
-    # submit checks the vector with the rule for losses; submit_risk, which
-    # checks the vectors a session hands it, does not check it again
+    # the one rule for losses runs once per vector: in submit, or in the
+    # session for each vector it builds; submit_risk takes its vector as given
     checks = []
-    unit_array = mechanisms._unit_array
-    monkeypatch.setattr(mechanisms, "_unit_array",
+    unit_array = core._unit_array
+    monkeypatch.setattr(core, "_unit_array",
                         lambda *args: checks.append(args[0]) or unit_array(*args))
     pf = ParameterFreeLadder()
     assert pf.submit(np.full(4, 0.5)) == 0.5
     assert checks == ["loss values"]
     pf.submit_risk(0.5, np.full(4, 0.5))
-    assert checks == ["loss values"] * 2
+    assert checks == ["loss values"]
+    session = EvaluationSession(ParameterFreeLadder())
+    session.submit_risks([0.5, 0.25], [0.5, 0.5], losses=lambda j: np.full(4, 0.5))
+    assert checks == ["loss values"] * 3
+
+
+@pytest.mark.parametrize("dtype,expected", [
+    (np.float64, [0.54495131582787, 0.48, 0.43, 0.43, 0.35000000000000003,
+                  0.35000000000000003, 0.27, 0.21, 0.21, 0.12]),
+    (np.uint8, [0.625, 0.625, 0.625, 0.48, 0.48, 0.28, 0.28, 0.28, 0.12, 0.12]),
+])
+def test_pf_ladder_submit_values_are_pinned(dtype, expected):
+    # submit is the base class's: the rule for losses, the mean of the vector
+    # as given, then submit_risk; float64 and 0/1 integer vectors score to the
+    # bits of the override it replaced
+    pf = ParameterFreeLadder()
+    released = []
+    for i in range(10):
+        u = Rng(7, i).random(64)
+        vec = (u < 0.7 - 0.06 * i).astype(dtype) if dtype == np.uint8 else u * (1.0 - 0.08 * i)
+        released.append(pf.submit(vec))
+    assert released == expected
 
 
 def test_pf_ladder_decides_on_the_risk_it_is_handed():

@@ -12,6 +12,7 @@ from shakyladder.analysts import (
     QUERY_STREAM,
     AttackReport,
     _attack_cells,
+    majority_attack_direct,
 )
 from shakyladder.core import (
     LABEL_STREAM,
@@ -20,8 +21,14 @@ from shakyladder.core import (
     make_random_label_sample,
     model_from_predictions,
 )
-from shakyladder.experiments import REDUCTION_STREAM
-from shakyladder.mechanisms import MECHANISM_STREAM, make_mechanism, shaky_params
+from shakyladder.experiments import REDUCTION_STREAM, ExperimentConfig
+from shakyladder.mechanisms import (
+    MECHANISM_STREAM,
+    LadderConfig,
+    NoisyEmpiricalOracle,
+    make_mechanism,
+    shaky_params,
+)
 from shakyladder.noise import Rng, binomial_exceedance, gaussian, laplace
 from shakyladder.reduction import Query
 
@@ -331,3 +338,44 @@ SAMPLE = HoldoutSample(4, np.array([0, 1, 1, 0], dtype=np.uint8), 0)
 def test_invalid_values_rejected_before_any_draw(call, message, no_draws):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+@pytest.mark.parametrize("value", [True, "0.1"])
+@pytest.mark.parametrize("call", [
+    lambda v: LadderConfig(eta=v),
+    lambda v: NoisyEmpiricalOracle(v, seed=0),
+    lambda v: make_mechanism("noisy", n=10, noise_stddev=v),
+    lambda v: laplace(Rng(0), v, 3),
+    lambda v: gaussian(Rng(0), v),
+    lambda v: majority_attack_direct(100, 10, v),
+    lambda v: ExperimentConfig("vary-noise", n=100, noise_grid=(v,)),
+], ids=["ladder-eta", "noisy-stddev", "make-noisy-stddev", "laplace-scale", "gaussian-stddev",
+        "attack-stddev", "noise-multiplier"])
+def test_scales_are_real_numbers_not_bools_or_strings(call, value, no_draws):
+    # the scale rules take what _unit takes: True is not a scale of 1, nor
+    # "0.1" a TypeError from a comparison
+    with pytest.raises(ValueError, match="must be"):
+        call(value)
+
+
+@pytest.mark.parametrize("draw", [
+    lambda rng: rng.bits(2**70),
+    lambda rng: rng.bits(2**63 - 1),  # 2**60 raw words: one byte past the largest array
+    lambda rng: rng.bit_rows(1, 2**70),
+    lambda rng: rng.bit_rows(2**61, 64),
+    lambda rng: rng.standard_normal(2**61),
+    lambda rng: rng.random((2**31, 2**31)),
+    lambda rng: rng.integers(0, 2, 2**61),
+], ids=["bits", "bits-raw-words", "bit-rows-n", "bit-rows-rows", "normal", "random-2d",
+        "integers"])
+def test_draws_no_array_can_hold_are_memory_errors_before_numpy(draw, monkeypatch):
+    class Refuse:
+        def __getattr__(self, name):
+            def call(*args, **kwargs):
+                raise AssertionError("asked numpy for the draw")
+            return call
+
+    rng = Rng(0)
+    monkeypatch.setattr(rng, "_gen", Refuse())
+    with pytest.raises(MemoryError, match="needs over 9223372036854775807 bytes"):
+        draw(rng)
