@@ -9,13 +9,14 @@ that mechanisms which rarely give feedback (ladders) answer every query.
 Every attack reads its queries one bit per entry from ``_query_blocks`` and
 folds each block into its vote when read, so memory is O(block * n) for any
 k. Where the process may run on more than one CPU, a stream of two or more
-blocks queues each next block to one shared worker thread while the caller
-folds the current one, so two blocks of a stream are alive at a time: the
-caller's and the one being drawn. A queued block the worker has not begun
-when the caller needs it is drawn by the caller. Either way the draws run
-in order from the stream's own generator, so every block equals the inline
-draw: no output depends on the worker, the CPU count or a fork, whose child
-starts its own worker on first use.
+blocks submits each next draw to ``_draws``, one shared one-thread
+``ThreadPoolExecutor``, while the caller folds the current block, so two
+blocks of a stream are alive at a time: the caller's and the one being
+drawn. A draw the worker has not begun when the caller needs it is taken
+back by ``Future.cancel()`` and drawn by the caller. Either way the draws
+run in order from the stream's own generator, so every block equals the
+inline draw: no output depends on the worker, the CPU count or a fork,
+whose child gets a fresh executor.
 Risks and correlations are popcounts of the packed rows, exact for any n.
 A block of models reaches the mechanism as one ``session.submit_risks``
 batch (``_submit_rows``) or as estimator queries (``Query.from_rows``); a
@@ -27,12 +28,10 @@ any k; a tie or an empty selection gives label 0.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
-import queue
-import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,7 +102,8 @@ def _query_blocks(seed: int | tuple[int, ...], k: int, n: int):
     than at n = 64, below which the per-row arrays outweigh the bits. A row takes
     whole raw words, so consecutive blocks continue one draw for any n. A stream of
     two or more blocks, where the process may run on more than one CPU, draws its
-    first block inline and queues each next one to the worker thread (``_drawn_ahead``).
+    first block inline and submits each next one to the one-thread executor ``_draws``,
+    taking back by ``Future.cancel()`` a draw not begun when it is needed (``_drawn_ahead``).
     """
     rows = max(1, 2 * BLOCK_ENTRIES // max(n, 64))
     draw = Rng(seed, QUERY_STREAM).bit_rows
@@ -121,74 +121,29 @@ def _multiple_cpus() -> bool:
 
 
 def _drawn_ahead(draw, sizes, n: int):
-    """``draw(size, n)`` for each size in turn, each after the first queued to the worker
-    while the caller reads the one before; a draw's exception is raised at its block.
-
-    At most one draw of a stream is in flight, so no two threads use its generator at once.
-    """
+    """``draw(size, n)`` for each size in turn, each after the first submitted to ``_draws``
+    while the caller reads the one before; a draw's exception is raised at its block. A draw
+    the worker has not begun when needed is cancelled and drawn by the caller, who never waits
+    for the worker to be scheduled. At most one draw of a stream is in flight, so no two
+    threads use its generator at once."""
     block = draw(next(sizes), n)
     for size in sizes:
-        ahead = _Ahead(functools.partial(draw, size, n))
-        _worker().put(ahead)
+        ahead = _draws.submit(draw, size, n)
         yield block
-        block = ahead.result()
+        block = draw(size, n) if ahead.cancel() else ahead.result()
     yield block
 
 
-class _Ahead:
-    """One queued draw, made by the worker or, if the worker has not begun it when the
-    caller needs it, by the caller: a caller never waits for the worker to be scheduled."""
-
-    __slots__ = ("draw", "claim", "reply")
-
-    def __init__(self, draw):
-        self.draw, self.claim, self.reply = draw, threading.Lock(), queue.SimpleQueue()
-
-    def run(self) -> None:
-        """On the worker: the draw, unless the caller took it, replied as (block, error)."""
-        if self.claim.acquire(blocking=False):
-            try:
-                self.reply.put((self.draw(), None))
-            except BaseException as error:  # the caller waits on every draw the worker took
-                self.reply.put((None, error))
-
-    def result(self) -> np.ndarray:
-        if self.claim.acquire(blocking=False):
-            return self.draw()
-        block, error = self.reply.get()
-        if error is not None:
-            raise error
-        return block
+def _new_draws() -> None:
+    """A fresh draw executor, whose thread starts on its first submit: at import, and in a
+    forked child, where the parent's thread did not follow and a draw would never run."""
+    global _draws
+    _draws = ThreadPoolExecutor(max_workers=1, thread_name_prefix="shakyladder-draws")
 
 
-_requests: queue.SimpleQueue | None = None  # the worker's, once started in this process
-_start = threading.Lock()
-
-
-def _worker() -> queue.SimpleQueue:
-    """The request queue of the draw worker, a daemon thread started on first use."""
-    global _requests
-    with _start:
-        if _requests is None:
-            _requests = queue.SimpleQueue()
-            threading.Thread(target=_serve, args=(_requests,), name="shakyladder-draws",
-                             daemon=True).start()
-        return _requests
-
-
-def _serve(requests: queue.SimpleQueue) -> None:
-    while True:
-        requests.get().run()
-
-
-def _forget_worker() -> None:
-    """In a forked child: the worker thread stayed in the parent, so start a new one."""
-    global _requests, _start
-    _requests, _start = None, threading.Lock()
-
-
+_new_draws()
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_worker)
+    os.register_at_fork(after_in_child=_new_draws)
 
 
 def _attack_cells(n: int, k_grid, noise_stddevs,

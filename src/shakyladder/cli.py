@@ -137,8 +137,8 @@ def cli_main(argv: list[str] | None = None) -> int:
     try:
         csv_text = experiment_csv(config)
     except MemoryError as err:  # numpy's names the allocation it could not make
-        print(f"not enough memory to run {config.experiment} at n={config.n}"
-              + (f": {err}" if str(err) else ""), file=sys.stderr)
+        print(f"not enough memory to run {config.experiment}" + (f": {err}" if str(err) else ""),
+              file=sys.stderr)
         return 2
 
     if args.out is not None:

@@ -226,11 +226,18 @@ class LeaderboardMechanism:
         before it stay committed and :class:`BudgetExhaustedError` is raised.
         """
         stop = -math.inf if stop_below is None else stop_below
+        risks = np.asarray(risks, dtype=float).tolist()
+        limit = len(risks)  # capped at the budget, so no column entry is read past it
+        if self.max_rounds is not None:
+            limit = min(limit, self.max_rounds - self.round)
         released = []
-        for row in zip(np.asarray(risks, dtype=float).tolist(), *columns):
+        for row in zip(risks[:limit], *columns):
             released.append(self.submit_risk(*row))
             if released[-1] < stop:
                 break
+        else:
+            if limit < len(risks):
+                self._check_budget()  # the budget ran out mid-array: raises
         return np.array(released, dtype=float)
 
 

@@ -30,7 +30,7 @@ import numpy as np
 from .audit import EvaluationSession
 from .core import _fmt, _readonly_copy, _unpack, clamp_release
 from .mechanisms import BudgetExhaustedError, LeaderboardMechanism
-from .noise import _integer, _unit, _unit_array
+from .noise import _integer, _shape, _unit, _unit_array
 
 __all__ = [
     "Query",
@@ -185,7 +185,7 @@ class AdaptiveEstimator:
         # 0.5*i*alpha, half of i*alpha: halving is exact for normal floats, so 0.5 * (mean
         # - i*alpha) is 0.5 * mean less it bit for bit (a subnormal mean is absorbed either way)
         if stop > len(self._half_offsets):
-            row = np.arange(stop, dtype=float)
+            row = np.arange(*_shape(stop), dtype=float)  # a run no array holds: MemoryError
             row *= 0.5 * alpha
             row.setflags(write=False)
             self._half_offsets = row

@@ -1,6 +1,7 @@
 import sys
 import threading
 import time
+from concurrent.futures import Future
 from pathlib import Path
 
 import pytest
@@ -40,23 +41,23 @@ def worker_draws(monkeypatch):
     """Send every block after a stream's first to the draw worker; returns the thread
     of each ``Rng.bit_rows`` call, in call order.
 
-    The worker is used whatever the CPU count. A caller that needs a queued block the
-    worker has not begun draws it itself; here it first waits up to 10 s for the worker
-    to begin, so that the worker draws every queued block.
+    The worker is used whatever the CPU count. A caller that needs a draw the worker
+    has not begun takes it back (``Future.cancel()``) and draws it itself; here it first
+    waits up to 10 s for the worker to begin, so that the worker draws every queued block.
     """
-    threads, draw, result = [], Rng.bit_rows, analysts._Ahead.result
+    threads, draw, cancel = [], Rng.bit_rows, Future.cancel
 
     def spy(rng, rows, n):
         threads.append(threading.current_thread())
         return draw(rng, rows, n)
 
-    def patient(ahead):
+    def patient(future):
         deadline = time.monotonic() + 10
-        while not ahead.claim.locked() and time.monotonic() < deadline:
+        while not (future.running() or future.done()) and time.monotonic() < deadline:
             time.sleep(1e-4)
-        return result(ahead)
+        return cancel(future)
 
     monkeypatch.setattr(Rng, "bit_rows", spy)
-    monkeypatch.setattr(analysts._Ahead, "result", patient)
+    monkeypatch.setattr(Future, "cancel", patient)
     monkeypatch.setattr(analysts, "_multiple_cpus", lambda: True)
     return threads

@@ -3,10 +3,14 @@ import os
 import pickle
 import select
 import signal
+import subprocess
+import sys
 import threading
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -510,19 +514,12 @@ def _stream(seed, k, n):
     return list(analysts._query_blocks(seed, k, n))
 
 
-class _BusyWorker:
-    """A request that holds the draw worker until ``release`` is set (at most 10 s)."""
-
-    def __init__(self):
-        self.release = threading.Event()
-
-    def run(self):
-        self.release.wait(10)
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestDrawWorker:
-    """Where the process may run on more than one CPU, ``_query_blocks`` queues every
-    block after a stream's first to the worker thread; the blocks are those of one
+    """Where the process may run on more than one CPU, ``_query_blocks`` submits every
+    block after a stream's first to the draw executor; the blocks are those of one
     inline draw whichever thread draws them, and whatever the CPUs, the worker's
     failures or a fork."""
 
@@ -539,6 +536,8 @@ class TestDrawWorker:
         main = threading.main_thread()
         assert worker_draws[0] is main
         assert all((thread is not main) == parallel for thread in worker_draws[1:len(blocks)])
+        assert all(thread.name.startswith("shakyladder-draws")
+                   for thread in worker_draws if thread is not main)
 
     def test_caller_draws_what_the_worker_has_not_begun(self, monkeypatch):
         threads, draw = [], Rng.bit_rows
@@ -550,12 +549,13 @@ class TestDrawWorker:
         monkeypatch.setattr(Rng, "bit_rows", spy)
         monkeypatch.setattr(analysts, "_multiple_cpus", lambda: True)
         monkeypatch.setattr(analysts, "BLOCK_ENTRIES", 3 * 100 // 2)
-        busy = _BusyWorker()
-        analysts._worker().put(busy)
+        release = threading.Event()
+        busy = analysts._draws.submit(release.wait, 10)  # holds the worker: every draw waits
         try:
             blocks = _stream(2, 20, 100)
         finally:
-            busy.release.set()
+            release.set()
+        assert busy.result() is True
         assert len(blocks) == 7 and threads == [threading.main_thread()] * 7
         assert np.array_equal(np.concatenate(blocks), Rng(2, QUERY_STREAM).bit_rows(20, 100))
 
@@ -592,27 +592,28 @@ class TestDrawWorker:
                                   Rng(seed, QUERY_STREAM).bit_rows(k, n))
 
     def test_one_block_stream_starts_no_thread(self, worker_draws, monkeypatch):
-        monkeypatch.setattr(analysts, "_requests", None)
+        _refuse_draws(monkeypatch)
         before = threading.enumerate()
         blocks = _stream(4, 50, 1000)
         assert len(blocks) == 1 and worker_draws == [threading.main_thread()]
-        assert analysts._requests is None and threading.enumerate() == before
+        assert threading.enumerate() == before
 
     def test_one_cpu_starts_no_thread(self, monkeypatch):
-        monkeypatch.setattr(analysts, "_requests", None)
+        _refuse_draws(monkeypatch)
         if hasattr(os, "sched_getaffinity"):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         else:
             monkeypatch.setattr(os, "cpu_count", lambda: 1)
         assert not analysts._multiple_cpus()
+        before = threading.enumerate()
         majority_attack_direct(40000, 200)  # four blocks
-        assert analysts._requests is None
+        assert threading.enumerate() == before
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_forked_child_starts_its_own_worker(self, worker_draws):
         n, k_grid, stddevs = 40000, (100, 400), [0.0, 0.01]
-        expected = _attack_cells(n, k_grid, stddevs, 5)  # starts the parent's worker
-        assert analysts._requests is not None
+        expected = _attack_cells(n, k_grid, stddevs, 5)  # on the parent's worker
+        parent = analysts._draws
         read, write = os.pipe()
         with warnings.catch_warnings():  # Python 3.12+ warns of a fork with threads
             warnings.filterwarnings("ignore", ".*fork", DeprecationWarning)
@@ -625,7 +626,8 @@ class TestDrawWorker:
                 cells = _attack_cells(n, k_grid, stddevs, 5)
                 main = threading.current_thread()
                 with os.fdopen(write, "wb") as out:
-                    pickle.dump((cells, sum(thread is not main for thread in worker_draws)), out)
+                    pickle.dump((cells, sum(thread is not main for thread in worker_draws),
+                                 analysts._draws is not parent), out)
                 status = 0
             finally:
                 os._exit(status)
@@ -635,11 +637,42 @@ class TestDrawWorker:
                 os.kill(pid, signal.SIGKILL)
             _, status = os.waitpid(pid, 0)
             assert os.waitstatus_to_exitcode(status) == 0, "the child hung or failed"
-            cells, worker = pickle.load(result)
+            cells, worker, fresh = pickle.load(result)
+        assert fresh  # the child's executor is not the parent's
         assert worker == 7  # eight blocks of 52 rows: all but the first on the child's worker
         assert cells[0] == expected[0]
         for got, want in zip(cells[1:], expected[1:]):
             assert np.array_equal(got, want)
+
+    def test_worker_thread_does_not_hold_exit(self):
+        # the executor's thread is not a daemon: at exit the interpreter joins it, after
+        # the draw left queued by an abandoned stream; the process must still end promptly
+        script = (
+            "import threading\n"
+            "from shakyladder import analysts\n"
+            "analysts._multiple_cpus = lambda: True\n"
+            "analysts._attack_cells(40000, (100, 1000), [0.0, 0.01], 0)  # 20 blocks\n"
+            "blocks = analysts._query_blocks(1, 1000, 40000)\n"
+            "next(blocks)  # its second draw is left submitted\n"
+            "workers = [t for t in threading.enumerate() if t.name.startswith('shakyladder')]\n"
+            "assert len(workers) == 1 and not workers[0].daemon, workers\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                                text=True, env=env, timeout=60)
+        assert result.returncode == 0, result.stderr
+
+
+def _refuse_draws(monkeypatch):
+    """Install a fresh draw executor that fails the test if a draw is submitted to it."""
+    draws = ThreadPoolExecutor(max_workers=1)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("submitted a draw to the worker")
+
+    monkeypatch.setattr(draws, "submit", refuse)
+    monkeypatch.setattr(analysts, "_draws", draws)
 
 
 class TestAttackVsMechanism:

@@ -15,6 +15,7 @@ from shakyladder.audit import (
 )
 from shakyladder.core import make_random_label_sample
 from shakyladder.mechanisms import (
+    BudgetExhaustedError,
     ExactEmpiricalOracle,
     Ladder,
     LadderConfig,
@@ -303,6 +304,20 @@ class TestEvaluationSession:
         # a second batch counts its rounds from 0 again
         session.submit_risks([0.125], [0.5], losses=lambda j: built.append(j) or vectors[3])
         assert built == [0, 1, 2, 0] and session.mechanism.round == 4
+
+    @pytest.mark.parametrize("record", [False, True])
+    def test_vector_reader_builds_no_round_past_its_budget(self, record):
+        # a budget of one round: round 1's vector is never built, so a bad one
+        # there is the budget error, not a vector error, and round 0 stays
+        for second in (np.full(4, 0.5), np.full(4, 9.0)):
+            built = []
+            session = EvaluationSession(ParameterFreeLadder(max_rounds=1, record=record))
+            vectors = [np.full(4, 0.5), second]
+            with pytest.raises(BudgetExhaustedError, match="budget of 1"):
+                session.submit_risks([0.5, 0.4], [0.5, 0.5],
+                                     losses=lambda j: built.append(j) or vectors[j])
+            assert built == [0] and session.mechanism.round == 1
+            assert not record or len(session.trace()) == 1
 
     @pytest.mark.parametrize("kind", ["shaky", "ladder", "empirical", "noisy", "population-min"])
     @pytest.mark.parametrize("record", [False, True])

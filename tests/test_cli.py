@@ -158,8 +158,7 @@ def test_memory_error_exits_2_with_one_line(monkeypatch, capsys):
                      "--reps", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == ("not enough memory to run vary-noise at n=100000000000: "
-                            "Unable to allocate 93.1 GiB\n")
+    assert captured.err == "not enough memory to run vary-noise: Unable to allocate 93.1 GiB\n"
 
 
 def test_memory_error_on_the_draw_worker_exits_2(worker_draws, monkeypatch, capsys):
@@ -177,7 +176,7 @@ def test_memory_error_on_the_draw_worker_exits_2(worker_draws, monkeypatch, caps
     assert cli_main(["--experiment", "vary-noise", "--n", "40000", "--k", "100,1000",
                      "--reps", "1"]) == 2
     assert len(worker_draws) == 4 and worker_draws[-1] is not threading.main_thread()
-    assert capsys.readouterr().err == "not enough memory to run vary-noise at n=40000\n"
+    assert capsys.readouterr().err == "not enough memory to run vary-noise\n"
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -216,14 +215,17 @@ def test_run_time_regime_errors_exit_2(argv):
     ["--experiment", "attack-vs-mechanism", "--mechanism", "ladder", "--n", str(10**24),
      "--k", "10"],
     ["--experiment", "vary-queries", "--n", "100", "--k", str(10**23)],
+    ["--experiment", "reduction-oracle", "--n", "100", "--alpha", "1e-30"],
 ], ids=["vary-noise-n-2**63-1", "vary-noise", "envelope", "reduction-oracle",
-        "attack-vs-mechanism", "vary-queries-k"])
+        "attack-vs-mechanism", "vary-queries-k", "reduction-oracle-alpha"])
 def test_sizes_no_array_can_hold_exit_2(argv):
-    # the draw-size rule raises MemoryError before numpy allocates anything
+    # the draw-size rule raises MemoryError before numpy allocates anything; the
+    # line names the shape, not n, which is small in the k and alpha cases
     result = run_module([*argv, "--reps", "1"])
     assert result.returncode == 2
     assert "Traceback" not in result.stderr
-    assert result.stderr.startswith("not enough memory to run")
+    assert result.stderr.startswith(f"not enough memory to run {argv[1]}: a draw of shape (")
+    assert "n=" not in result.stderr
     assert len(result.stderr.splitlines()) == 1
 
 

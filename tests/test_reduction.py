@@ -372,6 +372,25 @@ class TestUnclampedRun:
             assert not row.flags.writeable
             assert row.tobytes() == (np.arange(stop, dtype=float) * (0.5 * alpha)).tobytes()
 
+    def test_a_run_no_array_holds_is_a_memory_error(self, monkeypatch):
+        # alpha = 1e-30: the run's offset row would hold about 10^30 floats; the
+        # draw-size rule refuses it before numpy is asked, and no round runs
+        est = fresh_estimator(1e-30)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("asked numpy for the offset row")
+
+        monkeypatch.setattr(np, "arange", refuse)
+        tracemalloc.start()
+        try:
+            with pytest.raises(MemoryError, match="past any array"):
+                est.answer(const_query(0.5))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+        assert est.session.mechanism.round == 0 and len(est._half_offsets) == 0
+
 
 def packed_row(n, fill, seed):
     """One row in the ``Rng.bit_rows`` layout: random, all zero or all one."""
