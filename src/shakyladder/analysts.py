@@ -8,15 +8,10 @@ that mechanisms which rarely give feedback (ladders) answer every query.
 
 Every attack reads its queries one bit per entry from ``_query_blocks`` and
 folds each block into its vote when read, so memory is O(block * n) for any
-k. Where the process may run on more than one CPU, a stream of two or more
-blocks submits each next draw to ``_draws``, one shared one-thread
-``ThreadPoolExecutor``, while the caller folds the current block, so two
-blocks of a stream are alive at a time: the caller's and the one being
-drawn. A draw the worker has not begun when the caller needs it is taken
-back by ``Future.cancel()`` and drawn by the caller. Either way the draws
-run in order from the stream's own generator, so every block equals the
-inline draw: no output depends on the worker, the CPU count or a fork,
-whose child gets a fresh executor.
+k. Where the process may run on more than one CPU, a shared daemon thread draws
+the raw words of a stream's next block in one GIL-free numpy call while the
+caller folds the current one. The draws run in order from the stream's own
+generator, so no output depends on the thread, the CPU count or a fork.
 Risks and correlations are popcounts of the packed rows, exact for any n.
 A block of models reaches the mechanism as one ``session.submit_risks``
 batch (``_submit_rows``) or as estimator queries (``Query.from_rows``); a
@@ -28,10 +23,12 @@ any k; a tie or an empty selection gives label 0.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
+import queue
+import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +36,7 @@ import numpy as np
 from .audit import EvaluationSession
 from .core import BLOCK_ENTRIES, HoldoutSample, Trace, _mismatches, _pack, _unpack
 from .mechanisms import BudgetExhaustedError, LeaderboardMechanism
-from .noise import Rng, _integer, _non_negative, _unit
+from .noise import Rng, _integer, _masked, _non_negative, _unit, _word_shape
 from .reduction import AdaptiveEstimator, Query
 
 __all__ = [
@@ -100,17 +97,15 @@ def _query_blocks(seed: int | tuple[int, ...], k: int, n: int):
 
     Packed ``Rng.bit_rows`` blocks of ``2 * BLOCK_ENTRIES`` entries, but no more rows
     than at n = 64, below which the per-row arrays outweigh the bits. A row takes
-    whole raw words, so consecutive blocks continue one draw for any n. A stream of
-    two or more blocks, where the process may run on more than one CPU, draws its
-    first block inline and submits each next one to the one-thread executor ``_draws``,
-    taking back by ``Future.cancel()`` a draw not begun when it is needed (``_drawn_ahead``).
+    whole raw words, so consecutive blocks continue one draw for any n. With two or more
+    blocks and CPUs, each block after the first is drawn on the draw thread (``_drawn_ahead``).
     """
     rows = max(1, 2 * BLOCK_ENTRIES // max(n, 64))
-    draw = Rng(seed, QUERY_STREAM).bit_rows
+    rng = Rng(seed, QUERY_STREAM)
     sizes = (min(rows, k - start) for start in range(0, k, rows))
     if k <= rows or not _multiple_cpus():  # fewer than two blocks, or one CPU
-        return (draw(size, n) for size in sizes)
-    return _drawn_ahead(draw, sizes, n)
+        return (rng.bit_rows(size, n) for size in sizes)
+    return _drawn_ahead(rng, sizes, n)
 
 
 def _multiple_cpus() -> bool:
@@ -120,30 +115,43 @@ def _multiple_cpus() -> bool:
     return (os.cpu_count() or 1) > 1
 
 
-def _drawn_ahead(draw, sizes, n: int):
-    """``draw(size, n)`` for each size in turn, each after the first submitted to ``_draws``
-    while the caller reads the one before; a draw's exception is raised at its block. A draw
-    the worker has not begun when needed is cancelled and drawn by the caller, who never waits
-    for the worker to be scheduled. At most one draw of a stream is in flight, so no two
-    threads use its generator at once."""
-    block = draw(next(sizes), n)
+def _drawn_ahead(rng: Rng, sizes, n: int):
+    """``rng.bit_rows(size, n)`` for each size. After the first, the caller checks a size and
+    masks the words the draw thread draws (``Rng._raw_words``) while it reads the block before,
+    one request at a time; it claims and draws a request the thread has not claimed when needed,
+    rather than wait for the thread to be scheduled. A draw's exception is raised at its block."""
+    block, reply = rng.bit_rows(next(sizes), n), queue.SimpleQueue()
     for size in sizes:
-        ahead = _draws.submit(draw, size, n)
+        (shape, n), claim = _word_shape(size, n), threading.Lock()
+        _requests().put((rng._raw_words, shape, claim, reply))
         yield block
-        block = draw(size, n) if ahead.cancel() else ahead.result()
+        raw, error = (rng._raw_words(shape), None) if claim.acquire(blocking=False) else reply.get()
+        if error is not None:
+            raise error
+        block = _masked(raw, n)
     yield block
 
 
-def _new_draws() -> None:
-    """A fresh draw executor, whose thread starts on its first submit: at import, and in a
-    forked child, where the parent's thread did not follow and a draw would never run."""
-    global _draws
-    _draws = ThreadPoolExecutor(max_workers=1, thread_name_prefix="shakyladder-draws")
+def _serve(requests: queue.SimpleQueue) -> None:  # the draw thread
+    while True:  # for each request it claims: one call into numpy, and its reply
+        raw_words, shape, claim, reply = requests.get()
+        if claim.acquire(blocking=False):
+            try:
+                reply.put((raw_words(shape), None))
+            except BaseException as error:  # the caller waits on every request it did not claim
+                reply.put((None, error))
 
 
-_new_draws()
+@functools.cache  # two first uses at once may start two threads: each serves the queue it returns
+def _requests() -> queue.SimpleQueue:
+    """The draw thread's queue: the thread starts on first use, and anew in a forked child."""
+    requests = queue.SimpleQueue()
+    threading.Thread(target=_serve, args=(requests,), name="shakyladder-draws", daemon=True).start()
+    return requests
+
+
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_new_draws)
+    os.register_at_fork(after_in_child=_requests.cache_clear)
 
 
 def _attack_cells(n: int, k_grid, noise_stddevs,

@@ -86,7 +86,7 @@ def _config_flags(path: Path) -> list[str]:
     flags: list[str] = []
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise SystemExit(f"cannot read config file {path}: {err}") from err
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

@@ -1,7 +1,6 @@
 import sys
 import threading
 import time
-from concurrent.futures import Future
 from pathlib import Path
 
 import pytest
@@ -38,26 +37,29 @@ def no_draws(monkeypatch):
 
 @pytest.fixture
 def worker_draws(monkeypatch):
-    """Send every block after a stream's first to the draw worker; returns the thread
-    of each ``Rng.bit_rows`` call, in call order.
+    """Send every block after a stream's first to the draw thread; returns the thread of
+    each call of the raw-draw seam ``Rng._raw_words``, in call order.
 
-    The worker is used whatever the CPU count. A caller that needs a draw the worker
-    has not begun takes it back (``Future.cancel()``) and draws it itself; here it first
-    waits up to 10 s for the worker to begin, so that the worker draws every queued block.
+    The thread is used whatever the CPU count. A caller that needs a block whose request
+    the thread has not claimed claims it and draws the block itself; here each request,
+    once queued, waits up to 10 s for the thread to claim it, so that the thread draws
+    every queued block.
     """
-    threads, draw, cancel = [], Rng.bit_rows, Future.cancel
+    threads, draw, requests = [], Rng._raw_words, analysts._requests
 
-    def spy(rng, rows, n):
+    def spy(rng, shape):
         threads.append(threading.current_thread())
-        return draw(rng, rows, n)
+        return draw(rng, shape)
 
-    def patient(future):
-        deadline = time.monotonic() + 10
-        while not (future.running() or future.done()) and time.monotonic() < deadline:
-            time.sleep(1e-4)
-        return cancel(future)
+    class Patient:
+        def put(self, request):
+            requests().put(request)
+            _, _, claim, _ = request
+            deadline = time.monotonic() + 10
+            while not claim.locked() and time.monotonic() < deadline:
+                time.sleep(1e-4)
 
-    monkeypatch.setattr(Rng, "bit_rows", spy)
-    monkeypatch.setattr(Future, "cancel", patient)
+    monkeypatch.setattr(Rng, "_raw_words", spy)
+    monkeypatch.setattr(analysts, "_requests", Patient)
     monkeypatch.setattr(analysts, "_multiple_cpus", lambda: True)
     return threads

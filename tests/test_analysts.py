@@ -1,6 +1,7 @@
 import math
 import os
 import pickle
+import queue
 import select
 import signal
 import subprocess
@@ -8,7 +9,6 @@ import sys
 import threading
 import tracemalloc
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from pathlib import Path
 
@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from shakyladder import analysts, reduction
+from shakyladder import analysts, core, noise, reduction
 from shakyladder.analysts import (
     AttackReport,
     HIDDEN_STREAM,
@@ -32,6 +32,7 @@ from shakyladder.analysts import (
     shifted_majority_attack,
 )
 from shakyladder.audit import EvaluationSession
+from shakyladder.cli import cli_main
 from shakyladder.core import (HoldoutSample, _unpack, empirical_risk,
                               make_random_label_sample, model_from_predictions)
 from shakyladder.experiments import VARY_NOISE_GRID
@@ -237,8 +238,8 @@ class TestDirectAttack:
         # of each of the two groups past k = 100 would lose 3 x 256 that way,
         # enough to move the vote (+/-1700) past its threshold (+/-850).
         n, k_grid, seed = 101, (100, 1700), 6
-        ones = _pack(np.ones(n, dtype=np.uint8))
-        monkeypatch.setattr(Rng, "bit_rows", lambda self, rows, n: np.tile(ones, (rows, 1)))
+        ones = _pack(np.ones(n, dtype=np.uint8))  # the raw-draw seam: inline or on the thread
+        monkeypatch.setattr(Rng, "_raw_words", lambda self, shape: np.tile(ones, (shape[0], 1)))
         monkeypatch.setattr(analysts, "BLOCK_ENTRIES", n)
         stddevs = [0.0, 2.0 / math.sqrt(n)]
         ks, errors, selected = _attack_cells(n, k_grid, stddevs, seed)
@@ -518,9 +519,9 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestDrawWorker:
-    """Where the process may run on more than one CPU, ``_query_blocks`` submits every
-    block after a stream's first to the draw executor; the blocks are those of one
-    inline draw whichever thread draws them, and whatever the CPUs, the worker's
+    """Where the process may run on more than one CPU, ``_query_blocks`` hands the raw
+    words of every block after a stream's first to the draw thread; the blocks are those
+    of one inline draw whichever thread draws them, and whatever the CPUs, the thread's
     failures or a fork."""
 
     @pytest.mark.parametrize("parallel", [True, False])
@@ -540,22 +541,23 @@ class TestDrawWorker:
                    for thread in worker_draws if thread is not main)
 
     def test_caller_draws_what_the_worker_has_not_begun(self, monkeypatch):
-        threads, draw = [], Rng.bit_rows
+        threads, draw = [], Rng._raw_words
 
-        def spy(rng, rows, n):
+        def spy(rng, shape):
             threads.append(threading.current_thread())
-            return draw(rng, rows, n)
+            return draw(rng, shape)
 
-        monkeypatch.setattr(Rng, "bit_rows", spy)
+        monkeypatch.setattr(Rng, "_raw_words", spy)
         monkeypatch.setattr(analysts, "_multiple_cpus", lambda: True)
         monkeypatch.setattr(analysts, "BLOCK_ENTRIES", 3 * 100 // 2)
-        release = threading.Event()
-        busy = analysts._draws.submit(release.wait, 10)  # holds the worker: every draw waits
+        release, busy = threading.Event(), queue.SimpleQueue()
+        # a request that holds the draw thread: every request of the stream waits behind it
+        analysts._requests().put((release.wait, 10, threading.Lock(), busy))
         try:
             blocks = _stream(2, 20, 100)
         finally:
             release.set()
-        assert busy.result() is True
+        assert busy.get(timeout=10) == (True, None)
         assert len(blocks) == 7 and threads == [threading.main_thread()] * 7
         assert np.array_equal(np.concatenate(blocks), Rng(2, QUERY_STREAM).bit_rows(20, 100))
 
@@ -564,15 +566,15 @@ class TestDrawWorker:
         monkeypatch.setattr(analysts, "BLOCK_ENTRIES", rows * n // 2)
         expected = Rng(0, QUERY_STREAM).bit_rows(k, n)
         worker_draws.clear()
-        draw = Rng.bit_rows
+        draw = Rng._raw_words
 
-        def failing(rng, size, n):  # the third draw of the next stream fails
+        def failing(rng, shape):  # the third draw of the next stream fails
             if len(worker_draws) == 2:
                 worker_draws.append(threading.current_thread())
                 raise MemoryError("third block")
-            return draw(rng, size, n)
+            return draw(rng, shape)
 
-        monkeypatch.setattr(Rng, "bit_rows", failing)
+        monkeypatch.setattr(Rng, "_raw_words", failing)
         read = []
         with pytest.raises(MemoryError, match="third block"):
             for block in analysts._query_blocks(0, k, n):
@@ -613,7 +615,8 @@ class TestDrawWorker:
     def test_forked_child_starts_its_own_worker(self, worker_draws):
         n, k_grid, stddevs = 40000, (100, 400), [0.0, 0.01]
         expected = _attack_cells(n, k_grid, stddevs, 5)  # on the parent's worker
-        parent = analysts._draws
+        parent = worker_draws[-1]
+        assert parent is not threading.main_thread()
         read, write = os.pipe()
         with warnings.catch_warnings():  # Python 3.12+ warns of a fork with threads
             warnings.filterwarnings("ignore", ".*fork", DeprecationWarning)
@@ -627,7 +630,7 @@ class TestDrawWorker:
                 main = threading.current_thread()
                 with os.fdopen(write, "wb") as out:
                     pickle.dump((cells, sum(thread is not main for thread in worker_draws),
-                                 analysts._draws is not parent), out)
+                                 parent not in worker_draws), out)
                 status = 0
             finally:
                 os._exit(status)
@@ -638,24 +641,27 @@ class TestDrawWorker:
             _, status = os.waitpid(pid, 0)
             assert os.waitstatus_to_exitcode(status) == 0, "the child hung or failed"
             cells, worker, fresh = pickle.load(result)
-        assert fresh  # the child's executor is not the parent's
+        assert fresh  # the child's draw thread is not the parent's
         assert worker == 7  # eight blocks of 52 rows: all but the first on the child's worker
         assert cells[0] == expected[0]
         for got, want in zip(cells[1:], expected[1:]):
             assert np.array_equal(got, want)
 
     def test_worker_thread_does_not_hold_exit(self):
-        # the executor's thread is not a daemon: at exit the interpreter joins it, after
-        # the draw left queued by an abandoned stream; the process must still end promptly
+        # the draw thread is a daemon: the interpreter does not join it at exit, so the
+        # process ends promptly although the thread is held by a request that never ends
+        # and an abandoned stream has left its next draw queued behind it
         script = (
-            "import threading\n"
+            "import queue, threading\n"
             "from shakyladder import analysts\n"
             "analysts._multiple_cpus = lambda: True\n"
             "analysts._attack_cells(40000, (100, 1000), [0.0, 0.01], 0)  # 20 blocks\n"
+            "never = threading.Event().wait\n"
+            "analysts._requests().put((never, None, threading.Lock(), queue.SimpleQueue()))\n"
             "blocks = analysts._query_blocks(1, 1000, 40000)\n"
-            "next(blocks)  # its second draw is left submitted\n"
+            "next(blocks)  # its second draw is left queued\n"
             "workers = [t for t in threading.enumerate() if t.name.startswith('shakyladder')]\n"
-            "assert len(workers) == 1 and not workers[0].daemon, workers\n"
+            "assert len(workers) == 1 and workers[0].daemon, workers\n"
         )
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
@@ -663,16 +669,39 @@ class TestDrawWorker:
                                 text=True, env=env, timeout=60)
         assert result.returncode == 0, result.stderr
 
+    def test_draw_thread_makes_one_numpy_call_per_block(self, worker_draws, monkeypatch, capsys):
+        # between taking a request and replying, the draw thread runs the raw-draw seam and
+        # nothing else of the package: bit_rows, its checks and the fold stay on the caller
+        off_main = []
+
+        def spying(name, function):
+            def spy(*args, **kwargs):
+                if threading.current_thread() is not threading.main_thread():
+                    off_main.append(name)
+                return function(*args, **kwargs)
+            return spy
+
+        monkeypatch.setattr(Rng, "bit_rows", spying("bit_rows", Rng.bit_rows))
+        for name in ("_integer", "_shape"):
+            monkeypatch.setattr(noise, name, spying(name, getattr(noise, name)))
+        for module in (core, analysts):  # analysts holds its own reference
+            monkeypatch.setattr(module, "_mismatches", spying("_mismatches", core._mismatches))
+        runs = {"vary-noise": (40000, "100,1000", 20), "envelope": (10000, "1000", 5)}
+        for experiment, (n, k, blocks) in runs.items():
+            worker_draws.clear()
+            assert cli_main(["--experiment", experiment, "--n", str(n), "--k", k,
+                             "--reps", "1"]) == 0
+            main = threading.main_thread()
+            assert [thread is main for thread in worker_draws] == [True] + [False] * (blocks - 1)
+        assert off_main == []
+
 
 def _refuse_draws(monkeypatch):
-    """Install a fresh draw executor that fails the test if a draw is submitted to it."""
-    draws = ThreadPoolExecutor(max_workers=1)
+    """Fail the test if a draw is handed to the draw thread."""
+    def refuse():
+        raise AssertionError("handed a draw to the draw thread")
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("submitted a draw to the worker")
-
-    monkeypatch.setattr(draws, "submit", refuse)
-    monkeypatch.setattr(analysts, "_draws", draws)
+    monkeypatch.setattr(analysts, "_requests", refuse)
 
 
 class TestAttackVsMechanism:

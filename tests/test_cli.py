@@ -121,6 +121,14 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
     assert cli_main(["--config", str(tmp_path / "none.cfg")]) == 2
 
 
+def test_config_file_not_utf8_names_the_file(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_bytes(b"n = 4\xff\n")
+    assert cli_main(["--config", str(config)]) == 2
+    assert capsys.readouterr().err == (f"cannot read config file {config}: 'utf-8' codec can't "
+                                       "decode byte 0xff in position 5: invalid start byte\n")
+
+
 def test_per_rep_flag(tmp_path):
     out = tmp_path / "r.csv"
     assert cli_main(BASE + ["--per-rep", "--out", str(out)]) == 0
@@ -149,6 +157,19 @@ def test_many_block_golden_with_and_without_the_draw_worker(parallel, fixtures_d
                      "--reps", "2", "--golden", str(fixtures_dir / "vn_blocks.csv")]) == 0
 
 
+@pytest.mark.parametrize("parallel", [True, False])
+def test_mechanism_driven_golden_with_and_without_the_draw_worker(parallel, fixtures_dir, request,
+                                                                  monkeypatch, capsys):
+    # the k = 300 stream of each rep reads two 209-row blocks: with the worker forced on,
+    # the thread draws the second
+    threads = request.getfixturevalue("worker_draws")
+    monkeypatch.setattr(analysts, "_multiple_cpus", lambda: parallel)
+    assert cli_main(["--experiment", "envelope", "--n", "10000", "--k", "100,300", "--reps", "2",
+                     "--per-rep", "--golden", str(fixtures_dir / "envelope_small.csv")]) == 0
+    main = threading.main_thread()
+    assert sum(thread is not main for thread in threads) == (2 if parallel else 0)
+
+
 def test_memory_error_exits_2_with_one_line(monkeypatch, capsys):
     def runner(config):
         raise MemoryError("Unable to allocate 93.1 GiB")
@@ -163,16 +184,16 @@ def test_memory_error_exits_2_with_one_line(monkeypatch, capsys):
 
 def test_memory_error_on_the_draw_worker_exits_2(worker_draws, monkeypatch, capsys):
     # vary-noise at n = 40000 reads 20 blocks of 52 queries; the fourth is drawn
-    # on the worker thread and fails there
-    draw = Rng.bit_rows
+    # on the draw thread and fails there
+    draw = Rng._raw_words
 
-    def failing(rng, rows, n):
+    def failing(rng, shape):
         if len(worker_draws) == 3:
             worker_draws.append(threading.current_thread())
             raise MemoryError()
-        return draw(rng, rows, n)
+        return draw(rng, shape)
 
-    monkeypatch.setattr(Rng, "bit_rows", failing)
+    monkeypatch.setattr(Rng, "_raw_words", failing)
     assert cli_main(["--experiment", "vary-noise", "--n", "40000", "--k", "100,1000",
                      "--reps", "1"]) == 2
     assert len(worker_draws) == 4 and worker_draws[-1] is not threading.main_thread()
