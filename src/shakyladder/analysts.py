@@ -8,10 +8,8 @@ that mechanisms which rarely give feedback (ladders) answer every query.
 
 Every attack reads its queries one bit per entry from ``_query_blocks`` and
 folds each block into its vote when read, so memory is O(block * n) for any
-k. Where the process may run on more than one CPU, a shared daemon thread draws
-the raw words of a stream's next block in one GIL-free numpy call while the
-caller folds the current one. The draws run in order from the stream's own
-generator, so no output depends on the thread, the CPU count or a fork.
+k. Each block is drawn by ``Rng.bit_rows`` on the calling thread when it is
+read, in order from the stream's own generator, so the blocks are one draw.
 Risks and correlations are popcounts of the packed rows, exact for any n.
 A block of models reaches the mechanism as one ``session.submit_risks``
 batch (``_submit_rows``) or as estimator queries (``Query.from_rows``); a
@@ -23,11 +21,7 @@ any k; a tie or an empty selection gives label 0.
 
 from __future__ import annotations
 
-import functools
 import math
-import os
-import queue
-import threading
 import warnings
 from dataclasses import dataclass
 
@@ -36,7 +30,7 @@ import numpy as np
 from .audit import EvaluationSession
 from .core import BLOCK_ENTRIES, HoldoutSample, Trace, _mismatches, _pack, _unpack
 from .mechanisms import BudgetExhaustedError, LeaderboardMechanism
-from .noise import Rng, _integer, _masked, _non_negative, _unit, _word_shape
+from .noise import Rng, _integer, _non_negative, _unit
 from .reduction import AdaptiveEstimator, Query
 
 __all__ = [
@@ -96,62 +90,12 @@ def _query_blocks(seed: int | tuple[int, ...], k: int, n: int):
     """The one reader of the query stream: k random 0/1 rows of n entries.
 
     Packed ``Rng.bit_rows`` blocks of ``2 * BLOCK_ENTRIES`` entries, but no more rows
-    than at n = 64, below which the per-row arrays outweigh the bits. A row takes
-    whole raw words, so consecutive blocks continue one draw for any n. With two or more
-    blocks and CPUs, each block after the first is drawn on the draw thread (``_drawn_ahead``).
+    than at n = 64, below which the per-row arrays outweigh the bits, each drawn when it
+    is read. A row takes whole raw words, so consecutive blocks continue one draw for any n.
     """
     rows = max(1, 2 * BLOCK_ENTRIES // max(n, 64))
     rng = Rng(seed, QUERY_STREAM)
-    sizes = (min(rows, k - start) for start in range(0, k, rows))
-    if k <= rows or not _multiple_cpus():  # fewer than two blocks, or one CPU
-        return (rng.bit_rows(size, n) for size in sizes)
-    return _drawn_ahead(rng, sizes, n)
-
-
-def _multiple_cpus() -> bool:
-    """Whether this process may run on more than one CPU."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0)) > 1
-    return (os.cpu_count() or 1) > 1
-
-
-def _drawn_ahead(rng: Rng, sizes, n: int):
-    """``rng.bit_rows(size, n)`` for each size. After the first, the caller checks a size and
-    masks the words the draw thread draws (``Rng._raw_words``) while it reads the block before,
-    one request at a time; it claims and draws a request the thread has not claimed when needed,
-    rather than wait for the thread to be scheduled. A draw's exception is raised at its block."""
-    block, reply = rng.bit_rows(next(sizes), n), queue.SimpleQueue()
-    for size in sizes:
-        (shape, n), claim = _word_shape(size, n), threading.Lock()
-        _requests().put((rng._raw_words, shape, claim, reply))
-        yield block
-        raw, error = (rng._raw_words(shape), None) if claim.acquire(blocking=False) else reply.get()
-        if error is not None:
-            raise error
-        block = _masked(raw, n)
-    yield block
-
-
-def _serve(requests: queue.SimpleQueue) -> None:  # the draw thread
-    while True:  # for each request it claims: one call into numpy, and its reply
-        raw_words, shape, claim, reply = requests.get()
-        if claim.acquire(blocking=False):
-            try:
-                reply.put((raw_words(shape), None))
-            except BaseException as error:  # the caller waits on every request it did not claim
-                reply.put((None, error))
-
-
-@functools.cache  # two first uses at once may start two threads: each serves the queue it returns
-def _requests() -> queue.SimpleQueue:
-    """The draw thread's queue: the thread starts on first use, and anew in a forked child."""
-    requests = queue.SimpleQueue()
-    threading.Thread(target=_serve, args=(requests,), name="shakyladder-draws", daemon=True).start()
-    return requests
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_requests.cache_clear)
+    return (rng.bit_rows(min(rows, k - start), n) for start in range(0, k, rows))
 
 
 def _attack_cells(n: int, k_grid, noise_stddevs,

@@ -155,13 +155,15 @@ class Rng:
 
         Entry j of a row is bit ``j % 64`` (least significant first) of word
         ``j // 64``; the bits at and above ``n % 64`` in a row's last word
-        are zero. Calls continue one draw exactly for any row counts.
+        are zero. Calls continue one draw exactly for any row counts, so the
+        blocks of an attack's query stream (``analysts._query_blocks``), each
+        drawn here in turn, are one draw.
         """
-        shape, n = _word_shape(rows, n)
-        return _masked(self._raw_words(shape), n)
-
-    def _raw_words(self, shape: tuple[int, ...]) -> np.ndarray:  # releases the GIL as it draws
-        return self._gen.bit_generator.random_raw(shape)
+        rows, n = _integer("rows", rows, 0), _integer("n", n, 1)  # int n: a Python shift below
+        shape = _shape((rows, -(-n // 64)))
+        raw = self._gen.bit_generator.random_raw(shape).astype("<u8", copy=False)
+        raw[:, -1] &= np.uint64((_UINT64 - 1) >> (-n % 64))
+        return raw
 
     def standard_normal(self, size=None):
         """Standard normal draws; one float for ``size=None``."""
@@ -169,19 +171,6 @@ class Rng:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Rng(path={self.path})"
-
-
-def _word_shape(rows, n) -> tuple[tuple[int, ...], int]:
-    """The checks of ``Rng.bit_rows``: the shape of its raw words, and n as a Python int."""
-    rows, n = _integer("rows", rows, 0), _integer("n", n, 1)  # int n: a Python shift in the mask
-    return _shape((rows, -(-n // 64))), n
-
-
-def _masked(raw: np.ndarray, n: int) -> np.ndarray:
-    """``raw`` as little-endian uint64, each row's last word cleared from bit ``n % 64`` up."""
-    raw = raw.astype("<u8", copy=False)
-    raw[:, -1] &= np.uint64((_UINT64 - 1) >> (-n % 64))
-    return raw
 
 
 def laplace(rng: Rng, scale: float, size=None):

@@ -1,12 +1,9 @@
 import sys
-import threading
-import time
 from pathlib import Path
 
 import pytest
 
-from shakyladder import analysts
-from shakyladder.noise import Rng, _seed_path
+from shakyladder.noise import _seed_path
 
 # Make sibling test helpers (synthetic.py) importable regardless of rootdir.
 sys.path.insert(0, str(Path(__file__).resolve().parent))
@@ -34,32 +31,3 @@ def no_draws(monkeypatch):
     for module in ("core", "mechanisms", "analysts", "experiments"):
         monkeypatch.setattr(f"shakyladder.{module}.Rng", refuse)
 
-
-@pytest.fixture
-def worker_draws(monkeypatch):
-    """Send every block after a stream's first to the draw thread; returns the thread of
-    each call of the raw-draw seam ``Rng._raw_words``, in call order.
-
-    The thread is used whatever the CPU count. A caller that needs a block whose request
-    the thread has not claimed claims it and draws the block itself; here each request,
-    once queued, waits up to 10 s for the thread to claim it, so that the thread draws
-    every queued block.
-    """
-    threads, draw, requests = [], Rng._raw_words, analysts._requests
-
-    def spy(rng, shape):
-        threads.append(threading.current_thread())
-        return draw(rng, shape)
-
-    class Patient:
-        def put(self, request):
-            requests().put(request)
-            _, _, claim, _ = request
-            deadline = time.monotonic() + 10
-            while not claim.locked() and time.monotonic() < deadline:
-                time.sleep(1e-4)
-
-    monkeypatch.setattr(Rng, "_raw_words", spy)
-    monkeypatch.setattr(analysts, "_requests", Patient)
-    monkeypatch.setattr(analysts, "_multiple_cpus", lambda: True)
-    return threads

@@ -1,23 +1,15 @@
 import math
-import os
-import pickle
-import queue
-import select
-import signal
-import subprocess
-import sys
 import threading
 import tracemalloc
 import warnings
 from contextlib import nullcontext
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from shakyladder import analysts, core, noise, reduction
+from shakyladder import analysts, reduction
 from shakyladder.analysts import (
     AttackReport,
     HIDDEN_STREAM,
@@ -238,8 +230,8 @@ class TestDirectAttack:
         # of each of the two groups past k = 100 would lose 3 x 256 that way,
         # enough to move the vote (+/-1700) past its threshold (+/-850).
         n, k_grid, seed = 101, (100, 1700), 6
-        ones = _pack(np.ones(n, dtype=np.uint8))  # the raw-draw seam: inline or on the thread
-        monkeypatch.setattr(Rng, "_raw_words", lambda self, shape: np.tile(ones, (shape[0], 1)))
+        ones = _pack(np.ones(n, dtype=np.uint8))
+        monkeypatch.setattr(Rng, "bit_rows", lambda self, rows, n: np.tile(ones, (rows, 1)))
         monkeypatch.setattr(analysts, "BLOCK_ENTRIES", n)
         stddevs = [0.0, 2.0 / math.sqrt(n)]
         ks, errors, selected = _attack_cells(n, k_grid, stddevs, seed)
@@ -515,193 +507,63 @@ def _stream(seed, k, n):
     return list(analysts._query_blocks(seed, k, n))
 
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+class TestQueryBlocks:
+    """``_query_blocks`` draws each block with ``Rng.bit_rows`` on the calling thread as it is
+    read; the blocks are those of one draw, whatever their row counts or a failed draw."""
 
-
-class TestDrawWorker:
-    """Where the process may run on more than one CPU, ``_query_blocks`` hands the raw
-    words of every block after a stream's first to the draw thread; the blocks are those
-    of one inline draw whichever thread draws them, and whatever the CPUs, the thread's
-    failures or a fork."""
-
-    @pytest.mark.parametrize("parallel", [True, False])
     @pytest.mark.parametrize("n, k, rows", [(1, 7, 3), (63, 40, 7), (64, 33, 1), (65, 50, 4),
                                             (1001, 20, 6), (3000, 9, 2)])
-    def test_blocks_continue_one_draw(self, n, k, rows, parallel, worker_draws, monkeypatch):
+    def test_blocks_continue_one_draw(self, n, k, rows, monkeypatch):
         monkeypatch.setattr(analysts, "BLOCK_ENTRIES", -(-rows * max(n, 64) // 2))
-        monkeypatch.setattr(analysts, "_multiple_cpus", lambda: parallel)
         blocks = _stream((3, n), k, n)
         assert [len(block) for block in blocks] == [min(rows, k - s) for s in range(0, k, rows)]
         expected = Rng((3, n), QUERY_STREAM).bit_rows(k, n)
         assert np.array_equal(np.concatenate(blocks), expected)
-        main = threading.main_thread()
-        assert worker_draws[0] is main
-        assert all((thread is not main) == parallel for thread in worker_draws[1:len(blocks)])
-        assert all(thread.name.startswith("shakyladder-draws")
-                   for thread in worker_draws if thread is not main)
 
-    def test_caller_draws_what_the_worker_has_not_begun(self, monkeypatch):
-        threads, draw = [], Rng._raw_words
-
-        def spy(rng, shape):
-            threads.append(threading.current_thread())
-            return draw(rng, shape)
-
-        monkeypatch.setattr(Rng, "_raw_words", spy)
-        monkeypatch.setattr(analysts, "_multiple_cpus", lambda: True)
-        monkeypatch.setattr(analysts, "BLOCK_ENTRIES", 3 * 100 // 2)
-        release, busy = threading.Event(), queue.SimpleQueue()
-        # a request that holds the draw thread: every request of the stream waits behind it
-        analysts._requests().put((release.wait, 10, threading.Lock(), busy))
-        try:
-            blocks = _stream(2, 20, 100)
-        finally:
-            release.set()
-        assert busy.get(timeout=10) == (True, None)
-        assert len(blocks) == 7 and threads == [threading.main_thread()] * 7
-        assert np.array_equal(np.concatenate(blocks), Rng(2, QUERY_STREAM).bit_rows(20, 100))
-
-    def test_draw_error_raised_at_its_block(self, worker_draws, monkeypatch):
+    def test_draw_error_raised_at_its_block(self, monkeypatch):
         n, k, rows = 100, 30, 4
         monkeypatch.setattr(analysts, "BLOCK_ENTRIES", rows * n // 2)
         expected = Rng(0, QUERY_STREAM).bit_rows(k, n)
-        worker_draws.clear()
-        draw = Rng._raw_words
+        calls, draw = [], Rng.bit_rows
 
-        def failing(rng, shape):  # the third draw of the next stream fails
-            if len(worker_draws) == 2:
-                worker_draws.append(threading.current_thread())
+        def failing(rng, rows, n):  # the third draw of the stream fails
+            calls.append(rows)
+            if len(calls) == 3:
                 raise MemoryError("third block")
-            return draw(rng, shape)
+            return draw(rng, rows, n)
 
-        monkeypatch.setattr(Rng, "_raw_words", failing)
+        monkeypatch.setattr(Rng, "bit_rows", failing)
         read = []
         with pytest.raises(MemoryError, match="third block"):
             for block in analysts._query_blocks(0, k, n):
                 read.append(block)
-        assert len(worker_draws) == 3 and worker_draws[2] is not threading.main_thread()
+        assert calls == [rows] * 3
         assert np.array_equal(np.concatenate(read), expected[:2 * rows])
+        monkeypatch.setattr(Rng, "bit_rows", draw)
         assert np.array_equal(np.concatenate(_stream(0, k, n)), expected)
 
-    def test_abandoned_stream_leaves_the_next_one_whole(self, worker_draws, monkeypatch):
+    def test_abandoned_stream_leaves_the_next_one_whole(self, monkeypatch):
         n, k = 200, 40
         monkeypatch.setattr(analysts, "BLOCK_ENTRIES", 5 * n // 2)
         blocks = analysts._query_blocks(1, k, n)
         next(blocks)
-        blocks.close()  # its second block is queued or being drawn
+        blocks.close()  # its next block is never drawn
         for seed in (2, 1):
             assert np.array_equal(np.concatenate(_stream(seed, k, n)),
                                   Rng(seed, QUERY_STREAM).bit_rows(k, n))
 
-    def test_one_block_stream_starts_no_thread(self, worker_draws, monkeypatch):
-        _refuse_draws(monkeypatch)
-        before = threading.enumerate()
-        blocks = _stream(4, 50, 1000)
-        assert len(blocks) == 1 and worker_draws == [threading.main_thread()]
-        assert threading.enumerate() == before
+    def test_every_block_drawn_by_bit_rows_on_the_calling_thread(self, monkeypatch, capsys):
+        # vary-noise at n = 40000 reads 20 blocks of 52 queries: one bit_rows call each
+        threads, draw = [], Rng.bit_rows
 
-    def test_one_cpu_starts_no_thread(self, monkeypatch):
-        _refuse_draws(monkeypatch)
-        if hasattr(os, "sched_getaffinity"):
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        else:
-            monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        assert not analysts._multiple_cpus()
-        before = threading.enumerate()
-        majority_attack_direct(40000, 200)  # four blocks
-        assert threading.enumerate() == before
+        def spy(rng, rows, n):
+            threads.append(threading.current_thread())
+            return draw(rng, rows, n)
 
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    def test_forked_child_starts_its_own_worker(self, worker_draws):
-        n, k_grid, stddevs = 40000, (100, 400), [0.0, 0.01]
-        expected = _attack_cells(n, k_grid, stddevs, 5)  # on the parent's worker
-        parent = worker_draws[-1]
-        assert parent is not threading.main_thread()
-        read, write = os.pipe()
-        with warnings.catch_warnings():  # Python 3.12+ warns of a fork with threads
-            warnings.filterwarnings("ignore", ".*fork", DeprecationWarning)
-            pid = os.fork()
-        if pid == 0:  # the child reports its grid and exits without returning to pytest
-            status = 1
-            try:
-                os.close(read)
-                worker_draws.clear()
-                cells = _attack_cells(n, k_grid, stddevs, 5)
-                main = threading.current_thread()
-                with os.fdopen(write, "wb") as out:
-                    pickle.dump((cells, sum(thread is not main for thread in worker_draws),
-                                 parent not in worker_draws), out)
-                status = 0
-            finally:
-                os._exit(status)
-        os.close(write)
-        with os.fdopen(read, "rb") as result:
-            if not select.select([result], [], [], 60)[0]:
-                os.kill(pid, signal.SIGKILL)
-            _, status = os.waitpid(pid, 0)
-            assert os.waitstatus_to_exitcode(status) == 0, "the child hung or failed"
-            cells, worker, fresh = pickle.load(result)
-        assert fresh  # the child's draw thread is not the parent's
-        assert worker == 7  # eight blocks of 52 rows: all but the first on the child's worker
-        assert cells[0] == expected[0]
-        for got, want in zip(cells[1:], expected[1:]):
-            assert np.array_equal(got, want)
-
-    def test_worker_thread_does_not_hold_exit(self):
-        # the draw thread is a daemon: the interpreter does not join it at exit, so the
-        # process ends promptly although the thread is held by a request that never ends
-        # and an abandoned stream has left its next draw queued behind it
-        script = (
-            "import queue, threading\n"
-            "from shakyladder import analysts\n"
-            "analysts._multiple_cpus = lambda: True\n"
-            "analysts._attack_cells(40000, (100, 1000), [0.0, 0.01], 0)  # 20 blocks\n"
-            "never = threading.Event().wait\n"
-            "analysts._requests().put((never, None, threading.Lock(), queue.SimpleQueue()))\n"
-            "blocks = analysts._query_blocks(1, 1000, 40000)\n"
-            "next(blocks)  # its second draw is left queued\n"
-            "workers = [t for t in threading.enumerate() if t.name.startswith('shakyladder')]\n"
-            "assert len(workers) == 1 and workers[0].daemon, workers\n"
-        )
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-        result = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                                text=True, env=env, timeout=60)
-        assert result.returncode == 0, result.stderr
-
-    def test_draw_thread_makes_one_numpy_call_per_block(self, worker_draws, monkeypatch, capsys):
-        # between taking a request and replying, the draw thread runs the raw-draw seam and
-        # nothing else of the package: bit_rows, its checks and the fold stay on the caller
-        off_main = []
-
-        def spying(name, function):
-            def spy(*args, **kwargs):
-                if threading.current_thread() is not threading.main_thread():
-                    off_main.append(name)
-                return function(*args, **kwargs)
-            return spy
-
-        monkeypatch.setattr(Rng, "bit_rows", spying("bit_rows", Rng.bit_rows))
-        for name in ("_integer", "_shape"):
-            monkeypatch.setattr(noise, name, spying(name, getattr(noise, name)))
-        for module in (core, analysts):  # analysts holds its own reference
-            monkeypatch.setattr(module, "_mismatches", spying("_mismatches", core._mismatches))
-        runs = {"vary-noise": (40000, "100,1000", 20), "envelope": (10000, "1000", 5)}
-        for experiment, (n, k, blocks) in runs.items():
-            worker_draws.clear()
-            assert cli_main(["--experiment", experiment, "--n", str(n), "--k", k,
-                             "--reps", "1"]) == 0
-            main = threading.main_thread()
-            assert [thread is main for thread in worker_draws] == [True] + [False] * (blocks - 1)
-        assert off_main == []
-
-
-def _refuse_draws(monkeypatch):
-    """Fail the test if a draw is handed to the draw thread."""
-    def refuse():
-        raise AssertionError("handed a draw to the draw thread")
-
-    monkeypatch.setattr(analysts, "_requests", refuse)
+        monkeypatch.setattr(Rng, "bit_rows", spy)
+        assert cli_main(["--experiment", "vary-noise", "--n", "40000", "--k", "100,1000",
+                         "--reps", "1"]) == 0
+        assert threads == [threading.main_thread()] * 20
 
 
 class TestAttackVsMechanism:

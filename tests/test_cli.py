@@ -3,16 +3,14 @@ import io
 import os
 import subprocess
 import sys
-import threading
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from shakyladder import analysts, cli, experiments
+from shakyladder import cli, experiments
 from shakyladder.cli import cli_main
-from shakyladder.noise import Rng
 
 BASE = ["--experiment", "vary-queries", "--n", "400", "--k", "20,50",
         "--reps", "5", "--seed", "1"]
@@ -149,25 +147,16 @@ def test_consecutive_calls_share_no_state(tmp_path):
                                                  "rep_count,mean_error,std_error")
 
 
-@pytest.mark.parametrize("parallel", [True, False])
-def test_many_block_golden_with_and_without_the_draw_worker(parallel, fixtures_dir,
-                                                            monkeypatch, capsys):
-    monkeypatch.setattr(analysts, "_multiple_cpus", lambda: parallel)
+def test_many_block_golden(fixtures_dir, capsys):
+    # 20 query blocks per rep
     assert cli_main(["--experiment", "vary-noise", "--n", "40000", "--k", "100,1000",
                      "--reps", "2", "--golden", str(fixtures_dir / "vn_blocks.csv")]) == 0
 
 
-@pytest.mark.parametrize("parallel", [True, False])
-def test_mechanism_driven_golden_with_and_without_the_draw_worker(parallel, fixtures_dir, request,
-                                                                  monkeypatch, capsys):
-    # the k = 300 stream of each rep reads two 209-row blocks: with the worker forced on,
-    # the thread draws the second
-    threads = request.getfixturevalue("worker_draws")
-    monkeypatch.setattr(analysts, "_multiple_cpus", lambda: parallel)
+def test_mechanism_driven_golden(fixtures_dir, capsys):
+    # the k = 300 stream of each rep reads two 209-row blocks
     assert cli_main(["--experiment", "envelope", "--n", "10000", "--k", "100,300", "--reps", "2",
                      "--per-rep", "--golden", str(fixtures_dir / "envelope_small.csv")]) == 0
-    main = threading.main_thread()
-    assert sum(thread is not main for thread in threads) == (2 if parallel else 0)
 
 
 def test_memory_error_exits_2_with_one_line(monkeypatch, capsys):
@@ -180,24 +169,6 @@ def test_memory_error_exits_2_with_one_line(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "not enough memory to run vary-noise: Unable to allocate 93.1 GiB\n"
-
-
-def test_memory_error_on_the_draw_worker_exits_2(worker_draws, monkeypatch, capsys):
-    # vary-noise at n = 40000 reads 20 blocks of 52 queries; the fourth is drawn
-    # on the draw thread and fails there
-    draw = Rng._raw_words
-
-    def failing(rng, shape):
-        if len(worker_draws) == 3:
-            worker_draws.append(threading.current_thread())
-            raise MemoryError()
-        return draw(rng, shape)
-
-    monkeypatch.setattr(Rng, "_raw_words", failing)
-    assert cli_main(["--experiment", "vary-noise", "--n", "40000", "--k", "100,1000",
-                     "--reps", "1"]) == 2
-    assert len(worker_draws) == 4 and worker_draws[-1] is not threading.main_thread()
-    assert capsys.readouterr().err == "not enough memory to run vary-noise\n"
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"

@@ -4,7 +4,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from shakyladder.experiments import CSV_HEADER, PER_REP_COLUMNS
+from shakyladder.experiments import CSV_HEADER
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -29,11 +29,3 @@ def test_run_figures(tmp_path, monkeypatch):
     for lines in written.values():
         assert lines[0] == CSV_HEADER
 
-
-def test_run_envelope_audit(tmp_path, monkeypatch):
-    written = run_script("run_envelope_audit", ["--n", "400", "--k", "5,10", "--reps", "2"],
-                         tmp_path, monkeypatch)
-    (lines,) = written.values()
-    assert list(written) == ["envelope_400.csv"]
-    assert lines[0] == f"{CSV_HEADER},{PER_REP_COLUMNS}"
-    assert len(lines) - 1 == 2 * 2  # one row per (k, rep)
