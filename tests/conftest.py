@@ -1,9 +1,11 @@
+import os
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
-from shakyladder.noise import _seed_path
+from shakyladder.noise import Rng, _seed_path
 
 # Make sibling test helpers (synthetic.py) importable regardless of rootdir.
 sys.path.insert(0, str(Path(__file__).resolve().parent))
@@ -31,3 +33,25 @@ def no_draws(monkeypatch):
     for module in ("core", "mechanisms", "analysts", "experiments"):
         monkeypatch.setattr(f"shakyladder.{module}.Rng", refuse)
 
+
+@pytest.fixture
+def draw_threads(monkeypatch):
+    """Record the thread of each ``Rng.bit_rows`` call, in call order."""
+    threads, draw = [], Rng.bit_rows
+
+    def spy(rng, rows, n):
+        threads.append(threading.current_thread())
+        return draw(rng, rows, n)
+
+    monkeypatch.setattr(Rng, "bit_rows", spy)
+    return threads
+
+
+@pytest.fixture
+def visible_cpus(monkeypatch):
+    """Set how many CPUs the process sees: ``visible_cpus(count)``."""
+    def see(count):
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        if hasattr(os, "sched_getaffinity"):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+    return see

@@ -507,18 +507,27 @@ def _stream(seed, k, n):
     return list(analysts._query_blocks(seed, k, n))
 
 
-class TestQueryBlocks:
-    """``_query_blocks`` draws each block with ``Rng.bit_rows`` on the calling thread as it is
-    read; the blocks are those of one draw, whatever their row counts or a failed draw."""
+class TestDrawWorker:
+    """There is no draw worker: ``_query_blocks`` draws each block with ``Rng.bit_rows`` on the
+    calling thread as it is read, whether the process sees one CPU or several (``parallel``:
+    where a draw thread once drew every block after a stream's first). The blocks are those of
+    one draw, whatever their row counts or a failed draw."""
 
+    @pytest.mark.parametrize("parallel", [True, False])
     @pytest.mark.parametrize("n, k, rows", [(1, 7, 3), (63, 40, 7), (64, 33, 1), (65, 50, 4),
                                             (1001, 20, 6), (3000, 9, 2)])
-    def test_blocks_continue_one_draw(self, n, k, rows, monkeypatch):
+    def test_blocks_continue_one_draw(self, n, k, rows, parallel, visible_cpus, draw_threads,
+                                      monkeypatch):
+        visible_cpus(4 if parallel else 1)
         monkeypatch.setattr(analysts, "BLOCK_ENTRIES", -(-rows * max(n, 64) // 2))
+        expected = Rng((3, n), QUERY_STREAM).bit_rows(k, n)
+        draw_threads.clear()
+        before = threading.enumerate()
         blocks = _stream((3, n), k, n)
         assert [len(block) for block in blocks] == [min(rows, k - s) for s in range(0, k, rows)]
-        expected = Rng((3, n), QUERY_STREAM).bit_rows(k, n)
         assert np.array_equal(np.concatenate(blocks), expected)
+        assert draw_threads == [threading.main_thread()] * len(blocks)
+        assert threading.enumerate() == before
 
     def test_draw_error_raised_at_its_block(self, monkeypatch):
         n, k, rows = 100, 30, 4
@@ -552,18 +561,24 @@ class TestQueryBlocks:
             assert np.array_equal(np.concatenate(_stream(seed, k, n)),
                                   Rng(seed, QUERY_STREAM).bit_rows(k, n))
 
-    def test_every_block_drawn_by_bit_rows_on_the_calling_thread(self, monkeypatch, capsys):
+    def test_one_block_stream_starts_no_thread(self, draw_threads):
+        before = threading.enumerate()
+        blocks = _stream(4, 50, 1000)
+        assert len(blocks) == 1 and draw_threads == [threading.main_thread()]
+        assert threading.enumerate() == before
+
+    def test_one_cpu_starts_no_thread(self, visible_cpus, draw_threads):
+        visible_cpus(1)
+        before = threading.enumerate()
+        majority_attack_direct(40000, 200)  # four blocks
+        assert draw_threads == [threading.main_thread()] * 4
+        assert threading.enumerate() == before
+
+    def test_every_block_drawn_by_bit_rows_on_the_calling_thread(self, draw_threads, capsys):
         # vary-noise at n = 40000 reads 20 blocks of 52 queries: one bit_rows call each
-        threads, draw = [], Rng.bit_rows
-
-        def spy(rng, rows, n):
-            threads.append(threading.current_thread())
-            return draw(rng, rows, n)
-
-        monkeypatch.setattr(Rng, "bit_rows", spy)
         assert cli_main(["--experiment", "vary-noise", "--n", "40000", "--k", "100,1000",
                          "--reps", "1"]) == 0
-        assert threads == [threading.main_thread()] * 20
+        assert draw_threads == [threading.main_thread()] * 20
 
 
 class TestAttackVsMechanism:

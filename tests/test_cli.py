@@ -3,6 +3,7 @@ import io
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from shakyladder import cli, experiments
 from shakyladder.cli import cli_main
+from shakyladder.noise import Rng
 
 BASE = ["--experiment", "vary-queries", "--n", "400", "--k", "20,50",
         "--reps", "5", "--seed", "1"]
@@ -147,16 +149,27 @@ def test_consecutive_calls_share_no_state(tmp_path):
                                                  "rep_count,mean_error,std_error")
 
 
-def test_many_block_golden(fixtures_dir, capsys):
-    # 20 query blocks per rep
+@pytest.mark.parametrize("parallel", [True, False])
+def test_many_block_golden_with_and_without_the_draw_worker(parallel, fixtures_dir, visible_cpus,
+                                                            draw_threads, capsys):
+    # 20 query blocks per rep, all drawn on the calling thread whether the process sees
+    # several CPUs (where a draw thread once drew all but each stream's first) or one
+    visible_cpus(4 if parallel else 1)
     assert cli_main(["--experiment", "vary-noise", "--n", "40000", "--k", "100,1000",
                      "--reps", "2", "--golden", str(fixtures_dir / "vn_blocks.csv")]) == 0
+    assert draw_threads == [threading.main_thread()] * 40
 
 
-def test_mechanism_driven_golden(fixtures_dir, capsys):
-    # the k = 300 stream of each rep reads two 209-row blocks
+@pytest.mark.parametrize("parallel", [True, False])
+def test_mechanism_driven_golden_with_and_without_the_draw_worker(parallel, fixtures_dir,
+                                                                  visible_cpus, draw_threads,
+                                                                  capsys):
+    # each rep reads one block at k = 100 and two (209 and 91 rows) at k = 300, all on the
+    # calling thread
+    visible_cpus(4 if parallel else 1)
     assert cli_main(["--experiment", "envelope", "--n", "10000", "--k", "100,300", "--reps", "2",
                      "--per-rep", "--golden", str(fixtures_dir / "envelope_small.csv")]) == 0
+    assert draw_threads == [threading.main_thread()] * 6
 
 
 def test_memory_error_exits_2_with_one_line(monkeypatch, capsys):
@@ -170,6 +183,24 @@ def test_memory_error_exits_2_with_one_line(monkeypatch, capsys):
     assert captured.out == ""
     assert captured.err == "not enough memory to run vary-noise: Unable to allocate 93.1 GiB\n"
 
+
+
+def test_memory_error_on_the_draw_worker_exits_2(draw_threads, monkeypatch, capsys):
+    # vary-noise at n = 40000 reads 20 blocks of 52 queries; the fourth block's draw fails
+    # on the calling thread, where a draw thread once drew it
+    draw = Rng.bit_rows
+
+    def failing(rng, rows, n):
+        if len(draw_threads) == 3:
+            draw_threads.append(threading.current_thread())
+            raise MemoryError()
+        return draw(rng, rows, n)
+
+    monkeypatch.setattr(Rng, "bit_rows", failing)
+    assert cli_main(["--experiment", "vary-noise", "--n", "40000", "--k", "100,1000",
+                     "--reps", "1"]) == 2
+    assert draw_threads == [threading.main_thread()] * 4
+    assert capsys.readouterr().err == "not enough memory to run vary-noise\n"
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
