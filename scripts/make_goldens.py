@@ -68,7 +68,7 @@ def write_goldens(out: Path) -> list[str]:
     # All seven default noise levels; one threshold group holds over 255 rows of a block.
     config = ExperimentConfig(experiment="vary-noise", n=200, k_grid=(500, 3000), reps=2)
     (out / "vn_small.csv").write_bytes(experiment_csv(config).encode("utf-8"))
-    # A grid of 20 query blocks per rep, drawn ahead on the worker where there are CPUs for it.
+    # A grid of 20 query blocks per rep, each drawn when the grid reads it.
     config = ExperimentConfig(experiment="vary-noise", n=40000, k_grid=(100, 1000), reps=2)
     (out / "vn_blocks.csv").write_bytes(experiment_csv(config).encode("utf-8"))
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audit import EvaluationSession
-from .core import BLOCK_ENTRIES, HoldoutSample, Trace, _mismatches, _pack, _unpack
+from .core import HoldoutSample, Trace, _mismatches, _pack, _unpack
 from .mechanisms import BudgetExhaustedError, LeaderboardMechanism
 from .noise import Rng, _integer, _non_negative, _unit
 from .reduction import AdaptiveEstimator, Query
@@ -40,6 +40,10 @@ __all__ = [
     "shifted_majority_attack",
     "run_random_analyst",
 ]
+
+#: Half the entries of a query block, and the most any reader unpacks at once:
+#: 1 MB as uint8 bits, 128 KB packed.
+BLOCK_ENTRIES = 2**20
 
 #: Rows a uint8 pending count sums before its flush into the integer counts.
 PENDING_ROWS = 255

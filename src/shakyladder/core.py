@@ -42,10 +42,6 @@ LOSS_TOLERANCE = 1e-12
 #: Sub-stream tag used when generating hidden holdout labels from a seed.
 LABEL_STREAM = 11
 
-#: Half the entries of a query block, and the most any reader unpacks or XORs at once:
-#: 1 MB as uint8 bits, 128 KB packed.
-BLOCK_ENTRIES = 2**20
-
 
 def _loss_vector(vector) -> np.ndarray:
     """``vector`` as an array, if nonempty, 1-d and within [0, 1] up to ``LOSS_TOLERANCE``."""
@@ -167,17 +163,11 @@ def _unpack(block: np.ndarray, n: int) -> np.ndarray:
 def _mismatches(block: np.ndarray, words: np.ndarray) -> np.ndarray:
     """Per packed row, the entries where it differs from packed ``words``, as int64.
 
-    Rows are XORed and counted in parts of at most ``BLOCK_ENTRIES`` entries (one row
-    where n is larger), each row summed in the narrowest type that holds its count
-    (uint16 up to 65472 entries), so no temporary is as large as the block.
+    The block is XORed and counted in one pass, each row summed in the narrowest type
+    that holds its count (uint16 up to 65472 entries).
     """
-    step = max(1, BLOCK_ENTRIES // (64 * len(words)))
     count_type = np.min_scalar_type(64 * len(words))
-    counts = np.empty(len(block), dtype=np.int64)
-    for first in range(0, len(block), step):
-        part = block[first:first + step]
-        counts[first:first + step] = np.bitwise_count(part ^ words).sum(axis=-1, dtype=count_type)
-    return counts
+    return np.bitwise_count(block ^ words).sum(axis=-1, dtype=count_type).astype(np.int64)
 
 
 def make_random_label_sample(n: int, seed: int | tuple[int, ...]) -> HoldoutSample:

@@ -26,7 +26,7 @@ from .audit import EvaluationSession, leaderboard_error
 from .core import _fmt, make_random_label_sample
 from .mechanisms import (MECHANISM_NAMES, LadderConfig, PopulationMinOracle, _regime_params,
                          make_mechanism)
-from .noise import Rng, _integer, _non_negative, _seed_path
+from .noise import Rng, _integer, _non_negative, _real, _seed_path
 from .reduction import AdaptiveEstimator, Query
 
 __all__ = [
@@ -75,6 +75,14 @@ _READS = {
 EXPERIMENTS = tuple(_READS)
 
 
+def _grid(name: str, values) -> list:
+    """The values of a grid given as a collection; a lone value is a ValueError."""
+    try:
+        return list(values)
+    except TypeError:
+        raise ValueError(f"{name} must be a collection of values, got {values!r}") from None
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything one experiment run depends on.
@@ -103,7 +111,7 @@ class ExperimentConfig:
     per_rep: bool = False
 
     def __post_init__(self):
-        if self.experiment not in _READS:
+        if not isinstance(self.experiment, str) or self.experiment not in _READS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         reads = dict(_READS[self.experiment])
         reads |= reads.pop("by mechanism", {}).get(self.mechanism or reads.get("mechanism"), {})
@@ -124,7 +132,8 @@ class ExperimentConfig:
         # Sorted tuples of distinct values (+ 0.0 folds -0.0 into 0.0): one cell each.
         if self.k_grid is not None:
             object.__setattr__(self, "k_grid",
-                               tuple(sorted({_integer("k", k, 0) for k in self.k_grid})))
+                               tuple(sorted({_integer("k", k, 0)
+                                             for k in _grid("k_grid", self.k_grid)})))
             if not self.k_grid:
                 raise ValueError("k grid must be nonempty")
             # an attack on a mechanism needs k <= n; the vector attack bounds no k
@@ -132,11 +141,12 @@ class ExperimentConfig:
                 raise ValueError(f"the attack needs k <= n, got k={self.k_grid[-1]} > n={self.n}")
         if self.noise_grid is not None:
             object.__setattr__(self, "noise_grid", tuple(sorted(
-                {_non_negative("noise multiplier", m) + 0.0 for m in self.noise_grid})))
+                {_non_negative("noise multiplier", m) + 0.0
+                 for m in _grid("noise_grid", self.noise_grid)})))
             if not self.noise_grid:
                 raise ValueError("noise grid must be nonempty")
-        if self.alpha is not None and not 0.0 < self.alpha <= 1.0 / 3.0:
-            raise ValueError(f"alpha must lie in (0, 1/3] to ask any query, got {self.alpha}")
+        if self.alpha is not None and not (_real(self.alpha) and 0.0 < self.alpha <= 1.0 / 3.0):
+            raise ValueError(f"alpha must lie in (0, 1/3] to ask any query, got {self.alpha!r}")
         if self.eta is not None:
             LadderConfig(eta=self.eta)  # raises on a non-positive or non-finite step
         if self.beta is not None:

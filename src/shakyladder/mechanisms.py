@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import INITIAL_RELEASE, Trace, _loss_vector
-from .noise import Rng, _integer, _non_negative, _positive, gaussian, laplace
+from .noise import Rng, _integer, _non_negative, _positive, _real, gaussian, laplace
 
 __all__ = [
     "ParameterRegimeError",
@@ -53,10 +53,6 @@ class ParameterRegimeError(ValueError):
 
 class BudgetExhaustedError(RuntimeError):
     """Raised when a mechanism or estimator has no submission budget left."""
-
-    def __init__(self, message: str, partial: object | None = None):
-        super().__init__(message)
-        self.partial = partial
 
 
 @dataclass(frozen=True)
@@ -99,8 +95,8 @@ class MechanismParams:
 def _regime_params(n: int, k: int, beta: float) -> MechanismParams:
     """Derive and validate the randomized-ladder parameters without warning."""
     n, k = _integer("n", n, 1), _integer("k", k, 1)
-    if not 0.0 < beta < 1.0:
-        raise ValueError(f"beta must lie in (0, 1), got {beta}")
+    if not (_real(beta) and 0.0 < beta < 1.0):
+        raise ValueError(f"beta must lie in (0, 1), got {beta!r}")
     delta = beta / (k * n)
     epsilon = (math.log(k / beta) * math.sqrt(math.log(1.0 / delta)) / n) ** 0.6
     sigma = math.sqrt(math.log(1.0 / delta)) / (epsilon * n)

@@ -30,7 +30,7 @@ import numpy as np
 from .audit import EvaluationSession
 from .core import _fmt, _readonly_copy, _unpack, clamp_release
 from .mechanisms import BudgetExhaustedError, LeaderboardMechanism
-from .noise import _integer, _shape, _unit, _unit_array
+from .noise import _integer, _real, _shape, _unit, _unit_array
 
 __all__ = [
     "Query",
@@ -138,12 +138,13 @@ class AdaptiveEstimator:
 
     The threshold c starts at 1/2 and is lowered to the triggering release
     after each answered query; it is fixed for the duration of a single
-    query's schedule.
+    query's schedule. Since c never rises, no step's loss vector or
+    population risk can pass 1, and :meth:`answer` rejects a c set above 1/2.
     """
 
     def __init__(self, session: EvaluationSession, alpha: float):
-        if not 0.0 < alpha < 0.5:
-            raise ValueError(f"alpha must lie in (0, 1/2), got {alpha}")
+        if not (_real(alpha) and 0.0 < alpha < 0.5):
+            raise ValueError(f"alpha must lie in (0, 1/2), got {alpha!r}")
         self.session = session
         self.alpha = alpha
         self.c = 0.5
@@ -156,32 +157,28 @@ class AdaptiveEstimator:
         #: when a run reaches past it, so construction builds no per-step row.
         self._half_offsets = np.empty(0)
 
-    def _unclamped_run(self, query: Query) -> tuple[int, int, np.ndarray, Callable[[], np.ndarray]]:
-        """The unclamped steps, start to stop, with their risks and a callable that
+    def _unclamped_run(self, query: Query) -> tuple[int, np.ndarray, Callable[[], np.ndarray]]:
+        """The unclamped steps, 0 to stop, with their risks and a callable that
         builds their population risks, for the session to call where they are read.
 
         Step i's constructed loss vector is c + (g - i*alpha)/2 and its
-        population risk (c - i*alpha/2) + population_mean/2; the step clamps
-        where c + (min - i*alpha)/2 < 0, c + (max - i*alpha)/2 > 1 or the
-        population risk leaves [0, 1], the first two exactly as the vector's
-        min and max do. Each condition is monotone in i, so the run starts
-        where both upper ones hold and stops where either lower one does (0, 0
-        when every step clamps), each bound guessed in real arithmetic, then
-        stepped to where its float expression turns. The risks come from the
-        query's summary and match the vectors' means up to rounding; both rows
-        read the run's offsets i*alpha/2 as one slice of the estimator's
-        offset row, regrown only when the run reaches past its end.
+        population risk (c - i*alpha/2) + population_mean/2. With c <= 1/2
+        neither passes 1, so the step clamps only where
+        c + (min - i*alpha)/2 < 0, exactly as the vector's min does, or where
+        the population risk falls below 0. Both conditions are monotone in i,
+        so the run stops at the first step where either holds (0 when every
+        step clamps), guessed in real arithmetic, then stepped to where its
+        float expression turns. The risks come from the query's summary and
+        match the vectors' means up to rounding; both rows read the run's
+        offsets i*alpha/2 as one slice of the estimator's offset row, regrown
+        only when the run reaches past its end.
         """
         c, alpha, steps = self.c, self.alpha, self.steps_per_query
-        mean, low, high = query.summary
+        mean, low, _ = query.summary
         half_mean = 0.5 * query.population_mean + 0.0  # + 0.0: no -0.0 risk, as clipping gives
-        start = _first(lambda i: (not c + 0.5 * (high - i * alpha) > 1.0
-                                  and (c - 0.5 * i * alpha) + half_mean <= 1.0),
-                       max(2.0 * c + high - 2.0, 2.0 * (c + half_mean - 1.0)) / alpha, steps)
         stop = _first(lambda i: (c + 0.5 * (low - i * alpha) < 0.0
                                  or (c - 0.5 * i * alpha) + half_mean < 0.0),
                       min(2.0 * c + low, 2.0 * (c + half_mean)) / alpha, steps)
-        start, stop = (start, stop) if start < stop else (0, 0)
         # 0.5*i*alpha, half of i*alpha: halving is exact for normal floats, so 0.5 * (mean
         # - i*alpha) is 0.5 * mean less it bit for bit (a subnormal mean is absorbed either way)
         if stop > len(self._half_offsets):
@@ -189,61 +186,54 @@ class AdaptiveEstimator:
             row *= 0.5 * alpha
             row.setflags(write=False)
             self._half_offsets = row
-        half_offsets = self._half_offsets[start:stop]
+        half_offsets = self._half_offsets[:stop]
         risks = 0.5 * mean - half_offsets
         risks += c  # in place: c + (0.5 * mean - half_offsets), and one array fewer
-        return start, stop, risks, lambda: (c - half_offsets) + half_mean
+        return stop, risks, lambda: (c - half_offsets) + half_mean
 
     def answer(self, query: Query) -> QueryOutcome:
         """Run the offset schedule for one query and extract its answer.
 
-        Every step goes through ``session.submit_risks``, which stops at the
-        trigger, the first release below ``c - alpha/2``: the unclamped run
-        (:meth:`_unclamped_run`) as one batch, and each clamped step as a
+        A threshold c above 1/2, or NaN, which only a hand-set c can be, is a
+        ValueError before any round. Every step goes through
+        ``session.submit_risks``, which stops at the trigger, the first
+        release below ``c - alpha/2``: the unclamped run from step 0
+        (:meth:`_unclamped_run`) as one batch, then each clamped step as a
         batch of one, its vector and population risk clipped into [0, 1] and
         its risk the clipped vector's mean. Loss vectors go as a builder and
         the run's population risks as a callable, each called only where the
-        session reads it.
+        session reads it. A budget that ends mid-schedule raises the
+        mechanism's :class:`BudgetExhaustedError`, its rounds so far committed.
         """
         session, mechanism = self.session, self.session.mechanism
+        c, alpha = self.c, self.alpha
+        if not c <= 0.5:  # NaN fails too
+            raise ValueError(f"the threshold c only falls from 1/2, got c={c!r}")
         mechanism.check_size(query.size)
         if mechanism.rounds_remaining() < self.steps_per_query:
             raise BudgetExhaustedError(
                 f"estimator needs {self.steps_per_query} submissions per query; "
                 f"mechanism has {mechanism.rounds_remaining()} left"
             )
-        c, alpha = self.c, self.alpha
         trigger_below = c - alpha / 2.0
-        free_from, free_to, risks, population_risks = self._unclamped_run(query)
-        first_round = mechanism.round
+        stop, risks, population_risks = self._unclamped_run(query)
         i = 0
-        try:
-            while i < self.steps_per_query:
-                if i == free_from < free_to:  # the unclamped run, steps free_from to free_to
-                    released = session.submit_risks(
-                        risks, population_risks, trigger_below,
-                        lambda j: _step_vector(query, c, alpha, free_from + j))
-                else:  # one clamped step
-                    vector = np.clip(_step_vector(query, c, alpha, i), 0.0, 1.0)
-                    population_risk = (c - 0.5 * i * alpha) + 0.5 * query.population_mean
-                    released = session.submit_risks(
-                        (float(np.mean(vector)),), (clamp_release(population_risk),),
-                        trigger_below, lambda j: vector)
-                i += len(released)
-                if released[-1] < trigger_below:
-                    break
-        except BudgetExhaustedError as err:
-            done = mechanism.round - first_round
-            err.partial = {
-                "query_index": self.queries_answered,
-                "i": done,
-                "c": c,
-                "submissions": self.total_submissions + done,
-            }
-            raise
+        while i < self.steps_per_query:
+            if i == 0 < stop:  # the unclamped run, steps 0 to stop
+                released = session.submit_risks(risks, population_risks, trigger_below,
+                                                lambda j: _step_vector(query, c, alpha, j))
+            else:  # one clamped step
+                vector = np.clip(_step_vector(query, c, alpha, i), 0.0, 1.0)
+                population_risk = (c - 0.5 * i * alpha) + 0.5 * query.population_mean
+                released = session.submit_risks(
+                    (float(np.mean(vector)),), (clamp_release(population_risk),),
+                    trigger_below, lambda j: vector)
+            i += len(released)
+            if released[-1] < trigger_below:
+                break
         self.total_submissions += i
         self.queries_answered += 1
-        clamped = free_from > 0 or i > free_to
+        clamped = i > stop
         # fields by position, in QueryOutcome's order: answer, triggered, trigger_index,
         # r_value, c_after, clamped, no_trigger, submissions
         if released[-1] < trigger_below:

@@ -102,17 +102,8 @@ def per_step_answer(estimator, query) -> QueryOutcome:
         vector, _, _ = constructed_step(estimator, query, i)
         if clamped_i:
             risk = float(np.mean(vector))
-        try:
-            released = float(estimator.session.submit_risks(
-                (risk,), (population_risk,), losses=lambda j: vector)[0])
-        except BudgetExhaustedError as err:
-            err.partial = {
-                "query_index": estimator.queries_answered,
-                "i": i,
-                "c": c,
-                "submissions": estimator.total_submissions,
-            }
-            raise
+        released = float(estimator.session.submit_risks(
+            (risk,), (population_risk,), losses=lambda j: vector)[0])
         estimator.total_submissions += 1
         if released < c - estimator.alpha / 2.0:
             answer = 2.0 * ((released - c) + 0.5 * i * estimator.alpha)

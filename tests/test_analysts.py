@@ -442,9 +442,9 @@ def test_attacks_unpack_in_chunks(attack, kind, monkeypatch):
 
 
 def test_attack_memory_does_not_grow_with_k():
-    # the attack holds two query blocks, the one it folds and the one being
-    # drawn, not the k x n matrix: at n = 5000 a 5000-query matrix alone
-    # would take 25 MB as bytes, 100 MB as float32
+    # the attack holds one query block, the one it folds, not the k x n
+    # matrix: at n = 5000 a 5000-query matrix alone would take 25 MB as
+    # bytes, 100 MB as float32
     def peak(n, k, selection="theorem"):
         sample = make_random_label_sample(n, 8)
         tracemalloc.start()
@@ -458,15 +458,15 @@ def test_attack_memory_does_not_grow_with_k():
     small, large = peak(5000, 500), peak(5000, 5000)
     assert large < 1.2 * small + 256 * 1024, (small, large)
     # with direct selection every row votes: per block (209 rows at n = 10^4,
-    # 256 KB packed, two alive) a side's rows are copied packed and unpacked to
+    # 256 KB packed, one alive) a side's rows are copied packed and unpacked to
     # uint8 one part of at most BLOCK_ENTRIES entries (1 MB) at a time, each
     # part summed and folded into the count before the next; a float32 copy of
     # the block alone would take 8 MB
     direct = peak(10**4, 5000, "direct")
     assert direct < 2 * 2**20, direct
 
-    # the vector attack's grid holds two packed blocks (256 KB each at
-    # n = 40000) and a copy of one's rows sorted by threshold group, unpacks at
+    # the vector attack's grid holds one packed block (256 KB at n = 40000)
+    # and a copy of its rows sorted by threshold group, unpacks at
     # most BLOCK_ENTRIES entries at a time (1 MB as uint8 bits), and keeps per
     # group an int16 count row and a uint8 pending row (16 x 120 KB for seven
     # levels), whatever k: a peak of about 4.0 MiB
@@ -488,9 +488,8 @@ def test_attack_memory_does_not_grow_with_k():
 
 def test_envelope_cell_memory():
     # one rep of an envelope cell at n = 10^4, k = 1000: five blocks of 209
-    # rows (256 KB packed), two alive at a time. A block's mismatch counts
-    # XOR at most BLOCK_ENTRIES entries (128 KB) at a time: a peak of
-    # 0.83 MiB, where XORing the whole block at once took 0.96 MiB
+    # rows (256 KB packed), one alive at a time, its mismatch counts XORed
+    # in one pass (a 256 KB temporary): a peak of about 0.69 MiB
     n, k = 10**4, 1000
     sample = make_random_label_sample(n, 8)
     mechanism = ShakyLadder(shaky_params(n, k + 1, 0.1), 8)
@@ -678,10 +677,10 @@ class TestAttackVsMechanism:
 
 
 class TestShiftedAttack:
-    @pytest.mark.parametrize("alpha", [0.0, math.nan, -0.1, 0.5, math.inf])
+    @pytest.mark.parametrize("alpha", [0.0, math.nan, -0.1, 0.5, math.inf, "0.1", None])
     def test_bad_alpha_rejected_before_drawing(self, alpha, request):
         # alpha = 0 used to raise ZeroDivisionError, NaN "cannot convert float
-        # NaN to integer"
+        # NaN to integer", a string or None "'<' not supported"
         sample = make_random_label_sample(100, 23)
         request.getfixturevalue("no_draws")
         with pytest.raises(ValueError, match="alpha"):

@@ -106,6 +106,13 @@ class TestConfig:
         (dict(reps=2.0), "reps must be an integer, got 2.0"),
         (dict(seed=False), "seed must be an integer, got False"),
         (dict(per_rep="no"), "per_rep must be a bool, got 'no'"),
+        (dict(experiment="reduction-oracle", k_grid=None, alpha="0.05"),
+         "alpha must lie in .*, got '0.05'"),
+        (dict(experiment="envelope", beta="0.1"),
+         r"beta must lie in \(0, 1\), got '0.1'"),
+        (dict(experiment=["vary-noise"]), r"unknown experiment \['vary-noise'\]"),
+        (dict(k_grid=5), "k_grid must be a collection of values, got 5"),
+        (dict(noise_grid=1.0), "noise_grid must be a collection of values, got 1.0"),
     ])
     def test_bad_values_rejected_at_construction(self, overrides, message):
         with pytest.raises(ValueError, match=f"^{message}"):

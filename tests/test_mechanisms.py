@@ -83,6 +83,12 @@ class TestShakyParams:
             shaky_params(0, 10, 0.1)
         with pytest.raises(ValueError):
             shaky_params(100, 10, 1.5)
+        # a string or None used to raise TypeError "'<' not supported"
+        for beta in ("0.1", None):
+            with pytest.raises(ValueError, match="beta must lie in"):
+                shaky_params(100, 10, beta)
+            with pytest.raises(ValueError, match="beta must lie in"):
+                make_mechanism("shaky", n=10000, k=100, beta=beta)
 
 
 class TestShakyLadder:

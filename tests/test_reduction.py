@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from shakyladder.analysts import shifted_majority_attack
@@ -167,8 +167,9 @@ class TestBudgets:
             est.answer(const_query(0.6))
 
     def test_mid_loop_budget_error_carries_state(self):
-        # a shared or externally throttled mechanism can die mid-schedule
-        # even though the upfront check passed; the error carries the state
+        # a mechanism that reports more rounds than it has dies mid-schedule
+        # even though the upfront check passed; its rounds so far stay
+        # committed, and the estimator counts only the answered query
         class ThrottledOracle(PopulationMinOracle):
             def rounds_remaining(self):
                 return math.inf  # defeats the upfront estimate
@@ -176,10 +177,10 @@ class TestBudgets:
         mech = ThrottledOracle(max_rounds=13)
         est = fresh_estimator(0.1, mech)
         est.answer(const_query(0.9))  # consumes 10 rounds, no trigger
-        with pytest.raises(BudgetExhaustedError) as excinfo:
+        with pytest.raises(BudgetExhaustedError):
             est.answer(const_query(0.9))
-        assert excinfo.value.partial["query_index"] == 1
-        assert excinfo.value.partial["i"] == 3
+        assert mech.round == 13  # three rounds into the second query
+        assert (est.queries_answered, est.total_submissions, est.c) == (1, 10, 0.5)
 
 
 class TestConstructedFunctionRange:
@@ -223,7 +224,7 @@ class TestConstructedFunctionRange:
 class TestScalarSchedule:
     @given(
         values=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=64),
-        c=st.floats(-0.5, 1.0),
+        c=st.floats(-0.5, 0.5),
         alpha=st.floats(0.01, 0.49),
         position=st.floats(0.0, 1.0, exclude_max=True),
         population_mean=st.floats(0.0, 1.0),
@@ -237,11 +238,11 @@ class TestScalarSchedule:
         i = int(position * est.steps_per_query)
         query = Query(values=np.array(values), population_mean=population_mean)
         vector, population_risk, clamped = constructed_step(est, query, i)
-        start, stop, risks, population_risks = est._unclamped_run(query)
-        assert (not start <= i < stop) == clamped
+        stop, risks, population_risks = est._unclamped_run(query)
+        assert (not i < stop) == clamped
         if not clamped:
-            assert population_risks()[i - start] == population_risk
-            assert abs(risks[i - start] - float(np.mean(vector))) <= 1e-15
+            assert population_risks()[i] == population_risk
+            assert abs(risks[i] - float(np.mean(vector))) <= 1e-15
 
     @pytest.mark.parametrize("name,reads_vectors", [("pf-ladder", True), ("ladder", False)])
     def test_loss_vectors_built_only_where_read(self, name, reads_vectors, monkeypatch):
@@ -282,11 +283,12 @@ class TestScalarSchedule:
 #: Per clamp condition of ``_unclamped_run``, the c that puts step i's
 #: expression on its limit in real arithmetic; the min one is exact in floats.
 _BOUNDARIES = {
-    "min": lambda low, high, half_mean, i_alpha: -(0.5 * (low - i_alpha)),
-    "max": lambda low, high, half_mean, i_alpha: 1.0 - 0.5 * (high - i_alpha),
-    "risk below": lambda low, high, half_mean, i_alpha: 0.5 * i_alpha - half_mean,
-    "risk above": lambda low, high, half_mean, i_alpha: 1.0 + 0.5 * i_alpha - half_mean,
+    "min": lambda low, half_mean, i_alpha: -(0.5 * (low - i_alpha)),
+    "risk below": lambda low, half_mean, i_alpha: 0.5 * i_alpha - half_mean,
 }
+
+#: The thresholds ``answer`` takes: every c drawn from _DYADIC up to 1/2.
+_DYADIC_C = _DYADIC.filter(lambda c: c <= 0.5)
 
 
 class TestUnclampedRun:
@@ -298,7 +300,7 @@ class TestUnclampedRun:
         alpha=st.one_of(st.sampled_from([0.0625, 0.1, 0.125, 0.25, 1 / 3, 1 / 400]),
                         st.floats(0.01, 0.49)),
         boundary=st.sampled_from([None, *_BOUNDARIES]),
-        c=st.one_of(_DYADIC, st.floats(-0.5, 1.5)),
+        c=st.one_of(_DYADIC_C, st.floats(-0.5, 0.5)),
         position=st.floats(0.0, 1.0, exclude_max=True),
         ulps=st.integers(-4, 4),
     )
@@ -307,19 +309,19 @@ class TestUnclampedRun:
                                           position, ulps):
         est = fresh_estimator(alpha)
         query = Query(values=np.array(values), population_mean=population_mean)
-        _, low, high = query.summary
+        _, low, _ = query.summary
         if boundary is not None:  # c on the boundary of one step, then a few ulps off it
-            c = _BOUNDARIES[boundary](low, high, 0.5 * population_mean,
+            c = _BOUNDARIES[boundary](low, 0.5 * population_mean,
                                       int(position * est.steps_per_query) * alpha)
         for _ in range(abs(ulps)):
             c = float(np.nextafter(c, math.copysign(math.inf, ulps)))
+        assume(c <= 0.5)  # a boundary a few ulps up can pass 1/2, which answer rejects
         est.c = c
-        start, stop, risks, population_risks = est._unclamped_run(query)
+        stop, risks, population_risks = est._unclamped_run(query)
         steps = [_scheduled_risks(est, query.summary, population_mean, i)
                  for i in range(est.steps_per_query)]
         free = [i for i, (_, _, clamped) in enumerate(steps) if not clamped]
-        assert (start, stop) == ((free[0], free[-1] + 1) if free else (0, 0))
-        assert free == list(range(start, stop))
+        assert free == list(range(stop))
         # bit for bit, so that a -0.0 where the reference has 0.0 shows too
         assert np.array([steps[i][0] for i in free], dtype=float).tobytes() == risks.tobytes()
         assert (np.array([steps[i][1] for i in free], dtype=float).tobytes()
@@ -327,19 +329,19 @@ class TestUnclampedRun:
 
     @pytest.mark.parametrize("values,population_mean,c,run", [
         ([0.0, 1.0], 0.5, 0.25, (0, 5)),   # c + (0 - 4 alpha)/2 is exactly 0 at step 4
-        ([0.0, 1.0], 0.5, 0.625, (2, 8)),  # c + (1 - 2 alpha)/2 is exactly 1 at step 2
+        ([0.0, 1.0], 0.5, 0.5, (0, 8)),    # c + (1 - 0 alpha)/2 is exactly 1 at step 0
         ([0.5], 0.0, 0.25, (0, 5)),        # the risk (c - 4 alpha/2) + 0 is exactly 0 at step 4
-        ([0.5], 1.0, 0.625, (2, 8)),       # the risk (c - 2 alpha/2) + 1/2 is exactly 1 at step 2
+        ([0.5], 1.0, 0.5, (0, 8)),         # the risk (c - 0 alpha/2) + 1/2 is exactly 1 at step 0
         ([0.0, 1.0], 0.5, -0.25, (0, 0)),  # every step clamps
     ])
     def test_steps_on_a_boundary_stay_in_the_run(self, values, population_mean, c, run):
         # alpha = 1/8: every quantity is dyadic, so each limit is met exactly
         est = fresh_estimator(0.125)
         est.c = c
-        start, stop, risks, population_risks = est._unclamped_run(
+        stop, risks, population_risks = est._unclamped_run(
             Query(values=np.array(values), population_mean=population_mean))
-        assert (start, stop) == run
-        assert len(risks) == len(population_risks()) == stop - start
+        assert (0, stop) == run
+        assert len(risks) == len(population_risks()) == stop
 
     def test_construction_allocates_no_per_step_rows(self):
         # the estimator used to keep i*alpha and 0.5*i*alpha for all 10^6
@@ -363,7 +365,7 @@ class TestUnclampedRun:
         for c in (0.2, None, 0.4):  # None: the c the previous answer left, below 0.2
             if c is not None:
                 est.c = c
-            stops.append(est._unclamped_run(const_query(0.0))[1])
+            stops.append(est._unclamped_run(const_query(0.0))[0])
             est.answer(const_query(0.0))
             rows.append(est._half_offsets)
         assert stops[1] < stops[0] < stops[2] <= est.steps_per_query
@@ -408,7 +410,7 @@ class TestPackedQuery:
         n=st.one_of(st.sampled_from([1, 63, 64, 65, 128]), st.integers(1, 300)),
         fill=st.sampled_from(["random", "zeros", "ones"]),
         seed=st.integers(0, 2**32),
-        c=st.floats(-0.5, 1.0),
+        c=st.floats(-0.5, 0.5),
         alpha=st.floats(0.01, 0.49),
         population_mean=st.one_of(_DYADIC, st.floats(0.0, 1.0)),
     )
@@ -424,9 +426,9 @@ class TestPackedQuery:
         est = fresh_estimator(alpha)
         est.c = c
         fast, slow = est._unclamped_run(packed), est._unclamped_run(vector)
-        assert fast[:2] == slow[:2]
+        assert fast[0] == slow[0]
         # the risks, then the population risks the run builds on call
-        for fast_row, slow_row in ((fast[2], slow[2]), (fast[3](), slow[3]())):
+        for fast_row, slow_row in ((fast[1], slow[1]), (fast[2](), slow[2]())):
             assert fast_row.tobytes() == slow_row.tobytes()
         assert packed.values.dtype == np.float64
         assert packed.values.tobytes() == vector.values.tobytes()
@@ -540,15 +542,15 @@ def twin_mechanism(name, alpha, seed, variant, record=True):
 
 class TestScanMatchesPerStep:
     """``answer`` (one ``submit_risks`` batch per unclamped run) against the
-    per-step reference, on twin mechanisms. Thresholds drawn above 1/2 clamp
-    a prefix of the schedule; low ones clamp a suffix."""
+    per-step reference, on twin mechanisms. Low thresholds clamp a suffix of
+    the schedule."""
 
     @pytest.mark.parametrize("name", MECHANISM_NAMES)
     @given(
         queries=st.lists(st.tuples(
             st.lists(st.one_of(_DYADIC, st.floats(0.0, 1.0)), min_size=8, max_size=8),
             st.one_of(_DYADIC, st.floats(0.0, 1.0)),
-            st.one_of(st.none(), _DYADIC, st.floats(0.0, 1.0)),
+            st.one_of(st.none(), _DYADIC_C, st.floats(0.0, 0.5)),
         ), min_size=1, max_size=8),
         alpha=st.sampled_from([0.05, 0.1, 0.125, 0.25, 0.3]),
         variant=st.booleans(),
@@ -587,13 +589,54 @@ class TestScanMatchesPerStep:
             mechanism.rounds_remaining = lambda: math.inf  # defeats the upfront estimate
             est = AdaptiveEstimator(EvaluationSession(mechanism), 0.1)
             answer(est, const_query(0.9, n=8))
-            with pytest.raises(BudgetExhaustedError) as excinfo:
+            with pytest.raises(BudgetExhaustedError):
                 answer(est, const_query(0.9, n=8))
             trace = est.session.trace()
-            states.append((excinfo.value.partial, mechanism.round, mechanism.last_release,
+            states.append((est.queries_answered, mechanism.round, mechanism.last_release,
                            trace.released.tolist(), trace.population_risks.tolist()))
         assert states[0] == states[1]
-        assert states[0][0]["i"] == 3 and states[0][1] == 13
+        assert states[0][:2] == (1, 13)
+
+
+class TestThreshold:
+    """c starts at 1/2 and only falls, so no step of the schedule clamps from
+    above; ``answer`` refuses a c set above 1/2 by hand."""
+
+    @pytest.mark.parametrize("name", MECHANISM_NAMES)
+    @given(
+        queries=st.lists(st.tuples(
+            st.lists(st.one_of(_DYADIC, st.floats(0.0, 1.0)), min_size=8, max_size=8),
+            st.one_of(_DYADIC, st.floats(0.0, 1.0)),
+        ), min_size=1, max_size=8),
+        alpha=st.sampled_from([0.05, 0.1, 0.125, 0.25, 0.3]),
+        variant=st.booleans(),
+        seed=st.integers(0, 2**32),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_never_rises_from_one_half(self, name, queries, alpha, variant, seed):
+        est = AdaptiveEstimator(
+            EvaluationSession(twin_mechanism(name, alpha, seed, variant, record=False)), alpha)
+        thresholds = [est.c]
+        for values, population_mean in queries:
+            est.answer(Query(values=np.array(values), population_mean=population_mean))
+            thresholds.append(est.c)
+        assert thresholds[0] == 0.5
+        assert all(after <= before for before, after in zip(thresholds, thresholds[1:]))
+
+    @pytest.mark.parametrize("values,population_mean", [([0.0, 1.0], 0.5), ([0.5], 1.0)])
+    @pytest.mark.parametrize("c", [float(np.nextafter(0.5, 1.0)), 0.625, math.nan])
+    def test_above_one_half_rejected_before_any_round(self, c, values, population_mean):
+        # at c = 0.625 and alpha = 1/8 the two queries' steps 0 and 1 clamped
+        # from above: c + (1 - i alpha)/2 and the risk (c - i alpha/2) + 1/2
+        # passed 1 there and met it exactly at step 2
+        est = fresh_estimator(0.125)
+        est.answer(const_query(0.25, n=2))
+        rounds = est.session.mechanism.round
+        est.c = c
+        with pytest.raises(ValueError, match="threshold c only falls from 1/2"):
+            est.answer(Query(values=np.array(values), population_mean=population_mean))
+        assert est.session.mechanism.round == rounds > 0
+        assert (est.queries_answered, est.total_submissions) == (1, rounds)
 
 
 class TestOracleExactness:
